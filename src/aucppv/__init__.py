@@ -95,7 +95,6 @@ from .roc import (
     AucResult,
     RocCurve,
     auc_pairwise,
-    auc_pairwise_quadratic,
     auc_trapezoid,
     roc_curve,
 )
@@ -129,7 +128,6 @@ __all__ = [
     "roc_curve",
     "auc_trapezoid",
     "auc_pairwise",
-    "auc_pairwise_quadratic",
     # ppv
     "PpvResult",
     "ppv_at_k",

@@ -12,17 +12,20 @@ from __future__ import annotations
 import csv
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import Sequence
 
 from .errors import EmptyAfterFilter, MalformedRow, MissingColumn
-from .ranking import Ranking, ScoredRecord, TiePolicy, build_ranking
+from .ranking import Ranking, TiePolicy, _rank
 
 __all__ = [
     "Scale",
     "ColumnMap",
     "CompasRow",
+    "ScoreTable",
     "LoadSummary",
     "LoadResult",
     "DecileCount",
@@ -67,7 +70,7 @@ class ColumnMap:
 
 @dataclass(frozen=True)
 class CompasRow:
-    """One validated score-table row."""
+    """One score-table row; ``load_csv`` validates the values it reads."""
 
     person_id: str
     raw_score: float
@@ -75,11 +78,67 @@ class CompasRow:
     outcome: bool
     scale: Scale
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.decile <= 10:
-            raise ValueError(f"decile {self.decile} outside [1, 10]")
-        if not math.isfinite(self.raw_score):
-            raise ValueError(f"raw score {self.raw_score!r} is not finite")
+
+@dataclass(eq=False)
+class ScoreTable(Sequence[CompasRow]):
+    """Score-table rows of one scale, held as parallel columns.
+
+    It is a sequence of CompasRow, and each CompasRow is built only when a
+    row is indexed or iterated; a slice is a list of them. ``to_ranking`` and
+    ``decile_report`` read the columns directly.
+    """
+
+    scale: Scale
+    ids: list[str] = field(default_factory=list)
+    scores: list[float] = field(default_factory=list)
+    deciles: list[int] = field(default_factory=list)
+    labels: list[bool] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return CompasRow(
+            self.ids[index], self.scores[index], self.deciles[index], self.labels[index], self.scale
+        )
+
+    def __iter__(self):
+        scale = self.scale
+        for row in zip(self.ids, self.scores, self.deciles, self.labels):
+            yield CompasRow(*row, scale)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ScoreTable):
+            return (
+                self.scale is other.scale
+                and self.ids == other.ids
+                and self.scores == other.scores
+                and self.deciles == other.deciles
+                and self.labels == other.labels
+            )
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+
+def _as_table(rows: Sequence[CompasRow]) -> ScoreTable:
+    """The rows as columns; a ScoreTable is returned as it is.
+
+    The table takes the first row's scale; callers that care about mixed
+    scales check them on ``rows`` themselves.
+    """
+
+    if isinstance(rows, ScoreTable):
+        return rows
+    table = ScoreTable(rows[0].scale if rows else Scale.GENERAL)
+    for row in rows:
+        table.ids.append(row.person_id)
+        table.scores.append(row.raw_score)
+        table.deciles.append(row.decile)
+        table.labels.append(row.outcome)
+    return table
 
 
 @dataclass
@@ -102,7 +161,7 @@ class LoadSummary:
 
 @dataclass
 class LoadResult:
-    rows: list[CompasRow]
+    rows: ScoreTable
     summary: LoadSummary
 
 
@@ -135,20 +194,31 @@ def load_csv(
 
     path = Path(path)
     summary = LoadSummary(path=str(path), scale=scale)
-    rows: list[CompasRow] = []
+    rows = ScoreTable(scale)
+    ids, scores, deciles, labels = rows.ids, rows.scores, rows.deciles, rows.labels
     seen: set[str] = set()
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle, delimiter=delimiter)
-        header = reader.fieldnames or []
+        reader = csv.reader(handle, delimiter=delimiter)
+        header = next(reader, [])
         for column in column_map.required():
             if column not in header:
                 raise MissingColumn(f"column {column!r} not in header {header}")
-        for row_number, raw in enumerate(reader, start=2):
+        # A repeated header name reads its last column, as csv.DictReader did.
+        position = {name: index for index, name in enumerate(header)}
+        id_at, score_at, decile_at, outcome_at = (position[c] for c in column_map.required())
+        width = max(id_at, score_at, decile_at, outcome_at) + 1
+        row_number = 1
+        for raw in reader:
+            if not raw:
+                continue  # blank lines are neither read nor numbered
+            row_number += 1
             summary.rows_read += 1
-            person_id = (raw.get(column_map.id) or "").strip()
-            score_text = (raw.get(column_map.score) or "").strip()
-            decile_text = (raw.get(column_map.decile) or "").strip()
-            outcome_text = (raw.get(column_map.outcome) or "").strip()
+            if len(raw) < width:
+                raw += [""] * (width - len(raw))  # a short row's absent cells are empty
+            person_id = raw[id_at].strip()
+            score_text = raw[score_at].strip()
+            decile_text = raw[decile_at].strip()
+            outcome_text = raw[outcome_at].strip()
             if not person_id:
                 if drop_missing:
                     summary.drop("missing id")
@@ -182,7 +252,10 @@ def load_csv(
                     continue
                 raise MalformedRow(row_number, f"duplicate id {person_id!r}")
             seen.add(person_id)
-            rows.append(CompasRow(person_id, score, decile, outcome, scale))
+            ids.append(person_id)
+            scores.append(score)
+            deciles.append(decile)
+            labels.append(outcome)
     if not rows:
         raise EmptyAfterFilter(f"no usable rows in {path}")
     summary.rows_kept = len(rows)
@@ -192,10 +265,8 @@ def load_csv(
 def to_ranking(rows: Sequence[CompasRow]) -> Ranking:
     """Rank rows by descending raw score, ids breaking ties."""
 
-    return build_ranking(
-        (ScoredRecord(row.person_id, row.raw_score, row.outcome) for row in rows),
-        TiePolicy.BY_ID_ASCENDING,
-    )
+    table = _as_table(rows)
+    return _rank(table.ids, table.scores, table.labels, TiePolicy.BY_ID_ASCENDING)
 
 
 @dataclass(frozen=True)
@@ -238,9 +309,9 @@ class DecileReport:
     high: BucketStats
 
 
-def _bucket(per_decile: dict[int, list[int]], deciles: tuple[int, ...]) -> BucketStats:
-    total = sum(per_decile[d][0] for d in deciles)
-    positives = sum(per_decile[d][1] for d in deciles)
+def _bucket(per_decile: tuple[DecileCount, ...], deciles: tuple[int, ...]) -> BucketStats:
+    total = sum(per_decile[d - 1].total for d in deciles)
+    positives = sum(per_decile[d - 1].positives for d in deciles)
     return BucketStats(deciles=deciles, total=total, positives=positives)
 
 
@@ -252,23 +323,21 @@ def decile_report(rows: Sequence[CompasRow], scale: Scale | None = None) -> Deci
 
     if not rows:
         raise EmptyAfterFilter("decile report needs at least one row")
-    scales = {row.scale for row in rows}
+    table = _as_table(rows)
     if scale is None:
+        scales = {table.scale} if table is rows else {row.scale for row in rows}
         if len(scales) != 1:
             raise ValueError("rows mix scales; pass the scale explicitly")
-        scale = next(iter(scales))
-    tally: dict[int, list[int]] = {d: [0, 0] for d in range(1, 11)}
-    for row in rows:
-        tally[row.decile][0] += 1
-        if row.outcome:
-            tally[row.decile][1] += 1
+        scale = scales.pop()
+    totals = Counter(table.deciles)
+    positives = Counter(compress(table.deciles, table.labels))
     per_decile = tuple(
-        DecileCount(decile=d, total=tally[d][0], positives=tally[d][1]) for d in range(1, 11)
+        DecileCount(decile=d, total=totals[d], positives=positives[d]) for d in range(1, 11)
     )
     return DecileReport(
         scale=scale,
         per_decile=per_decile,
-        low=_bucket(tally, LOW_DECILES),
-        medium=_bucket(tally, MEDIUM_DECILES),
-        high=_bucket(tally, HIGH_DECILES),
+        low=_bucket(per_decile, LOW_DECILES),
+        medium=_bucket(per_decile, MEDIUM_DECILES),
+        high=_bucket(per_decile, HIGH_DECILES),
     )

@@ -74,7 +74,7 @@ def confusion_at_cut(ranking: Ranking, cut: int) -> ConfusionCounts:
 
     if not 0 <= cut <= ranking.n:
         raise CutOutOfRange(f"cut {cut} outside [0, {ranking.n}]")
-    tp = sum(1 for rec in ranking.items[:cut] if rec.positive)
+    tp = ranking.hits_at(cut)
     fp = cut - tp
     fn = ranking.k1 - tp
     tn = ranking.k2 - fp

@@ -8,6 +8,7 @@ translates PPV at the base-rate cut between a classifier and its reverse.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,7 +48,7 @@ def ppv_at_k(ranking: Ranking, k: int) -> PpvResult:
 
     if not 1 <= k <= ranking.n:
         raise CutOutOfRange(f"cut {k} outside [1, {ranking.n}]")
-    hits = sum(1 for rec in ranking.items[:k] if rec.positive)
+    hits = ranking.hits_at(k)
     return PpvResult(k=k, hits=hits, value=hits / k)
 
 
@@ -111,16 +112,9 @@ def expected_hits_at_k(ranking: Ranking, k: int) -> float:
 
     if not 1 <= k <= ranking.n:
         raise CutOutOfRange(f"cut {k} outside [1, {ranking.n}]")
-    items = ranking.items
-    boundary_score = items[k - 1].score
-    start = k - 1
-    while start > 0 and items[start - 1].score == boundary_score:
-        start -= 1
-    end = k
-    while end < len(items) and items[end].score == boundary_score:
-        end += 1
-    hits_before = sum(1 for rec in items[:start] if rec.positive)
-    group_positives = sum(1 for rec in items[start:end] if rec.positive)
-    slots = k - start
-    expected = hits_before + Fraction(group_positives * slots, end - start)
+    ends, hits = ranking.group_ends, ranking.group_hits
+    g = bisect_left(ends, k)  # the tie group holding position k - 1
+    start, hits_before = (ends[g - 1], hits[g - 1]) if g else (0, 0)
+    group_positives = hits[g] - hits_before
+    expected = hits_before + Fraction(group_positives * (k - start), ends[g] - start)
     return float(expected)

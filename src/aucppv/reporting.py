@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from . import metrics as m
 from .envelopes import (
     ClassRatio,
-    auc_max_given_ppvk,
-    auc_min_given_ppvk,
+    auc_max_exact,
+    auc_min_exact,
     ppvk_max_given_auc,
     ppvk_min_given_auc,
 )
@@ -117,8 +117,8 @@ def build_report(
     auc = auc_pairwise(ranking)
     ppv = ppv_base_rate(ranking)
     ratio = ClassRatio(ranking.k1, ranking.k2)
-    lo = auc_min_given_ppvk(ppv.value, ratio)
-    hi = auc_max_given_ppvk(ppv.value, ratio)
+    lo = float(auc_min_exact(ppv.hits, ratio))
+    hi = float(auc_max_exact(ppv.hits, ratio))
     ppv_lo = ppvk_min_given_auc(auc.value, ratio)
     ppv_hi = ppvk_max_given_auc(auc.value, ratio)
     if not lo - SANDWICH_TOLERANCE <= auc.value <= hi + SANDWICH_TOLERANCE:

@@ -4,8 +4,7 @@
 correctly ordered positive/negative pairs through a rank-sum in O(n) on the
 already-sorted ranking, crediting ties with one half. The two agree to
 floating-point accuracy on every ranking, which the test suite exploits as a
-dual-route check. ``auc_pairwise_quadratic`` is the O(k1*k2) literal pair loop
-kept as a reference oracle for tests.
+dual-route check.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ __all__ = [
     "roc_curve",
     "auc_trapezoid",
     "auc_pairwise",
-    "auc_pairwise_quadratic",
 ]
 
 
@@ -60,28 +58,6 @@ class AucResult:
     total_pairs: int
 
 
-def _score_groups(ranking: Ranking):
-    """Yield (start, end, positives) for runs of equal score, descending."""
-
-    items = ranking.items
-    n = len(items)
-    start = 0
-    while start < n:
-        first = items[start]
-        score = first.score
-        positives = 1 if first.positive else 0
-        end = start + 1
-        while end < n:
-            rec = items[end]
-            if rec.score != score:
-                break
-            if rec.positive:
-                positives += 1
-            end += 1
-        yield start, end, positives
-        start = end
-
-
 def _require_both_classes(ranking: Ranking) -> None:
     if ranking.k1 == 0 or ranking.k2 == 0:
         raise DegenerateClasses("ROC/AUC need at least one record of each class")
@@ -95,13 +71,11 @@ def roc_curve(ranking: Ranking) -> RocCurve:
     """
 
     _require_both_classes(ranking)
+    k1, k2 = ranking.k1, ranking.k2
     points = [(0.0, 0.0)]
-    tp = 0
-    fp = 0
-    for start, end, positives in _score_groups(ranking):
-        tp += positives
-        fp += (end - start) - positives
-        points.append((fp / ranking.k2, tp / ranking.k1))
+    points.extend(
+        ((end - tp) / k2, tp / k1) for end, tp in zip(ranking.group_ends, ranking.group_hits)
+    )
     return RocCurve(tuple(points))
 
 
@@ -128,35 +102,16 @@ def auc_pairwise(ranking: Ranking) -> AucResult:
     n = ranking.n
     # Positives' ascending midranks, doubled to stay integral under ties.
     doubled_rank_sum = 0
-    for start, end, positives in _score_groups(ranking):
+    start = before = 0
+    for end, through in zip(ranking.group_ends, ranking.group_hits):
         # Descending positions [start, end) hold ascending ranks
         # n-end+1 .. n-start, whose doubled midrank is 2n - start - end + 1.
-        doubled_rank_sum += positives * (2 * n - start - end + 1)
+        doubled_rank_sum += (through - before) * (2 * n - start - end + 1)
+        start, before = end, through
     doubled_u = doubled_rank_sum - ranking.k1 * (ranking.k1 + 1)
     total = ranking.k1 * ranking.k2
     return AucResult(
         value=doubled_u / (2 * total),
         correct_pairs=doubled_u / 2.0,
-        total_pairs=total,
-    )
-
-
-def auc_pairwise_quadratic(ranking: Ranking) -> AucResult:
-    """Literal O(k1*k2) pair loop; reference oracle for auc_pairwise."""
-
-    _require_both_classes(ranking)
-    pos_scores = [rec.score for rec in ranking.items if rec.positive]
-    neg_scores = [rec.score for rec in ranking.items if not rec.positive]
-    doubled = 0
-    for ps in pos_scores:
-        for ns in neg_scores:
-            if ps > ns:
-                doubled += 2
-            elif ps == ns:
-                doubled += 1
-    total = ranking.k1 * ranking.k2
-    return AucResult(
-        value=doubled / (2 * total),
-        correct_pairs=doubled / 2.0,
         total_pairs=total,
     )

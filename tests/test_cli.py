@@ -289,7 +289,7 @@ def test_report_compas_is_byte_deterministic(capsys):
 def test_internal_consistency_failure_exits_two(tmp_path, capsys, monkeypatch):
     # A lower bound above any attainable AUC must trip the self-check.
     monkeypatch.setattr(
-        aucppv.reporting, "auc_min_given_ppvk", lambda ppv, ratio: 1.5
+        aucppv.reporting, "auc_min_exact", lambda hits, ratio: 1.5
     )
     path = write_csv(tmp_path)
     code, out, err = run(capsys, ["evaluate", "--input", path])

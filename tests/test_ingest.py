@@ -133,6 +133,46 @@ def test_malformed_values_raise_with_row_number(tmp_path, cell, column):
     assert excinfo.value.row_number == 2
 
 
+def test_ragged_rows_short_dropped_long_loaded(tmp_path):
+    # A short row's absent cells read as empty, so it drops as missing data;
+    # cells past the header are ignored.
+    path = write(
+        tmp_path,
+        """
+        person_id,raw_score,decile,outcome
+        a,1.0,5,1,extra,cells
+        b,0.5,3
+        c,0.5
+        d
+        e,0.25,2,0
+        """,
+    )
+    result = load_csv(path)
+    assert result.summary.rows_read == 5
+    assert result.summary.dropped == {
+        "missing outcome": 1,
+        "missing decile": 1,
+        "missing score": 1,
+    }
+    assert [(row.person_id, row.raw_score, row.decile, row.outcome) for row in result.rows] == [
+        ("a", 1.0, 5, True),
+        ("e", 0.25, 2, False),
+    ]
+    with pytest.raises(MalformedRow) as excinfo:
+        load_csv(path, drop_missing=False)
+    assert excinfo.value.row_number == 3
+    id_last = write(
+        tmp_path,
+        """
+        raw_score,decile,outcome,person_id
+        1.0,5,1,a
+        0.5,3,0
+        """,
+        name="id_last.csv",
+    )
+    assert load_csv(id_last).summary.dropped == {"missing id": 1}
+
+
 def test_duplicate_ids_keep_first(tmp_path):
     path = write(
         tmp_path,
@@ -224,6 +264,11 @@ def test_load_is_deterministic(tmp_path):
     second = load_csv(path)
     assert first.rows == second.rows
     assert to_ranking(first.rows) == to_ranking(second.rows)
+    # A plain list of rows takes the same path as the loader's columns.
+    rows = list(first.rows)
+    assert first.rows == rows
+    assert to_ranking(rows) == to_ranking(first.rows)
+    assert decile_report(rows) == decile_report(first.rows)
 
 
 def test_decile_report_hand_tally(tmp_path):

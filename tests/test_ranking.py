@@ -17,9 +17,11 @@ from aucppv import (
     ScoredRecord,
     TiePolicy,
     build_ranking,
+    confusion_at_cut,
+    ppv_at_k,
     reverse_classifier,
 )
-from conftest import pattern_of, ranking_from_pattern
+from conftest import exact_hits, pattern_of, random_ranking, ranking_from_pattern
 
 
 def test_build_sorts_descending_and_counts_classes():
@@ -104,6 +106,24 @@ def test_ranking_validates_class_counts():
     )
     with pytest.raises(ValueError):
         Ranking(items=records, k1=2, k2=0, tie_policy=TiePolicy.GIVEN)
+
+
+def test_tie_group_table_matches_record_walk():
+    rng = random.Random(17)
+    for _ in range(60):
+        ranking = random_ranking(rng, rng.randint(2, 50), with_ties=True)
+        for built in (ranking, reverse_classifier(ranking)):
+            scores = [rec.score for rec in built.items]
+            ends = [i for i in range(1, built.n) if scores[i] != scores[i - 1]] + [built.n]
+            assert list(built.group_ends) == ends
+            assert list(built.group_hits) == [exact_hits(built, end) for end in ends]
+            for k in range(built.n + 1):
+                assert confusion_at_cut(built, k).tp == exact_hits(built, k)
+                if k:
+                    assert ppv_at_k(built, k).hits == exact_hits(built, k)
+            again = Ranking(built.items, built.k1, built.k2, built.tie_policy)
+            assert again == built
+            assert (again.group_ends, again.group_hits) == (built.group_ends, built.group_hits)
 
 
 def test_reverse_flips_order_and_roles():

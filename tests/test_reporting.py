@@ -118,7 +118,7 @@ def test_sandwich_self_check_raises_internal_error(monkeypatch):
     # Force the lower envelope above the observed AUC: the report builder
     # must refuse to emit and flag a toolkit bug.
     monkeypatch.setattr(
-        aucppv.reporting, "auc_min_given_ppvk", lambda ppv, ratio: 1.0
+        aucppv.reporting, "auc_min_exact", lambda hits, ratio: 1.0
     )
     with pytest.raises(InternalConsistencyError):
         build_report(ranking_from_pattern(WORKED_EXAMPLE))

@@ -10,7 +10,6 @@ import pytest
 from aucppv import (
     DegenerateClasses,
     auc_pairwise,
-    auc_pairwise_quadratic,
     auc_trapezoid,
     reverse_classifier,
     roc_curve,
@@ -99,17 +98,6 @@ def test_degenerate_classes_rejected():
         roc_curve(ranking_from_pattern("PPP"))
     with pytest.raises(DegenerateClasses):
         auc_pairwise(ranking_from_pattern("NN"))
-
-
-def test_quadratic_reference_agrees_exactly():
-    rng = random.Random(7)
-    for _ in range(50):
-        ranking = random_ranking(rng, rng.randint(2, 60), with_ties=True)
-        fast = auc_pairwise(ranking)
-        slow = auc_pairwise_quadratic(ranking)
-        assert fast.value == slow.value
-        assert fast.correct_pairs == slow.correct_pairs
-        assert fast.total_pairs == slow.total_pairs
 
 
 def test_pairwise_matches_exact_rational_oracle():
