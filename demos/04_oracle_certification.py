@@ -1,8 +1,9 @@
 """Brute-force certification of the envelope formulas.
 
 For small classes every arrangement of positives among negatives can
-be enumerated, the AUC of each computed in exact rational arithmetic,
-and the per-hit-level extremes compared against the closed forms.
+be enumerated, each scored by its exact integer count of correctly
+ordered pairs, and the per-hit-level extremes compared against the closed
+forms.
 Equality must be exact, not approximate: both sides are Fractions.
 """
 

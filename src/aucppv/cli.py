@@ -26,6 +26,10 @@ from .reporting import build_report, format_number, format_report
 
 __all__ = ["main", "cmd_evaluate", "cmd_envelope", "cmd_verify", "cmd_report_compas"]
 
+#: Most rows one ``envelope`` table may have; larger requests are refused
+#: before any row is built.
+MAX_ENVELOPE_ROWS = 10**6
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors on exit code 1 (2 is reserved)."""
@@ -92,6 +96,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_rows(rows: float) -> None:
+    if rows > MAX_ENVELOPE_ROWS:
+        raise InstanceTooLarge(
+            f"envelope table of {rows:.10g} rows exceeds the limit {MAX_ENVELOPE_ROWS}"
+        )
+
+
 def _envelope_text(args: argparse.Namespace) -> str:
     if args.k1 < 1 or args.k2 < 1:
         raise AucppvError("class sizes k1 and k2 must be at least 1")
@@ -99,6 +110,7 @@ def _envelope_text(args: argparse.Namespace) -> str:
     header_fields: list[str]
     rows: list[tuple[str, ...]]
     if args.mode == "auc-given-ppv":
+        _check_rows(min(args.k1, args.k2) + 1)
         curve = envelope_curve(ratio)
         header_fields = ["ppv", "auc_min", "auc_max"]
         rows = [
@@ -112,6 +124,8 @@ def _envelope_text(args: argparse.Namespace) -> str:
     else:
         if not 0.0 < args.step <= 1.0:
             raise AucppvError(f"grid step {args.step!r} must lie in (0, 1]")
+        # A float count first: 1 / step can overflow to inf before rounding.
+        _check_rows(1.0 / args.step + 1)
         steps = round(1.0 / args.step)
         if steps < 1 or abs(steps * args.step - 1.0) > 1e-9:
             raise AucppvError(f"grid step {args.step!r} must divide 1 evenly")

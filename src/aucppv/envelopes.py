@@ -10,6 +10,15 @@ have closed forms:
     auc_max(a) = 1 - (k1/k2) * (1 - a)^2
     auc_min(a) = a * (1 - (k1/k2) * (1 - a))
 
+At a = h/k1 both are integer pair counts over the k1*k2 pairs:
+
+    auc_max = (k1*k2 - (k1 - h)^2) / (k1*k2)
+    auc_min = h * (k2 - k1 + h) / (k1*k2)
+
+so the module works with those integer numerators and divides only at the
+edge: a Fraction for the ``*_exact`` functions, one correctly rounded
+int/int division for the float ones.
+
 Ratios with k1 > k2 are reduced to this case through the class swap, which
 leaves AUC unchanged and maps hit counts affinely (``normalize_ratio``).
 
@@ -17,7 +26,8 @@ The inverse direction is a grid scan: given an observed AUC value b, the
 feasible hit counts are bracketed by the smallest h whose auc_min reaches b
 and the largest h whose auc_max stays below b. Those are the outer grid
 neighbours of the continuous roots, so the reported interval always contains
-every PPV_k attainable at AUC = b; all comparisons are exact rational.
+every PPV_k attainable at AUC = b; all comparisons cross-multiply integers
+against the threshold's numerator and denominator, so they are exact.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InconsistentInput, NonIntegralHits
-from .ppv import INTEGRALITY_TOLERANCE, PpvResult
+from .ppv import PpvResult, hits_from_ppv
 
 __all__ = [
     "ClassRatio",
@@ -86,13 +96,10 @@ class NormalizedPpv:
 def _hits_from_ppv_strict(ppv: float, k1: int) -> int:
     """Like ppv.hits_from_ppv but raising NonIntegralHits, the envelope-side error."""
 
-    scaled = ppv * k1
-    hits = round(scaled)
-    if abs(scaled - hits) > INTEGRALITY_TOLERANCE:
-        raise NonIntegralHits(f"ppv {ppv!r} at base-rate cut {k1} is not an integral hit count")
-    if not 0 <= hits <= k1:
-        raise NonIntegralHits(f"ppv {ppv!r} lies outside [0, 1] at cut {k1}")
-    return hits
+    try:
+        return hits_from_ppv(ppv, k1)
+    except InconsistentInput as exc:
+        raise NonIntegralHits(str(exc)) from None
 
 
 def normalize_ratio(ratio: ClassRatio, ppv: float) -> NormalizedPpv:
@@ -117,18 +124,11 @@ def normalize_ratio(ratio: ClassRatio, ppv: float) -> NormalizedPpv:
     return NormalizedPpv(swapped, swapped_hits / swapped.k1, swapped_hits, swapped=True)
 
 
-def _auc_max_fraction(hits: int, k1: int, k2: int) -> Fraction:
-    """Exact auc_max at a = hits/k1 for a normalized ratio (k1 <= k2)."""
+def _envelope_pairs(hits: int, k1: int, k2: int) -> tuple[int, int]:
+    """(auc_min, auc_max) numerators over k1*k2 at a = hits/k1; k1 <= k2."""
 
-    miss = Fraction(k1 - hits, k1)
-    return 1 - Fraction(k1, k2) * miss * miss
-
-
-def _auc_min_fraction(hits: int, k1: int, k2: int) -> Fraction:
-    """Exact auc_min at a = hits/k1 for a normalized ratio (k1 <= k2)."""
-
-    a = Fraction(hits, k1)
-    return a * (1 - Fraction(k1, k2) * (1 - a))
+    miss = k1 - hits
+    return hits * (k2 - miss), k1 * k2 - miss * miss
 
 
 def _normalized_hits(hits: int, ratio: ClassRatio) -> tuple[int, ClassRatio]:
@@ -151,28 +151,30 @@ def auc_max_exact(hits: int, ratio: ClassRatio) -> Fraction:
     """Exact rational auc_max for an integer hit count; any ratio."""
 
     h, norm = _normalized_hits(hits, ratio)
-    return _auc_max_fraction(h, norm.k1, norm.k2)
+    return Fraction(_envelope_pairs(h, norm.k1, norm.k2)[1], norm.k1 * norm.k2)
 
 
 def auc_min_exact(hits: int, ratio: ClassRatio) -> Fraction:
     """Exact rational auc_min for an integer hit count; any ratio."""
 
     h, norm = _normalized_hits(hits, ratio)
-    return _auc_min_fraction(h, norm.k1, norm.k2)
+    return Fraction(_envelope_pairs(h, norm.k1, norm.k2)[0], norm.k1 * norm.k2)
 
 
 def auc_max_given_ppvk(ppv: float, ratio: ClassRatio) -> float:
     """Largest AUC any arrangement with PPV_k = ppv can reach."""
 
     point = normalize_ratio(ratio, ppv)
-    return float(_auc_max_fraction(point.hits, point.ratio.k1, point.ratio.k2))
+    k1, k2 = point.ratio.k1, point.ratio.k2
+    return _envelope_pairs(point.hits, k1, k2)[1] / (k1 * k2)
 
 
 def auc_min_given_ppvk(ppv: float, ratio: ClassRatio) -> float:
     """Smallest AUC any arrangement with PPV_k = ppv can reach."""
 
     point = normalize_ratio(ratio, ppv)
-    return float(_auc_min_fraction(point.hits, point.ratio.k1, point.ratio.k2))
+    k1, k2 = point.ratio.k1, point.ratio.k2
+    return _envelope_pairs(point.hits, k1, k2)[0] / (k1 * k2)
 
 
 def _check_auc(auc: float) -> Fraction:
@@ -199,15 +201,17 @@ def ppvk_max_given_auc(auc: float, ratio: ClassRatio) -> PpvResult:
     the input.
     """
 
-    b = _check_auc(auc)
     norm = ratio.normalized
-    threshold = b - AUC_TOLERANCE
+    k1, k2 = norm.k1, norm.k2
+    threshold = _check_auc(auc) - AUC_TOLERANCE
+    # pairs / (k1*k2) >= p / q, with both denominators positive.
+    p, q = threshold.numerator * k1 * k2, threshold.denominator
     # auc_min is strictly increasing in hits, so bisect for the first level
     # at or above the threshold; hits = k1 always qualifies (auc_min = 1).
-    lo, hi = 0, norm.k1
+    lo, hi = 0, k1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _auc_min_fraction(mid, norm.k1, norm.k2) >= threshold:
+        if _envelope_pairs(mid, k1, k2)[0] * q >= p:
             hi = mid
         else:
             lo = mid + 1
@@ -223,17 +227,19 @@ def ppvk_min_given_auc(auc: float, ratio: ClassRatio) -> PpvResult:
     can fall below it.
     """
 
-    b = _check_auc(auc)
     norm = ratio.normalized
-    threshold = b + AUC_TOLERANCE
-    if _auc_max_fraction(0, norm.k1, norm.k2) > threshold:
+    k1, k2 = norm.k1, norm.k2
+    threshold = _check_auc(auc) + AUC_TOLERANCE
+    # pairs / (k1*k2) <= p / q, with both denominators positive.
+    p, q = threshold.numerator * k1 * k2, threshold.denominator
+    if _envelope_pairs(0, k1, k2)[1] * q > p:
         return _denormalize_hits(0, ratio)
     # auc_max is strictly increasing in hits; bisect for the last level at or
     # below the threshold.
-    lo, hi = 0, norm.k1
+    lo, hi = 0, k1
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _auc_max_fraction(mid, norm.k1, norm.k2) <= threshold:
+        if _envelope_pairs(mid, k1, k2)[1] * q <= p:
             lo = mid
         else:
             hi = mid - 1
@@ -272,12 +278,10 @@ def envelope_curve(ratio: ClassRatio) -> EnvelopeCurve:
     """
 
     norm = ratio.normalized
-    samples = tuple(
-        (
-            i / norm.k1,
-            float(_auc_min_fraction(i, norm.k1, norm.k2)),
-            float(_auc_max_fraction(i, norm.k1, norm.k2)),
-        )
-        for i in range(norm.k1 + 1)
-    )
-    return EnvelopeCurve(ratio=norm, samples=samples, swapped=ratio.k1 > ratio.k2)
+    k1, k2 = norm.k1, norm.k2
+    total = k1 * k2
+    samples = []
+    for i in range(k1 + 1):
+        low, high = _envelope_pairs(i, k1, k2)
+        samples.append((i / k1, low / total, high / total))
+    return EnvelopeCurve(ratio=norm, samples=tuple(samples), swapped=ratio.k1 > ratio.k2)

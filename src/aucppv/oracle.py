@@ -1,14 +1,17 @@
 """Exhaustive arrangement oracle and envelope certification.
 
 For small class sizes every arrangement of k1 positives among n = k1 + k2
-positions can be enumerated and its AUC computed as an exact rational. The
-per-hit-level extremes then certify the closed-form envelopes by exact
+positions can be enumerated. Each arrangement is scored by its integer count
+of correctly ordered positive/negative pairs, formed from the sum of the
+positive positions; only the per-hit-level extremes become exact rationals
+(pairs / (k1*k2)). They then certify the closed-form envelopes by exact
 equality, with no floating point anywhere in the comparison.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -55,9 +58,13 @@ def enumerate_arrangements(ratio: ClassRatio, limit: int = DEFAULT_LIMIT) -> Arr
     """Enumerate every placement of the positives and tally exact AUCs.
 
     Arrangements are generated in lexicographic order of the positive
-    positions. For each, the correctly ordered pair count is summed directly
-    and the AUC kept as the exact rational pairs / (k1*k2); extremes are
-    tracked per hit level (positives inside the top k1) and globally.
+    positions p_0 < ... < p_{k1-1} (0-based). The positive at p_j is ordered
+    above the n-1-p_j records after it, k1-1-j of which are positives, so an
+    arrangement's correctly ordered pair count is the integer
+    k1*(n-1) - k1*(k1-1)/2 - sum(p_j). Its hit count (positives inside the
+    top k1) is the number of positions below k1. Extremes of the pair count
+    are tracked per hit level as integers, and each becomes the exact
+    rational AUC pairs / (k1*k2) once, at the end.
     Raises InstanceTooLarge when n exceeds ``limit``.
     """
 
@@ -66,36 +73,35 @@ def enumerate_arrangements(ratio: ClassRatio, limit: int = DEFAULT_LIMIT) -> Arr
         raise InstanceTooLarge(f"n = {n} exceeds the enumeration limit {limit}")
     k1, k2 = ratio.k1, ratio.k2
     total = k1 * k2
-    per_level: dict[int, list] = {}
-    count = 0
+    base = k1 * (n - 1) - k1 * (k1 - 1) // 2
+    # Indexed by hit count; a level no arrangement reaches keeps count 0.
+    counts = [0] * (k1 + 1)
+    lows = [total + 1] * (k1 + 1)
+    highs = [-1] * (k1 + 1)
     for positions in itertools.combinations(range(n), k1):
-        # Position p (0-based) has n-1-p records after it, of which the
-        # positives beyond index j account for k1-1-j; the rest are negatives.
-        pairs = sum(
-            (n - 1 - p) - (k1 - 1 - j) for j, p in enumerate(positions)
-        )
-        hits = sum(1 for p in positions if p < k1)
-        auc = Fraction(pairs, total)
-        entry = per_level.get(hits)
-        if entry is None:
-            per_level[hits] = [1, auc, auc]
-        else:
-            entry[0] += 1
-            if auc < entry[1]:
-                entry[1] = auc
-            if auc > entry[2]:
-                entry[2] = auc
-        count += 1
+        pairs = base - sum(positions)
+        hits = bisect_left(positions, k1)
+        counts[hits] += 1
+        if pairs < lows[hits]:
+            lows[hits] = pairs
+        if pairs > highs[hits]:
+            highs[hits] = pairs
     per_hits = {
-        hits: HitLevelStats(hits=hits, count=c, min_auc=lo, max_auc=hi)
-        for hits, (c, lo, hi) in sorted(per_level.items())
+        hits: HitLevelStats(
+            hits=hits,
+            count=counts[hits],
+            min_auc=Fraction(lows[hits], total),
+            max_auc=Fraction(highs[hits], total),
+        )
+        for hits in range(k1 + 1)
+        if counts[hits]
     }
     return ArrangementStats(
         ratio=ratio,
         per_hits=per_hits,
-        min_auc=min(stats.min_auc for stats in per_hits.values()),
-        max_auc=max(stats.max_auc for stats in per_hits.values()),
-        arrangements=count,
+        min_auc=Fraction(min(lows), total),
+        max_auc=Fraction(max(highs), total),
+        arrangements=sum(counts),
     )
 
 

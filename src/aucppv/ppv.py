@@ -22,6 +22,7 @@ __all__ = [
     "hits_from_ppv",
     "ppv_swap",
     "expected_hits_at_k",
+    "hits_range_at_k",
 ]
 
 #: Absolute slack when checking that a PPV times its cut is an integer.
@@ -63,15 +64,18 @@ def ppv_base_rate(ranking: Ranking) -> PpvResult:
 def hits_from_ppv(ppv: float, k: int) -> int:
     """Recover the integer hit count behind a PPV value at cut k.
 
-    Raises InconsistentInput when ppv*k is not an integer within
-    INTEGRALITY_TOLERANCE or falls outside [0, k].
+    A ppv that is exactly the float hits / k is accepted at any k; otherwise
+    ppv*k must lie within INTEGRALITY_TOLERANCE of an integer (the float
+    product alone drifts past that tolerance once k reaches about 1e8).
+    Raises InconsistentInput when it does not, or when the hit count falls
+    outside [0, k].
     """
 
     if k < 1:
         raise ValueError("cut k must be at least 1")
     scaled = ppv * k
     hits = round(scaled)
-    if abs(scaled - hits) > INTEGRALITY_TOLERANCE:
+    if hits / k != ppv and abs(scaled - hits) > INTEGRALITY_TOLERANCE:
         raise InconsistentInput(f"ppv {ppv!r} at cut {k} is not an integral hit count")
     if not 0 <= hits <= k:
         raise InconsistentInput(f"ppv {ppv!r} at cut {k} implies hits outside [0, {k}]")
@@ -110,11 +114,33 @@ def expected_hits_at_k(ranking: Ranking, k: int) -> float:
     straddling tie it equals the deterministic hit count.
     """
 
+    hits_before, slots, size, group_positives = _boundary_group(ranking, k)
+    return float(hits_before + Fraction(group_positives * slots, size))
+
+
+def hits_range_at_k(ranking: Ranking, k: int) -> tuple[int, int]:
+    """Fewest and most positives in the top k over orderings of the boundary tie group.
+
+    The cut takes ``slots`` members of the tie group holding position k - 1:
+    at least slots - (negatives in the group) of them and at most all of the
+    group's positives are positive. Away from a straddling tie both ends equal
+    the deterministic hit count.
+    """
+
+    hits_before, slots, size, group_positives = _boundary_group(ranking, k)
+    return (
+        hits_before + max(0, slots - (size - group_positives)),
+        hits_before + min(group_positives, slots),
+    )
+
+
+def _boundary_group(ranking: Ranking, k: int) -> tuple[int, int, int, int]:
+    """(positives before, slots inside the cut, size, positives) of the tie
+    group holding position k - 1, read from the ranking's group table."""
+
     if not 1 <= k <= ranking.n:
         raise CutOutOfRange(f"cut {k} outside [1, {ranking.n}]")
     ends, hits = ranking.group_ends, ranking.group_hits
-    g = bisect_left(ends, k)  # the tie group holding position k - 1
+    g = bisect_left(ends, k)
     start, hits_before = (ends[g - 1], hits[g - 1]) if g else (0, 0)
-    group_positives = hits[g] - hits_before
-    expected = hits_before + Fraction(group_positives * (k - start), ends[g] - start)
-    return float(expected)
+    return hits_before, k - start, ends[g] - start, hits[g] - hits_before

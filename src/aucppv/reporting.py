@@ -1,9 +1,10 @@
 """Evaluation reports: one ranking's metrics, AUC, PPV, and envelope context.
 
 The report builder runs a sandwich self-check before anything is emitted:
-the observed AUC must lie inside the envelope at the observed PPV, and the
-observed PPV inside the feasible interval at the observed AUC. A violation is
-an InternalConsistencyError (a toolkit bug), never a data error.
+the observed AUC must lie inside the envelope over the hit counts the
+boundary tie group allows, and those hit counts must meet the feasible
+interval at the observed AUC. A violation is an InternalConsistencyError
+(a toolkit bug), never a data error.
 
 All numeric output is formatted to 10 significant digits with a stable field
 order, so a report is byte-deterministic for fixed input and flags.
@@ -24,7 +25,7 @@ from .envelopes import (
 )
 from .errors import AucppvError, InternalConsistencyError
 from .ingest import DecileReport, LoadSummary
-from .ppv import PpvResult, ppv_base_rate
+from .ppv import PpvResult, hits_range_at_k, ppv_base_rate
 from .ranking import Ranking
 from .roc import AucResult, auc_pairwise
 
@@ -121,15 +122,21 @@ def build_report(
     hi = float(auc_max_exact(ppv.hits, ratio))
     ppv_lo = ppvk_min_given_auc(auc.value, ratio)
     ppv_hi = ppvk_max_given_auc(auc.value, ratio)
-    if not lo - SANDWICH_TOLERANCE <= auc.value <= hi + SANDWICH_TOLERANCE:
+    # Tied pairs get half credit, so the AUC is the mean over orderings of
+    # the tie groups; the check spans every hit count the boundary group's
+    # orderings allow, not only the one the tie policy picked.
+    hits_lo, hits_hi = hits_range_at_k(ranking, ranking.k1)
+    check_lo = float(auc_min_exact(hits_lo, ratio))
+    check_hi = float(auc_max_exact(hits_hi, ratio))
+    if not check_lo - SANDWICH_TOLERANCE <= auc.value <= check_hi + SANDWICH_TOLERANCE:
         raise InternalConsistencyError(
-            f"sandwich violated: AUC {auc.value!r} outside [{lo!r}, {hi!r}] "
-            f"at PPV {ppv.value!r} for ratio {ranking.k1}:{ranking.k2}"
+            f"sandwich violated: AUC {auc.value!r} outside [{check_lo!r}, {check_hi!r}] "
+            f"at hits {hits_lo}..{hits_hi} for ratio {ranking.k1}:{ranking.k2}"
         )
-    if not ppv_lo.value - SANDWICH_TOLERANCE <= ppv.value <= ppv_hi.value + SANDWICH_TOLERANCE:
+    if not (hits_lo <= ppv_hi.hits and ppv_lo.hits <= hits_hi):
         raise InternalConsistencyError(
-            f"sandwich violated: PPV {ppv.value!r} outside "
-            f"[{ppv_lo.value!r}, {ppv_hi.value!r}] at AUC {auc.value!r} "
+            f"sandwich violated: hits {hits_lo}..{hits_hi} outside "
+            f"[{ppv_lo.hits}, {ppv_hi.hits}] at AUC {auc.value!r} "
             f"for ratio {ranking.k1}:{ranking.k2}"
         )
     return EvaluationReport(

@@ -64,6 +64,32 @@ def all_arrangements(k1: int, k2: int):
         yield "".join("P" if i in pos else "N" for i in range(n))
 
 
+def fraction_auc_max(hits: int, k1: int, k2: int) -> Fraction:
+    """auc_max(a) = 1 - (k1/k2)(1 - a)^2 at a = hits/k1, in Fractions; k1 <= k2."""
+    miss = Fraction(k1 - hits, k1)
+    return 1 - Fraction(k1, k2) * miss * miss
+
+
+def fraction_auc_min(hits: int, k1: int, k2: int) -> Fraction:
+    """auc_min(a) = a(1 - (k1/k2)(1 - a)) at a = hits/k1, in Fractions; k1 <= k2."""
+    a = Fraction(hits, k1)
+    return a * (1 - Fraction(k1, k2) * (1 - a))
+
+
+def pairwise_per_hits(k1: int, k2: int) -> dict[int, tuple[int, Fraction, Fraction]]:
+    """hits -> (count, min AUC, max AUC) over every arrangement of k1 positives
+    among k1 + k2 positions, each AUC counted pair by pair."""
+    levels: dict[int, tuple[int, Fraction, Fraction]] = {}
+    for pattern in all_arrangements(k1, k2):
+        positives = [i for i, ch in enumerate(pattern) if ch == "P"]
+        negatives = [i for i, ch in enumerate(pattern) if ch == "N"]
+        auc = Fraction(sum(1 for p in positives for q in negatives if p < q), k1 * k2)
+        hits = pattern[:k1].count("P")
+        count, lo, hi = levels.get(hits, (0, auc, auc))
+        levels[hits] = (count + 1, min(lo, auc), max(hi, auc))
+    return levels
+
+
 # Shared id pool so bulk generation does not re-format millions of ids.
 _ID_POOL = [f"x{i:05d}" for i in range(5000)]
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import aucppv.cli
 import aucppv.reporting
 from aucppv.cli import main
 
@@ -198,6 +199,25 @@ def test_envelope_rejects_bad_flags(capsys, argv):
     assert code == 1
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["envelope", "--k1", "2", "--k2", "2", "--mode", "ppv-given-auc", "--step", "1e-9"],
+        ["envelope", "--k1", "100000000", "--k2", "100000000"],
+    ],
+)
+def test_envelope_refuses_oversized_tables_up_front(capsys, monkeypatch, argv):
+    def build_nothing(*args):
+        raise AssertionError("a row was built")
+
+    for name in ("envelope_curve", "ppvk_min_given_auc", "ppvk_max_given_auc"):
+        monkeypatch.setattr(aucppv.cli, name, build_nothing)
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "exceeds the limit" in err
 
 
 def test_verify_small_limit(capsys):

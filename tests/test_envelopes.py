@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aucppv import (
     ClassRatio,
@@ -23,7 +25,15 @@ from aucppv import (
     ppvk_max_given_auc,
     ppvk_min_given_auc,
 )
-from conftest import all_arrangements, exact_auc, random_ranking, ranking_from_pattern
+from aucppv.envelopes import AUC_TOLERANCE
+from conftest import (
+    all_arrangements,
+    exact_auc,
+    fraction_auc_max,
+    fraction_auc_min,
+    random_ranking,
+    ranking_from_pattern,
+)
 
 GRRS_RATIO = ClassRatio(4262, 7515)
 GRRS_AUC = 0.6909022561790231
@@ -108,6 +118,71 @@ def test_exact_variants_swap_ratio():
         auc_min_exact(0, ClassRatio(4, 1))
     with pytest.raises(NonIntegralHits):
         auc_max_exact(5, ClassRatio(3, 4))
+
+
+@st.composite
+def normalized_points(draw, largest: int = 10**8):
+    """(k1, k2, hits) with 1 <= k1 <= k2 <= largest and 0 <= hits <= k1."""
+    k1 = draw(st.integers(1, largest))
+    k2 = draw(st.integers(k1, largest))
+    return k1, k2, draw(st.integers(0, k1))
+
+
+@settings(max_examples=500, deadline=None)
+@given(normalized_points())
+def test_integer_forms_match_fraction_formulas(point):
+    # The integer numerators over k1*k2 equal the textbook Fraction forms,
+    # exactly and after rounding to float, on the ratio and its swap.
+    k1, k2, hits = point
+    expected_min = fraction_auc_min(hits, k1, k2)
+    expected_max = fraction_auc_max(hits, k1, k2)
+    for ratio, h in ((ClassRatio(k1, k2), hits), (ClassRatio(k2, k1), hits + k2 - k1)):
+        assert auc_min_exact(h, ratio) == expected_min
+        assert auc_max_exact(h, ratio) == expected_max
+        assert auc_min_given_ppvk(h / ratio.k1, ratio) == float(expected_min)
+        assert auc_max_given_ppvk(h / ratio.k1, ratio) == float(expected_max)
+
+
+@settings(max_examples=200, deadline=None)
+@given(normalized_points(largest=300))
+def test_envelope_curve_matches_fraction_formulas(point):
+    k1, k2, _ = point
+    curve = envelope_curve(ClassRatio(k2, k1))
+    assert curve.samples == tuple(
+        (i / k1, float(fraction_auc_min(i, k1, k2)), float(fraction_auc_max(i, k1, k2)))
+        for i in range(k1 + 1)
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(normalized_points(), st.floats(0.0, 1.0))
+def test_ppvk_bounds_are_the_outer_grid_neighbours(point, auc):
+    # Checked against the definition with the Fraction forms: the smallest
+    # level whose auc_min reaches the AUC, the largest whose auc_max stays
+    # at or below it.
+    k1, k2, _ = point
+    ratio = ClassRatio(k1, k2)
+    low_bar = Fraction(auc) - AUC_TOLERANCE
+    high_bar = Fraction(auc) + AUC_TOLERANCE
+    top = ppvk_max_given_auc(auc, ratio).hits
+    assert fraction_auc_min(top, k1, k2) >= low_bar
+    assert top == 0 or fraction_auc_min(top - 1, k1, k2) < low_bar
+    bottom = ppvk_min_given_auc(auc, ratio).hits
+    if fraction_auc_max(0, k1, k2) > high_bar:
+        assert bottom == 0
+    else:
+        assert fraction_auc_max(bottom, k1, k2) <= high_bar
+        assert bottom == k1 or fraction_auc_max(bottom + 1, k1, k2) > high_bar
+
+
+def test_given_ppvk_at_a_hundred_million():
+    # PPV values h/k1 at k1 = 1e8 carry more float error than the old
+    # integrality tolerance; every one of them is a legal hit count.
+    k1, k2 = 10**8, 123_456_789
+    ratio = ClassRatio(k1, k2)
+    for hits in range(0, k1 + 1, 50_000):
+        assert auc_min_given_ppvk(hits / k1, ratio) == float(fraction_auc_min(hits, k1, k2))
+        assert auc_max_given_ppvk(hits / k1, ratio) == float(fraction_auc_max(hits, k1, k2))
 
 
 def test_envelopes_are_tight_small_ratios():

@@ -1,15 +1,17 @@
-"""Byte-identical CLI output on the bundled fixtures and on a tied table.
+"""Byte-identical CLI output on the bundled fixtures, a tied table and the closed forms.
 
 The files ``tests/data/golden_*.txt`` hold the stdout of ``report-compas``
 and of ``evaluate --input tied_scores.csv`` in each format, with the bundled
-data directory written as ``<data>``. ``tied_scores.csv`` has heavy ties,
-ids out of numeric order and one row for each drop reason; its k1 cut falls
-inside a six-record tie group, so the id tie-break decides the hit count
-(two hits; file order would give four).
+data directory written as ``<data>``, and of ``verify --limit 16``.
+``tied_scores.csv`` has heavy ties, ids out of numeric order and one row for
+each drop reason; its k1 cut falls inside a six-record tie group, so the id
+tie-break decides the hit count (two hits; file order would give four).
+The large ``envelope`` tables are pinned by the SHA-256 of their stdout.
 """
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -43,3 +45,38 @@ def test_evaluate_tied_output_is_unchanged(capsys, monkeypatch, fmt):
     monkeypatch.chdir(DATA)
     out = stdout_of(capsys, ["evaluate", "--input", "tied_scores.csv", "--format", fmt])
     assert out == golden(f"evaluate_tied_{fmt}")
+
+
+def test_verify_output_is_unchanged(capsys):
+    assert stdout_of(capsys, ["verify", "--limit", "16"]) == golden("verify_16")
+
+
+CURVE = ["envelope", "--k1", "4262", "--k2", "7515"]
+GRID = ["envelope", "--k1", "11441", "--k2", "1085", "--mode", "ppv-given-auc", "--step", "0.001"]
+ENVELOPE_SHA256 = {
+    ("curve", "table"): "668bcc210b0fd2d0812a11aae49784bc93492b24c3da2be6700f2bd82053c05e",
+    ("curve", "tsv"): "e8d0e9371ee544abc191cc0bdf481ae536aa9db68f5c0182a5a66f1585d1a7f7",
+    ("curve", "json"): "7e7818ddaa6d875f1f6816fa1c79e9df5fb3db8a02799be3dd482b0ff5e567e9",
+    ("grid", "table"): "cc23707668d27311811e6f31084cba8c096c9bb5b18617fc72b083f55827bbb4",
+    ("grid", "tsv"): "2615b7b4c1ddedd98587ad02908705331bb7d36377f71cd131db6526fb919f38",
+    ("grid", "json"): "e19d6f98cce96dba4ff83eb2489caa5623a177a7bc2d6755e3222a524804d337",
+}
+
+
+@pytest.mark.parametrize("table, fmt", sorted(ENVELOPE_SHA256))
+def test_envelope_output_is_unchanged(capsys, table, fmt):
+    argv = {"curve": CURVE, "grid": GRID}[table] + ["--format", fmt]
+    digest = hashlib.sha256(stdout_of(capsys, argv).encode("utf-8")).hexdigest()
+    assert digest == ENVELOPE_SHA256[table, fmt]
+
+
+def test_evaluate_accepts_a_cut_inside_a_tie_with_positives_first(capsys, monkeypatch):
+    # tied_scores.csv with the positives of its boundary tie group moved to
+    # the lowest ids: the id tie-break now puts both inside the cut (four
+    # hits), while the half-credit AUC (0.6625) sits below auc_min at four
+    # hits (0.7). Only the hit range over the group's orderings brackets it.
+    monkeypatch.chdir(DATA)
+    assert main(["evaluate", "--input", "tied_scores_split_cut.csv"]) == 0
+    out = capsys.readouterr().out
+    assert "auc                  0.6625\n" in out
+    assert "  hits               4\n" in out

@@ -17,7 +17,7 @@ from aucppv import (
     enumerate_arrangements,
 )
 import aucppv.oracle
-from conftest import exact_auc, ranking_from_pattern
+from conftest import exact_auc, pairwise_per_hits, ranking_from_pattern
 
 
 def test_two_record_enumeration():
@@ -84,6 +84,22 @@ def test_enumeration_matches_pairwise_auc_on_realizations():
         hits = sum(1 for ch in pattern[:k1] if ch == "P")
         level = stats.per_hits[hits]
         assert level.min_auc <= value <= level.max_auc
+
+
+def test_enumeration_matches_pairwise_reference_up_to_ten():
+    # Every ratio with n <= 10: counts and exact extremes per hit level agree
+    # with a reference that compares each positive with each negative.
+    for n in range(2, 11):
+        for k1 in range(1, n):
+            stats = enumerate_arrangements(ClassRatio(k1, n - k1))
+            reference = pairwise_per_hits(k1, n - k1)
+            assert {
+                hits: (level.count, level.min_auc, level.max_auc)
+                for hits, level in stats.per_hits.items()
+            } == reference
+            assert list(stats.per_hits) == sorted(reference)
+            assert stats.min_auc == min(lo for _, lo, _ in reference.values())
+            assert stats.max_auc == max(hi for _, _, hi in reference.values())
 
 
 def test_limit_enforced():

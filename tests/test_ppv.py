@@ -21,6 +21,7 @@ from aucppv import (
     ppv_swap,
     reverse_classifier,
 )
+from aucppv.ppv import hits_range_at_k
 from conftest import (
     WORKED_EXAMPLE,
     all_arrangements,
@@ -73,6 +74,15 @@ def test_hits_from_ppv_roundtrip_and_rejection():
         hits_from_ppv(1.5, 2)
     with pytest.raises(ValueError):
         hits_from_ppv(0.5, 0)
+
+
+def test_hits_and_swap_at_a_hundred_million():
+    # h / k at k = 1e8 drifts more than 1e-9 from h once multiplied back by
+    # k; the hit count must still be recovered exactly.
+    k1, k2 = 10**8, 123_456_789
+    for hits in range(0, k1 + 1, 50_000):
+        assert hits_from_ppv(hits / k1, k1) == hits
+        assert ppv_swap(hits / k1, k1, k2) == (k2 - k1 + hits) / k2
 
 
 def test_swap_worked_example():
@@ -210,3 +220,26 @@ def test_expected_hits_matches_average_over_orderings():
         [ScoredRecord(f"g{i}", 1.0, lab) for i, lab in enumerate(labels)]
     )
     assert expected_hits_at_k(any_order, k) == float(average)
+
+
+def test_hits_range_matches_extremes_over_orderings():
+    # Brute force: the fewest and most hits over every ordering of the tie
+    # groups, at every cut, against the range read from the group table.
+    import itertools
+
+    labels = [True, False, True, False, False, True]
+    scores = [2.0, 1.0, 1.0, 1.0, 1.0, 0.0]
+    hits_by_cut: dict[int, list[int]] = {k: [] for k in range(1, len(labels) + 1)}
+    for middle in set(itertools.permutations(labels[1:5])):
+        order = [labels[0], *middle, labels[5]]
+        records = [ScoredRecord(f"g{i}", s, lab) for i, (s, lab) in enumerate(zip(scores, order))]
+        ranking = build_ranking(records, tie_policy=TiePolicy.GIVEN)
+        for k, seen in hits_by_cut.items():
+            seen.append(exact_hits(ranking, k))
+    any_order = build_ranking(
+        [ScoredRecord(f"g{i}", s, lab) for i, (s, lab) in enumerate(zip(scores, labels))]
+    )
+    for k, seen in hits_by_cut.items():
+        assert hits_range_at_k(any_order, k) == (min(seen), max(seen))
+    with pytest.raises(CutOutOfRange):
+        hits_range_at_k(any_order, 0)
