@@ -5,6 +5,10 @@ outcome. Rows with missing values are dropped (and counted per reason);
 structurally bad values raise MalformedRow with the offending row number.
 Duplicate ids keep the first occurrence. The loader reports everything it did
 in a LoadSummary so filtering is auditable.
+
+Canonical cells (a decile of "1".."10", an outcome of "0" or "1", a score
+that float() reads as finite, a fresh non-empty id) are resolved by lookup;
+any other row gets the full checks, which give the same result for it.
 """
 
 from __future__ import annotations
@@ -165,12 +169,68 @@ class LoadResult:
     summary: LoadSummary
 
 
+#: Canonical decile and outcome cells, resolved by one lookup each.
+_DECILES = {str(d): d for d in range(1, 11)}
+_OUTCOMES = {"0": False, "1": True}
+
+
 def _parse_outcome(raw: str) -> bool:
     if raw == "0":
         return False
     if raw == "1":
         return True
     raise ValueError(f"outcome must be 0 or 1, got {raw!r}")
+
+
+def _checked_row(
+    cells: tuple[str, str, str, str],
+    row_number: int,
+    seen: set[str],
+    summary: LoadSummary,
+    dedupe: bool,
+    drop_missing: bool,
+) -> tuple[str, float, int, bool] | None:
+    """Every check on one row's id, score, decile and outcome cells.
+
+    Returns the parsed row, or None when the row is dropped (counted in
+    ``summary``); raises MalformedRow for a row that can be neither kept nor
+    dropped. The caller adds the id to ``seen``.
+    """
+
+    person_id, score_text, decile_text, outcome_text = (cell.strip() for cell in cells)
+    if not person_id:
+        if drop_missing:
+            summary.drop("missing id")
+            return None
+        raise MalformedRow(row_number, "missing id")
+    missing = None
+    if score_text.lower() in MISSING_MARKERS:
+        missing = "missing score"
+    elif decile_text.lower() in MISSING_MARKERS:
+        missing = "missing decile"
+    elif outcome_text.lower() in MISSING_MARKERS:
+        missing = "missing outcome"
+    if missing is not None:
+        if drop_missing:
+            summary.drop(missing)
+            return None
+        raise MalformedRow(row_number, missing)
+    try:
+        score = float(score_text)
+        if not math.isfinite(score):
+            raise ValueError(f"score {score_text!r} is not finite")
+        decile = int(decile_text)
+        if not 1 <= decile <= 10:
+            raise ValueError(f"decile {decile_text!r} outside [1, 10]")
+        outcome = _parse_outcome(outcome_text)
+    except ValueError as exc:
+        raise MalformedRow(row_number, str(exc)) from exc
+    if person_id in seen:
+        if dedupe:
+            summary.drop("duplicate id")
+            return None
+        raise MalformedRow(row_number, f"duplicate id {person_id!r}")
+    return person_id, score, decile, outcome
 
 
 def load_csv(
@@ -197,6 +257,7 @@ def load_csv(
     rows = ScoreTable(scale)
     ids, scores, deciles, labels = rows.ids, rows.scores, rows.deciles, rows.labels
     seen: set[str] = set()
+    decile_of, outcome_of, isfinite, nan = _DECILES.get, _OUTCOMES.get, math.isfinite, math.nan
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         header = next(reader, [])
@@ -212,45 +273,26 @@ def load_csv(
             if not raw:
                 continue  # blank lines are neither read nor numbered
             row_number += 1
-            summary.rows_read += 1
             if len(raw) < width:
                 raw += [""] * (width - len(raw))  # a short row's absent cells are empty
+            # Canonical cells resolve by lookup to the values the full checks
+            # give them: float() strips what str.strip() strips, and the only
+            # missing marker it parses is nan, which fails isfinite.
             person_id = raw[id_at].strip()
-            score_text = raw[score_at].strip()
-            decile_text = raw[decile_at].strip()
-            outcome_text = raw[outcome_at].strip()
-            if not person_id:
-                if drop_missing:
-                    summary.drop("missing id")
+            decile = decile_of(raw[decile_at])
+            outcome = outcome_of(raw[outcome_at])
+            score = nan
+            if decile is not None and outcome is not None and person_id and person_id not in seen:
+                try:
+                    score = float(raw[score_at])
+                except ValueError:
+                    pass
+            if not isfinite(score):
+                cells = (raw[id_at], raw[score_at], raw[decile_at], raw[outcome_at])
+                checked = _checked_row(cells, row_number, seen, summary, dedupe, drop_missing)
+                if checked is None:
                     continue
-                raise MalformedRow(row_number, "missing id")
-            missing = None
-            if score_text.lower() in MISSING_MARKERS:
-                missing = "missing score"
-            elif decile_text.lower() in MISSING_MARKERS:
-                missing = "missing decile"
-            elif outcome_text.lower() in MISSING_MARKERS:
-                missing = "missing outcome"
-            if missing is not None:
-                if drop_missing:
-                    summary.drop(missing)
-                    continue
-                raise MalformedRow(row_number, missing)
-            try:
-                score = float(score_text)
-                if not math.isfinite(score):
-                    raise ValueError(f"score {score_text!r} is not finite")
-                decile = int(decile_text)
-                if not 1 <= decile <= 10:
-                    raise ValueError(f"decile {decile_text!r} outside [1, 10]")
-                outcome = _parse_outcome(outcome_text)
-            except ValueError as exc:
-                raise MalformedRow(row_number, str(exc)) from exc
-            if person_id in seen:
-                if dedupe:
-                    summary.drop("duplicate id")
-                    continue
-                raise MalformedRow(row_number, f"duplicate id {person_id!r}")
+                person_id, score, decile, outcome = checked
             seen.add(person_id)
             ids.append(person_id)
             scores.append(score)
@@ -258,6 +300,7 @@ def load_csv(
             labels.append(outcome)
     if not rows:
         raise EmptyAfterFilter(f"no usable rows in {path}")
+    summary.rows_read = row_number - 1
     summary.rows_kept = len(rows)
     return LoadResult(rows=rows, summary=summary)
 

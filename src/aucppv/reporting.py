@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import metrics as m
 from .envelopes import (
@@ -30,9 +31,6 @@ from .ranking import Ranking
 from .roc import AucResult, auc_pairwise
 
 __all__ = ["EvaluationReport", "build_report", "format_report", "format_number"]
-
-#: Absolute slack for the float-level sandwich self-check.
-SANDWICH_TOLERANCE = 1e-12
 
 #: Metric table rows, in emission order.
 METRIC_ORDER = (
@@ -126,11 +124,15 @@ def build_report(
     # the tie groups; the check spans every hit count the boundary group's
     # orderings allow, not only the one the tie policy picked.
     hits_lo, hits_hi = hits_range_at_k(ranking, ranking.k1)
-    check_lo = float(auc_min_exact(hits_lo, ratio))
-    check_hi = float(auc_max_exact(hits_hi, ratio))
-    if not check_lo - SANDWICH_TOLERANCE <= auc.value <= check_hi + SANDWICH_TOLERANCE:
+    check_lo = auc_min_exact(hits_lo, ratio)
+    check_hi = auc_max_exact(hits_hi, ratio)
+    # correct_pairs is the integer doubled U halved in floating point, which
+    # is exact while k1 * k2 < 2**52, so the comparison is between rationals.
+    exact_auc = Fraction(auc.correct_pairs) / auc.total_pairs
+    if not check_lo <= exact_auc <= check_hi:
         raise InternalConsistencyError(
-            f"sandwich violated: AUC {auc.value!r} outside [{check_lo!r}, {check_hi!r}] "
+            f"sandwich violated: AUC {auc.value!r} outside "
+            f"[{float(check_lo)!r}, {float(check_hi)!r}] "
             f"at hits {hits_lo}..{hits_hi} for ratio {ranking.k1}:{ranking.k2}"
         )
     if not (hits_lo <= ppv_hi.hits and ppv_lo.hits <= hits_hi):

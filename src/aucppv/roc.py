@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import add, mul, sub
 
 from .errors import DegenerateClasses
 from .ranking import Ranking
@@ -99,17 +101,16 @@ def auc_pairwise(ranking: Ranking) -> AucResult:
     """
 
     _require_both_classes(ranking)
-    n = ranking.n
-    # Positives' ascending midranks, doubled to stay integral under ties.
-    doubled_rank_sum = 0
-    start = before = 0
-    for end, through in zip(ranking.group_ends, ranking.group_hits):
-        # Descending positions [start, end) hold ascending ranks
-        # n-end+1 .. n-start, whose doubled midrank is 2n - start - end + 1.
-        doubled_rank_sum += (through - before) * (2 * n - start - end + 1)
-        start, before = end, through
-    doubled_u = doubled_rank_sum - ranking.k1 * (ranking.k1 + 1)
-    total = ranking.k1 * ranking.k2
+    k1, ends, through = ranking.k1, ranking.group_ends, ranking.group_hits
+    # Positives' ascending midranks, doubled to stay integral under ties:
+    # group g spans descending positions [start, end), ascending ranks
+    # n-end+1 .. n-start, so its p positives add p * (2n + 1 - start - end),
+    # and the p sum to k1.
+    positives = map(sub, through, chain((0,), through))
+    spans = map(add, chain((0,), ends), ends)
+    doubled_rank_sum = k1 * (2 * ranking.n + 1) - sum(map(mul, positives, spans))
+    doubled_u = doubled_rank_sum - k1 * (k1 + 1)
+    total = k1 * ranking.k2
     return AucResult(
         value=doubled_u / (2 * total),
         correct_pairs=doubled_u / 2.0,

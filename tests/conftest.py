@@ -2,18 +2,36 @@
 
 The exact-rational AUC counter here is written from the pairwise
 definition alone, deliberately independent of the library internals,
-so it can certify the production implementations.
+so it can certify the production implementations. ``reference_load_csv``
+runs every row check on every row, the reference for the loader's lookup
+path.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from aucppv import Ranking, ScoredRecord, TiePolicy, build_ranking
+from aucppv import (
+    ColumnMap,
+    EmptyAfterFilter,
+    LoadResult,
+    LoadSummary,
+    MalformedRow,
+    MissingColumn,
+    Ranking,
+    Scale,
+    ScoredRecord,
+    TiePolicy,
+    build_ranking,
+)
+from aucppv.ingest import MISSING_MARKERS, ScoreTable
 
 # The seven-element worked example: positives at ranks 1, 3 and 7.
 # Correctly ordered pairs: 4 + 3 + 0 = 7 of 3*4 = 12, so AUC = 7/12,
@@ -88,6 +106,93 @@ def pairwise_per_hits(k1: int, k2: int) -> dict[int, tuple[int, Fraction, Fracti
         count, lo, hi = levels.get(hits, (0, auc, auc))
         levels[hits] = (count + 1, min(lo, auc), max(hi, auc))
     return levels
+
+
+def reference_load_csv(
+    path: str | Path,
+    column_map: ColumnMap = ColumnMap(),
+    scale: Scale = Scale.GENERAL,
+    *,
+    delimiter: str = ",",
+    dedupe: bool = True,
+    drop_missing: bool = True,
+) -> LoadResult:
+    """``load_csv`` with every check run on every row, as it read before
+    canonical cells were resolved by lookup."""
+
+    def parse_outcome(raw: str) -> bool:
+        if raw == "0":
+            return False
+        if raw == "1":
+            return True
+        raise ValueError(f"outcome must be 0 or 1, got {raw!r}")
+
+    path = Path(path)
+    summary = LoadSummary(path=str(path), scale=scale)
+    rows = ScoreTable(scale)
+    seen: set[str] = set()
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        header = next(reader, [])
+        for column in column_map.required():
+            if column not in header:
+                raise MissingColumn(f"column {column!r} not in header {header}")
+        position = {name: index for index, name in enumerate(header)}
+        id_at, score_at, decile_at, outcome_at = (position[c] for c in column_map.required())
+        width = max(id_at, score_at, decile_at, outcome_at) + 1
+        row_number = 1
+        for raw in reader:
+            if not raw:
+                continue
+            row_number += 1
+            summary.rows_read += 1
+            if len(raw) < width:
+                raw += [""] * (width - len(raw))
+            person_id = raw[id_at].strip()
+            score_text = raw[score_at].strip()
+            decile_text = raw[decile_at].strip()
+            outcome_text = raw[outcome_at].strip()
+            if not person_id:
+                if drop_missing:
+                    summary.drop("missing id")
+                    continue
+                raise MalformedRow(row_number, "missing id")
+            missing = None
+            if score_text.lower() in MISSING_MARKERS:
+                missing = "missing score"
+            elif decile_text.lower() in MISSING_MARKERS:
+                missing = "missing decile"
+            elif outcome_text.lower() in MISSING_MARKERS:
+                missing = "missing outcome"
+            if missing is not None:
+                if drop_missing:
+                    summary.drop(missing)
+                    continue
+                raise MalformedRow(row_number, missing)
+            try:
+                score = float(score_text)
+                if not math.isfinite(score):
+                    raise ValueError(f"score {score_text!r} is not finite")
+                decile = int(decile_text)
+                if not 1 <= decile <= 10:
+                    raise ValueError(f"decile {decile_text!r} outside [1, 10]")
+                outcome = parse_outcome(outcome_text)
+            except ValueError as exc:
+                raise MalformedRow(row_number, str(exc)) from exc
+            if person_id in seen:
+                if dedupe:
+                    summary.drop("duplicate id")
+                    continue
+                raise MalformedRow(row_number, f"duplicate id {person_id!r}")
+            seen.add(person_id)
+            rows.ids.append(person_id)
+            rows.scores.append(score)
+            rows.deciles.append(decile)
+            rows.labels.append(outcome)
+    if not rows:
+        raise EmptyAfterFilter(f"no usable rows in {path}")
+    summary.rows_kept = len(rows)
+    return LoadResult(rows=rows, summary=summary)
 
 
 # Shared id pool so bulk generation does not re-format millions of ids.

@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aucppv import (
     ColumnMap,
@@ -21,6 +23,7 @@ from aucppv import (
     to_ranking,
 )
 from aucppv.data import GENERAL_FIXTURE, VIOLENT_FIXTURE, fixture_path
+from conftest import reference_load_csv
 
 
 def write(tmp_path: Path, text: str, name: str = "rows.csv") -> Path:
@@ -131,6 +134,64 @@ def test_malformed_values_raise_with_row_number(tmp_path, cell, column):
     with pytest.raises(MalformedRow) as excinfo:
         load_csv(path)
     assert excinfo.value.row_number == 2
+
+
+# Per column: canonical cells, then cells the full checks accept in another
+# spelling, missing markers, non-finite scores and malformed values.
+MISSING_CELLS = ["nan", "NaN", " NA ", "null", "", "n/a", "None"]
+CELLS = {
+    "person_id": (["a", "b", "c", "d", "e", "f", "g"], [" a", "b ", "1_0"] + MISSING_CELLS),
+    "raw_score": (
+        ["7", "-0.13", "1.5", "2", "0.25"],
+        [" 1.5", "03", "+1", "1.0", "1_0", "1e-3", "inf", "-Infinity", "1e400", "x", "1,5"]
+        + MISSING_CELLS,
+    ),
+    "decile": (
+        [str(d) for d in range(1, 11)],
+        [" 3", "03", "+1", "1.0", "1_0", "0", "11", "-1", "x"] + MISSING_CELLS,
+    ),
+    "outcome": (["0", "1"], [" 1", "0 ", "01", "+1", "1.0", "2", "true"] + MISSING_CELLS),
+    "note": (["", "x"], ["y"]),
+}
+
+
+@st.composite
+def csv_tables(draw) -> str:
+    """A CSV text with the columns in any order, odd cells, duplicate ids,
+    short rows and blank lines."""
+    header = draw(st.permutations(list(CELLS)))
+    odd_per_mille = draw(st.sampled_from([0, 20, 60, 200]))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 12))):
+        cells = []
+        for name in header:
+            canonical, odd = CELLS[name]
+            odd_cell = draw(st.integers(0, 999)) < odd_per_mille
+            cells.append(draw(st.sampled_from(odd if odd_cell else canonical)))
+        # Some rows are cut short; an empty line is a blank line.
+        cut = draw(st.sampled_from([len(cells)] * 30 + list(range(len(cells)))))
+        lines.append(",".join(cells[:cut]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("drop_missing", [True, False])
+@pytest.mark.parametrize("dedupe", [True, False])
+@settings(max_examples=150, deadline=None)
+@given(text=csv_tables())
+def test_lookup_path_matches_full_checks(tmp_path_factory, text, dedupe, drop_missing):
+    path = tmp_path_factory.getbasetemp() / "differential.csv"
+    path.write_text(text, encoding="utf-8")
+    flags = dict(dedupe=dedupe, drop_missing=drop_missing)
+    try:
+        expected = reference_load_csv(path, **flags)
+    except (MalformedRow, EmptyAfterFilter) as exc:
+        with pytest.raises(type(exc)) as raised:
+            load_csv(path, **flags)
+        assert str(raised.value) == str(exc)
+        return
+    result = load_csv(path, **flags)
+    assert result.rows == expected.rows
+    assert result.summary == expected.summary
 
 
 def test_ragged_rows_short_dropped_long_loaded(tmp_path):
