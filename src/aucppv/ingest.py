@@ -306,7 +306,11 @@ def load_csv(
 
 
 def to_ranking(rows: Sequence[CompasRow]) -> Ranking:
-    """Rank rows by descending raw score, ids breaking ties."""
+    """Rank rows by descending raw score, ids breaking ties.
+
+    Hand-built rows are checked as ``build_ranking`` checks records: an empty
+    id raises EmptyInput, a NaN or infinite score NonFiniteScore.
+    """
 
     table = _as_table(rows)
     return _rank(table.ids, table.scores, table.labels, TiePolicy.BY_ID_ASCENDING)
@@ -362,6 +366,8 @@ def decile_report(rows: Sequence[CompasRow], scale: Scale | None = None) -> Deci
     """Tally outcomes per decile and per bucket.
 
     ``scale`` defaults to the scale of the supplied rows (which must agree).
+    Raises ValueError for a decile outside 1..10, which only hand-built rows
+    can hold.
     """
 
     if not rows:
@@ -373,6 +379,9 @@ def decile_report(rows: Sequence[CompasRow], scale: Scale | None = None) -> Deci
             raise ValueError("rows mix scales; pass the scale explicitly")
         scale = scales.pop()
     totals = Counter(table.deciles)
+    for decile in totals:
+        if decile not in range(1, 11):
+            raise ValueError(f"decile {decile!r} outside [1, 10]")
     positives = Counter(compress(table.deciles, table.labels))
     per_decile = tuple(
         DecileCount(decile=d, total=totals[d], positives=positives[d]) for d in range(1, 11)

@@ -11,12 +11,13 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, compress, islice
+from itertools import accumulate, compress, islice, repeat
 from operator import itemgetter, ne
 from typing import Iterable
 
-from .errors import DuplicateId, EmptyInput, NonFiniteScore
+from .errors import CutOutOfRange, DuplicateId, EmptyInput, NonFiniteScore
 
 __all__ = [
     "TiePolicy",
@@ -62,23 +63,28 @@ class ScoredRecord:
 class Ranking:
     """Records sorted by descending score under a fixed tie policy, as columns.
 
-    ``ids``, ``scores`` and ``labels`` are parallel tuples in rank order
-    (``labels[i]`` is True for a positive). k1 counts positive records, k2
-    negative ones; k1 + k2 = n. The tie-group table is built once:
-    ``group_ends[g]`` is the end offset of the g-th run of equal scores and
-    ``group_hits[g]`` the positives in the records before that offset, so the
-    sweeps read O(groups) entries instead of walking records.
+    k1 counts positive records, k2 negative ones; k1 + k2 = n. The tie-group
+    table is built from the score and label columns as given, without putting
+    the records in order: ``group_ends[g]`` is the end offset of the g-th run
+    of equal scores in rank order and ``group_hits[g]`` the positives before
+    that offset, so the sweeps read O(groups) entries instead of walking
+    records. ``hits_at`` puts only the members of the tie group a cut falls
+    inside in tie order, once per group. ``ids``, ``scores`` and ``labels``
+    (parallel tuples in rank order, ``labels[i]`` True for a positive) are
+    built on first access, and so are ``items``, ``==`` and ``hash``, which
+    read them.
 
     Constructing a Ranking from records validates them; ``build_ranking``,
-    ``to_ranking`` and ``reverse_classifier`` build theirs already sorted and
-    skip that re-check. A Ranking is immutable.
+    ``to_ranking`` and ``reverse_classifier`` build theirs through unchecked
+    constructors. A Ranking is immutable.
     """
 
-    __slots__ = ("ids", "scores", "labels", "k1", "k2", "tie_policy", "group_ends", "group_hits")
+    __slots__ = (
+        "n", "k1", "k2", "tie_policy", "group_ends", "group_hits",
+        "_columns", "_tie_key", "_levels", "_tie_hits", "_ordered",
+    )
 
-    ids: tuple[str, ...]
-    scores: tuple[float, ...]
-    labels: tuple[bool, ...]
+    n: int
     k1: int
     k2: int
     tie_policy: TiePolicy
@@ -107,6 +113,7 @@ class Ranking:
             tuple(rec.score for rec in items),
             tuple(rec.positive for rec in items),
             tie_policy,
+            None,
         )
 
     @classmethod
@@ -120,25 +127,38 @@ class Ranking:
         """A ranking from non-empty columns already in rank order; not re-checked."""
 
         ranking = cls.__new__(cls)
-        ranking._fill(ids, scores, labels, tie_policy)
+        ranking._fill(ids, scores, labels, tie_policy, None)
         return ranking
 
-    def _fill(self, ids, scores, labels, tie_policy: TiePolicy) -> None:
-        n = len(ids)
-        # Offsets where the score changes, then n: the end of every tie group.
-        ends = list(compress(range(1, n), map(ne, scores, islice(scores, 1, None))))
+    def _fill(self, ids, scores, labels, tie_policy: TiePolicy, tie_key) -> None:
+        """Build the tie-group table from non-empty column tuples in any order.
+
+        Records of equal score rank in the order of ``tie_key`` applied to
+        their column positions; a ``tie_key`` of None keeps the column order,
+        which is the rank order of columns already sorted.
+        """
+
+        n = len(scores)
+        ordered = sorted(scores, reverse=True)
+        # Offsets where the sorted score changes, then n: the end of every
+        # tie group; a group's level is the score at its start.
+        ends = list(compress(range(1, n), map(ne, ordered, islice(ordered, 1, None))))
+        levels = tuple(map(ordered.__getitem__, [0, *ends]))
         ends.append(n)
-        positives_before = list(accumulate(labels, initial=0))
-        k1 = positives_before[n]
+        positives = Counter(compress(scores, labels))
+        hits = tuple(accumulate(map(positives.get, levels, repeat(0))))
         assign = object.__setattr__
-        assign(self, "ids", ids)
-        assign(self, "scores", scores)
-        assign(self, "labels", labels)
-        assign(self, "k1", k1)
-        assign(self, "k2", n - k1)
+        assign(self, "n", n)
+        assign(self, "k1", hits[-1])
+        assign(self, "k2", n - hits[-1])
         assign(self, "tie_policy", tie_policy)
         assign(self, "group_ends", tuple(ends))
-        assign(self, "group_hits", tuple(positives_before[end] for end in ends))
+        assign(self, "group_hits", hits)
+        assign(self, "_columns", (ids, scores, labels))
+        assign(self, "_tie_key", tie_key)
+        assign(self, "_levels", levels)
+        assign(self, "_tie_hits", {})
+        assign(self, "_ordered", None)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Ranking is immutable")
@@ -160,49 +180,95 @@ class Ranking:
         return f"Ranking(n={self.n}, k1={self.k1}, k2={self.k2}, tie_policy={self.tie_policy})"
 
     @property
-    def n(self) -> int:
-        return len(self.ids)
+    def ids(self) -> tuple[str, ...]:
+        return self._rank_order()[0]
+
+    @property
+    def scores(self) -> tuple[float, ...]:
+        return self._rank_order()[1]
+
+    @property
+    def labels(self) -> tuple[bool, ...]:
+        return self._rank_order()[2]
 
     @property
     def items(self) -> tuple[ScoredRecord, ...]:
         """The records in rank order, built on each access."""
 
-        return tuple(map(ScoredRecord, self.ids, self.scores, self.labels))
+        return tuple(map(ScoredRecord, *self._rank_order()))
+
+    def _rank_order(self) -> tuple[tuple, tuple, tuple]:
+        """The columns in rank order, built on the first call: positions
+        sorted by the tie key, then stably by descending score."""
+
+        if self._ordered is None:
+            ids, scores, labels = self._columns
+            order = list(range(self.n))
+            order.sort(key=self._tie_key)
+            order.sort(key=scores.__getitem__, reverse=True)
+            pick = itemgetter(*order) if self.n > 1 else lambda column: (column[0],)
+            object.__setattr__(self, "_ordered", (pick(ids), pick(scores), pick(labels)))
+        return self._ordered
 
     def hits_at(self, k: int) -> int:
-        """Positives among the top k records, k in 0..n."""
+        """Positives among the top k records; CutOutOfRange unless k is in 0..n."""
 
+        if not 0 <= k <= self.n:
+            raise CutOutOfRange(f"cut {k} outside [0, {self.n}]")
         # Whole groups that end at or before the cut, then the cut's share of
         # the group it falls inside.
         g = bisect_right(self.group_ends, k)
         start, before = (self.group_ends[g - 1], self.group_hits[g - 1]) if g else (0, 0)
-        return before + self.labels[start:k].count(True)
+        if k == start:
+            return before
+        return before + self._hits_in_tie_order(g)[k - start]
+
+    def _hits_in_tie_order(self, g: int) -> list[int]:
+        """Positives among the first j members of tie group g, j = 0..size,
+        with the members in tie order; built once per group."""
+
+        hits = self._tie_hits.get(g)
+        if hits is None:
+            _, scores, labels = self._columns
+            size = self.group_ends[g] - (self.group_ends[g - 1] if g else 0)
+            find, level, at = scores.index, self._levels[g], -1
+            members = []
+            for _ in range(size):
+                at = find(level, at + 1)
+                members.append(at)
+            members.sort(key=self._tie_key)
+            hits = self._tie_hits[g] = list(accumulate(map(labels.__getitem__, members), initial=0))
+        return hits
 
 
 def _rank(ids, scores, labels, tie_policy: TiePolicy) -> Ranking:
-    """Sort parallel columns into a Ranking.
+    """Rank parallel columns in any order.
 
-    Raises EmptyInput for empty columns and DuplicateId when two records
-    share an id. Scores must already be finite.
+    Raises EmptyInput for empty columns or an empty id, DuplicateId when two
+    records share an id and NonFiniteScore for a NaN or infinite score.
     """
 
     n = len(ids)
     if n == 0:
         raise EmptyInput("cannot rank an empty record set")
-    if len(set(ids)) != n:
+    distinct = set(ids)
+    if len(distinct) != n:
         seen: set[str] = set()
         for rec_id in ids:
             if rec_id in seen:
                 raise DuplicateId(f"duplicate record id {rec_id!r}")
             seen.add(rec_id)
-    order = list(range(n))
-    if tie_policy is TiePolicy.BY_ID_ASCENDING:
-        order.sort(key=ids.__getitem__)
-    # A stable sort on score alone keeps the order inside ties: ascending id
-    # after the sort above, the supplied order under GIVEN.
-    order.sort(key=scores.__getitem__, reverse=True)
-    pick = itemgetter(*order) if n > 1 else lambda column: (column[0],)
-    return Ranking._presorted(pick(ids), pick(scores), pick(labels), tie_policy)
+    if "" in distinct:
+        raise EmptyInput("record id must be a non-empty string")
+    ids, scores, labels = tuple(ids), tuple(scores), tuple(labels)
+    ranking = Ranking.__new__(Ranking)
+    by_id = ids.__getitem__ if tie_policy is TiePolicy.BY_ID_ASCENDING else None
+    ranking._fill(ids, scores, labels, tie_policy, by_id)
+    # Every score is one of the levels, so checking them checks every record.
+    if not all(map(math.isfinite, ranking._levels)):
+        bad = next(i for i, score in enumerate(scores) if not math.isfinite(score))
+        raise NonFiniteScore(f"record {ids[bad]!r} has non-finite score {scores[bad]!r}")
+    return ranking
 
 
 def build_ranking(

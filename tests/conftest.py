@@ -4,7 +4,8 @@ The exact-rational AUC counter here is written from the pairwise
 definition alone, deliberately independent of the library internals,
 so it can certify the production implementations. ``reference_load_csv``
 runs every row check on every row, the reference for the loader's lookup
-path.
+path. ``reference_rank_order`` puts every record in rank order, the
+reference for the rankings that build only their tie-group table.
 """
 
 from __future__ import annotations
@@ -193,6 +194,19 @@ def reference_load_csv(
         raise EmptyAfterFilter(f"no usable rows in {path}")
     summary.rows_kept = len(rows)
     return LoadResult(rows=rows, summary=summary)
+
+
+def reference_rank_order(ids, scores, labels, tie_policy: TiePolicy):
+    """Columns in rank order by two stable index sorts: by id under
+    BY_ID_ASCENDING (given order under GIVEN), then by descending score."""
+
+    order = list(range(len(ids)))
+    if tie_policy is TiePolicy.BY_ID_ASCENDING:
+        order.sort(key=ids.__getitem__)
+    order.sort(key=scores.__getitem__, reverse=True)
+    return tuple(
+        tuple(column[i] for i in order) for column in (ids, scores, labels)
+    )
 
 
 # Shared id pool so bulk generation does not re-format millions of ids.

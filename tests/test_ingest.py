@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import textwrap
 from fractions import Fraction
 from pathlib import Path
@@ -12,9 +13,12 @@ from hypothesis import strategies as st
 
 from aucppv import (
     ColumnMap,
+    CompasRow,
     EmptyAfterFilter,
+    EmptyInput,
     MalformedRow,
     MissingColumn,
+    NonFiniteScore,
     Scale,
     auc_pairwise,
     decile_report,
@@ -23,6 +27,7 @@ from aucppv import (
     to_ranking,
 )
 from aucppv.data import GENERAL_FIXTURE, VIOLENT_FIXTURE, fixture_path
+from aucppv.ingest import ScoreTable
 from conftest import reference_load_csv
 
 
@@ -452,3 +457,38 @@ def test_fixture_bucket_rate_exact_fraction():
     rows = load_csv(fixture_path(Scale.GENERAL)).rows
     report = decile_report(rows)
     assert report.high.rate == float(Fraction(1560, 2698))
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (CompasRow("", 0.2, 3, True, Scale.GENERAL), EmptyInput),
+        (CompasRow("p9", math.nan, 3, True, Scale.GENERAL), NonFiniteScore),
+        (CompasRow("p9", math.inf, 3, False, Scale.GENERAL), NonFiniteScore),
+        (CompasRow("p9", -math.inf, 3, True, Scale.GENERAL), NonFiniteScore),
+    ],
+)
+def test_to_ranking_rejects_bad_hand_built_rows(bad, error):
+    rows = [
+        CompasRow("p1", 0.7, 8, True, Scale.GENERAL),
+        bad,
+        CompasRow("p2", 0.1, 2, False, Scale.GENERAL),
+    ]
+    table = ScoreTable(Scale.GENERAL)
+    for row in rows:
+        table.ids.append(row.person_id)
+        table.scores.append(row.raw_score)
+        table.deciles.append(row.decile)
+        table.labels.append(row.outcome)
+    for given in (rows, table):
+        with pytest.raises(error):
+            to_ranking(given)
+
+
+def test_decile_report_rejects_deciles_outside_one_to_ten():
+    rows = [
+        CompasRow(f"p{i}", 0.1 * i, decile, i == 0, Scale.GENERAL)
+        for i, decile in enumerate((3, 11, 0))
+    ]
+    with pytest.raises(ValueError, match="decile 11 outside"):
+        decile_report(rows)

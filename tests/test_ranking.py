@@ -4,24 +4,36 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aucppv import (
+    ConfusionCounts,
+    CutOutOfRange,
     DuplicateId,
     EmptyInput,
     NonFiniteScore,
+    PpvResult,
     Ranking,
     ScoredRecord,
     TiePolicy,
     build_ranking,
     confusion_at_cut,
+    expected_hits_at_k,
     ppv_at_k,
     reverse_classifier,
 )
-from conftest import exact_hits, pattern_of, random_ranking, ranking_from_pattern
+from aucppv.ppv import hits_range_at_k
+from conftest import (
+    exact_hits,
+    pattern_of,
+    random_ranking,
+    ranking_from_pattern,
+    reference_rank_order,
+)
 
 
 def test_build_sorts_descending_and_counts_classes():
@@ -124,6 +136,106 @@ def test_tie_group_table_matches_record_walk():
             again = Ranking(built.items, built.k1, built.k2, built.tie_policy)
             assert again == built
             assert (again.group_ends, again.group_hits) == (built.group_ends, built.group_hits)
+
+
+def _tied_columns(rng: random.Random):
+    """Columns in no particular order: one record, all tied, 0.0 and -0.0 in
+    one group, then random heavily tied tables with ids out of order."""
+
+    yield ["a"], [0.5], [True]
+    yield [f"id{i}" for i in range(9, 0, -1)], [2.0] * 9, [i % 3 == 0 for i in range(9)]
+    yield ["z", "b", "y", "a", "c"], [0.0, -0.0, 1.0, -0.0, 0.0], [True, False, False, True, True]
+    for _ in range(120):
+        n = rng.randint(1, 40)
+        pool = rng.sample([-1.5, -0.0, 0.0, 0.25, 0.5, 3.0, 7.0], rng.randint(1, 4))
+        ids = [f"r{v}" for v in rng.sample(range(1000), n)]
+        yield ids, [rng.choice(pool) for _ in ids], [rng.random() < 0.4 for _ in ids]
+
+
+def _tie_group_reads(ranking: Ranking) -> dict:
+    """Everything the sweeps and the cut read, at every cut."""
+
+    n, cuts = ranking.n, range(1, ranking.n + 1)
+    return {
+        "groups": (ranking.group_ends, ranking.group_hits),
+        "hits": [ranking.hits_at(k) for k in range(n + 1)],
+        "confusion": [confusion_at_cut(ranking, k) for k in range(n + 1)],
+        "ppv": [ppv_at_k(ranking, k) for k in cuts],
+        "range": [hits_range_at_k(ranking, k) for k in cuts],
+        "expected": [expected_hits_at_k(ranking, k) for k in cuts],
+    }
+
+
+def _walked_reads(ids, scores, labels) -> dict:
+    """The same reads taken by walking columns already in rank order."""
+
+    n, k1 = len(ids), sum(labels)
+    hits = [sum(labels[:k]) for k in range(n + 1)]
+    ends = [i for i in range(1, n) if scores[i] != scores[i - 1]] + [n]
+    ranges, expected = [], []
+    for k in range(1, n + 1):
+        group = [i for i in range(n) if scores[i] == scores[k - 1]]
+        slots = k - group[0]
+        inside = sum(labels[i] for i in group)
+        before = hits[group[0]]
+        ranges.append((before + max(0, slots - (len(group) - inside)), before + min(inside, slots)))
+        expected.append(float(before + Fraction(inside * slots, len(group))))
+    return {
+        "groups": (tuple(ends), tuple(hits[end] for end in ends)),
+        "hits": hits,
+        "confusion": [
+            ConfusionCounts(tp=h, fp=k - h, fn=k1 - h, tn=n - k1 - (k - h))
+            for k, h in enumerate(hits)
+        ],
+        "ppv": [PpvResult(k=k, hits=hits[k], value=hits[k] / k) for k in range(1, n + 1)],
+        "range": ranges,
+        "expected": expected,
+    }
+
+
+def _refuse_rank_order(self):
+    raise AssertionError("the records were put in rank order")
+
+
+@pytest.mark.parametrize("policy", list(TiePolicy))
+def test_tie_group_reads_need_no_rank_order(monkeypatch, policy):
+    # Every constructor, on a freshly built ranking: the group table and the
+    # cut reads match a full sort while the record order cannot be built,
+    # then the columns, the records, == and hash match it too; the reads
+    # match again on a ranking whose columns were read first.
+    for ids, scores, labels in _tied_columns(random.Random(41)):
+        ranked = reference_rank_order(ids, scores, labels, policy)
+        expected = _walked_reads(*ranked)
+        k1 = sum(labels)
+        builds = (
+            lambda: build_ranking(map(ScoredRecord, ids, scores, labels), policy),
+            lambda: Ranking(map(ScoredRecord, *ranked), k1, len(ids) - k1, policy),
+            lambda: Ranking._presorted(*ranked, policy),
+        )
+        rankings = []
+        for build in builds:
+            ranking = build()
+            with monkeypatch.context() as patched:
+                patched.setattr(Ranking, "_rank_order", _refuse_rank_order)
+                assert _tie_group_reads(ranking) == expected
+            assert (ranking.ids, ranking.scores, ranking.labels) == ranked
+            assert list(map(repr, ranking.scores)) == list(map(repr, ranked[1]))
+            assert ranking.items == tuple(map(ScoredRecord, *ranked))
+            rankings.append(ranking)
+            # Columns first, then the reads, on another fresh ranking.
+            ranking = build()
+            assert ranking.ids == ranked[0]
+            assert _tie_group_reads(ranking) == expected
+        assert rankings[0] == rankings[1] == rankings[2]
+        assert len({hash(ranking) for ranking in rankings}) == 1
+
+
+def test_hits_at_rejects_cuts_outside_the_ranking():
+    ranking = ranking_from_pattern("PNP", scores=[1.0, 0.5, 0.5])
+    assert [ranking.hits_at(k) for k in range(4)] == [0, 1, 1, 2]
+    for k in (-1, 4):
+        with pytest.raises(CutOutOfRange):
+            ranking.hits_at(k)
 
 
 def test_reverse_flips_order_and_roles():

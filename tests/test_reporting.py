@@ -3,17 +3,29 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 import aucppv.reporting
 from aucppv import (
     InternalConsistencyError,
+    Ranking,
+    Scale,
+    auc_trapezoid,
     build_report,
+    decile_report,
     format_number,
     format_report,
+    load_csv,
+    roc_curve,
+    to_ranking,
 )
+from aucppv.cli import main
+from aucppv.data import fixture_path
 from conftest import WORKED_EXAMPLE, ranking_from_pattern
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_build_report_worked_example():
@@ -134,3 +146,25 @@ def test_ppv_side_self_check_raises_internal_error(monkeypatch):
     )
     with pytest.raises(InternalConsistencyError):
         build_report(ranking_from_pattern(WORKED_EXAMPLE))
+
+
+def test_report_pipeline_never_puts_records_in_rank_order(monkeypatch, capsys):
+    # Reports, ROC and AUC read only the tie-group table and the tie order of
+    # the group the k1 cut falls in, on tied and on all-distinct scores.
+    def refuse(self):
+        raise AssertionError("the records were put in rank order")
+
+    monkeypatch.setattr(Ranking, "_rank_order", refuse)
+    for path in (DATA / "tied_scores.csv", fixture_path(Scale.GENERAL)):
+        loaded = load_csv(path)
+        ranking = to_ranking(loaded.rows)
+        report = build_report(
+            ranking, decile=decile_report(loaded.rows), load_summary=loaded.summary
+        )
+        for fmt in ("table", "json", "tsv"):
+            assert format_report(report, fmt)
+        assert auc_trapezoid(roc_curve(ranking)) == pytest.approx(report.auc.value, abs=1e-12)
+    monkeypatch.chdir(DATA)
+    assert main(["evaluate", "--input", "tied_scores.csv", "--format", "json"]) == 0
+    assert main(["report-compas", "--format", "json"]) == 0
+    capsys.readouterr()
