@@ -50,7 +50,7 @@ def main() -> None:
     auc = auc_pairwise(ranking)
     print(f"AUC by pair counting: {auc.correct_pairs}/{auc.total_pairs} = {auc.value}")
     # Tie credit makes half-pairs possible, so double both counts to stay integral.
-    print(f"  exact value {Fraction(round(2 * auc.correct_pairs), 2 * auc.total_pairs)}")
+    print(f"  exact value {Fraction(auc.doubled_u, 2 * auc.total_pairs)}")
 
     curve = roc_curve(ranking)
     print("ROC vertices (fpr, tpr):")

@@ -18,7 +18,6 @@ from .envelopes import (
     auc_min_exact,
     auc_min_given_ppvk,
     envelope_curve,
-    normalize_ratio,
     ppvk_max_given_auc,
     ppvk_min_given_auc,
 )
@@ -138,7 +137,6 @@ __all__ = [
     # envelopes
     "ClassRatio",
     "EnvelopeCurve",
-    "normalize_ratio",
     "auc_max_given_ppvk",
     "auc_min_given_ppvk",
     "auc_max_exact",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .data import fixture_path
@@ -132,10 +133,10 @@ def _envelope_text(args: argparse.Namespace) -> str:
         header_fields = ["auc", "ppv_min", "ppv_max"]
         rows = []
         for index in range(steps + 1):
-            b = index / steps
-            lo = ppvk_min_given_auc(b, ratio)
-            hi = ppvk_max_given_auc(b, ratio)
-            rows.append((format_number(b), format_number(lo.value), format_number(hi.value)))
+            b = Fraction(index, steps)
+            lo = ppvk_min_given_auc(b, ratio).value
+            hi = ppvk_max_given_auc(b, ratio).value
+            rows.append((format_number(float(b)), format_number(lo), format_number(hi)))
         note = f"# ratio {ratio.k1}:{ratio.k2}"
     if args.format == "json":
         import json

@@ -20,14 +20,17 @@ edge: a Fraction for the ``*_exact`` functions, one correctly rounded
 int/int division for the float ones.
 
 Ratios with k1 > k2 are reduced to this case through the class swap, which
-leaves AUC unchanged and maps hit counts affinely (``normalize_ratio``).
+leaves AUC unchanged and maps hit counts affinely (``ppv.swap_hits``, whose
+inverse is the same map with the classes exchanged).
 
 The inverse direction is a grid scan: given an observed AUC value b, the
 feasible hit counts are bracketed by the smallest h whose auc_min reaches b
-and the largest h whose auc_max stays below b. Those are the outer grid
+and the largest h whose auc_max stays at or below b. Those are the outer grid
 neighbours of the continuous roots, so the reported interval always contains
-every PPV_k attainable at AUC = b; all comparisons cross-multiply integers
-against the threshold's numerator and denominator, so they are exact.
+every PPV_k attainable at AUC = b. The value b is taken as the exact rational
+it is (a float converts to its binary fraction, and callers with an exact AUC
+pass a Fraction), and every comparison cross-multiplies integers, so the
+scan is exact with no slack.
 """
 
 from __future__ import annotations
@@ -36,13 +39,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InconsistentInput, NonIntegralHits
-from .ppv import PpvResult, hits_from_ppv
+from .ppv import PpvResult, hits_from_ppv, swap_hits
 
 __all__ = [
     "ClassRatio",
-    "NormalizedPpv",
     "EnvelopeCurve",
-    "normalize_ratio",
     "auc_max_given_ppvk",
     "auc_min_given_ppvk",
     "auc_max_exact",
@@ -51,9 +52,6 @@ __all__ = [
     "ppvk_min_given_auc",
     "envelope_curve",
 ]
-
-#: Absolute slack used when comparing float AUC values against exact grid values.
-AUC_TOLERANCE = Fraction(1, 10**12)
 
 
 @dataclass(frozen=True)
@@ -79,51 +77,6 @@ class ClassRatio:
         return ClassRatio(self.k2, self.k1)
 
 
-@dataclass(frozen=True)
-class NormalizedPpv:
-    """A (ratio, ppv) point rewritten so that k1 <= k2.
-
-    ``swapped`` records whether the class swap was applied; when it was, the
-    ppv refers to the reversed classifier's base-rate cut.
-    """
-
-    ratio: ClassRatio
-    ppv: float
-    hits: int
-    swapped: bool
-
-
-def _hits_from_ppv_strict(ppv: float, k1: int) -> int:
-    """Like ppv.hits_from_ppv but raising NonIntegralHits, the envelope-side error."""
-
-    try:
-        return hits_from_ppv(ppv, k1)
-    except InconsistentInput as exc:
-        raise NonIntegralHits(str(exc)) from None
-
-
-def normalize_ratio(ratio: ClassRatio, ppv: float) -> NormalizedPpv:
-    """Rewrite a (ratio, PPV_k) point with the smaller class first.
-
-    For k1 <= k2 the point is returned unchanged. Otherwise the class swap is
-    applied: hits h at cut k1 become h - (k1 - k2) hits at cut k2. Raises
-    NonIntegralHits when ppv*k1 is not an integer and InconsistentInput when
-    the swapped hit count is infeasible (fewer than k1 - k2 hits cannot occur
-    when only k2 negatives exist).
-    """
-
-    hits = _hits_from_ppv_strict(ppv, ratio.k1)
-    if ratio.k1 <= ratio.k2:
-        return NormalizedPpv(ratio, ppv, hits, swapped=False)
-    swapped_hits = hits - (ratio.k1 - ratio.k2)
-    if swapped_hits < 0:
-        raise InconsistentInput(
-            f"{hits} hits at cut {ratio.k1} is infeasible with only {ratio.k2} negatives"
-        )
-    swapped = ClassRatio(ratio.k2, ratio.k1)
-    return NormalizedPpv(swapped, swapped_hits / swapped.k1, swapped_hits, swapped=True)
-
-
 def _envelope_pairs(hits: int, k1: int, k2: int) -> tuple[int, int]:
     """(auc_min, auc_max) numerators over k1*k2 at a = hits/k1; k1 <= k2."""
 
@@ -131,81 +84,63 @@ def _envelope_pairs(hits: int, k1: int, k2: int) -> tuple[int, int]:
     return hits * (k2 - miss), k1 * k2 - miss * miss
 
 
-def _normalized_hits(hits: int, ratio: ClassRatio) -> tuple[int, ClassRatio]:
-    """Map a hit count into the normalized ratio's grid."""
+def _exact_pairs(hits: int, ratio: ClassRatio) -> tuple[int, int]:
+    """(auc_min, auc_max) numerators over k1*k2 for any ratio, swapped to k1 <= k2."""
 
     if not 0 <= hits <= ratio.k1:
         raise NonIntegralHits(f"hits {hits} outside [0, {ratio.k1}]")
-    norm = ratio.normalized
     if ratio.k1 <= ratio.k2:
-        return hits, norm
-    swapped_hits = hits - (ratio.k1 - ratio.k2)
-    if swapped_hits < 0:
-        raise InconsistentInput(
-            f"{hits} hits at cut {ratio.k1} is infeasible with only {ratio.k2} negatives"
-        )
-    return swapped_hits, norm
+        return _envelope_pairs(hits, ratio.k1, ratio.k2)
+    return _envelope_pairs(swap_hits(hits, ratio.k1, ratio.k2), ratio.k2, ratio.k1)
 
 
 def auc_max_exact(hits: int, ratio: ClassRatio) -> Fraction:
     """Exact rational auc_max for an integer hit count; any ratio."""
 
-    h, norm = _normalized_hits(hits, ratio)
-    return Fraction(_envelope_pairs(h, norm.k1, norm.k2)[1], norm.k1 * norm.k2)
+    return Fraction(_exact_pairs(hits, ratio)[1], ratio.k1 * ratio.k2)
 
 
 def auc_min_exact(hits: int, ratio: ClassRatio) -> Fraction:
     """Exact rational auc_min for an integer hit count; any ratio."""
 
-    h, norm = _normalized_hits(hits, ratio)
-    return Fraction(_envelope_pairs(h, norm.k1, norm.k2)[0], norm.k1 * norm.k2)
+    return Fraction(_exact_pairs(hits, ratio)[0], ratio.k1 * ratio.k2)
 
 
 def auc_max_given_ppvk(ppv: float, ratio: ClassRatio) -> float:
     """Largest AUC any arrangement with PPV_k = ppv can reach."""
 
-    point = normalize_ratio(ratio, ppv)
-    k1, k2 = point.ratio.k1, point.ratio.k2
-    return _envelope_pairs(point.hits, k1, k2)[1] / (k1 * k2)
+    return float(auc_max_exact(hits_from_ppv(ppv, ratio.k1), ratio))
 
 
 def auc_min_given_ppvk(ppv: float, ratio: ClassRatio) -> float:
     """Smallest AUC any arrangement with PPV_k = ppv can reach."""
 
-    point = normalize_ratio(ratio, ppv)
-    k1, k2 = point.ratio.k1, point.ratio.k2
-    return _envelope_pairs(point.hits, k1, k2)[0] / (k1 * k2)
+    return float(auc_min_exact(hits_from_ppv(ppv, ratio.k1), ratio))
 
 
-def _check_auc(auc: float) -> Fraction:
-    if not -1e-12 <= auc <= 1 + 1e-12:
+def _threshold(auc: float | Fraction, total: int) -> tuple[int, int]:
+    """(p, q) with auc * total == p / q exactly; auc must lie in [0, 1]."""
+
+    if not 0 <= auc <= 1:
         raise InconsistentInput(f"auc {auc!r} outside [0, 1]")
-    return Fraction(auc)
+    exact = Fraction(auc)
+    return exact.numerator * total, exact.denominator
 
 
-def _denormalize_hits(hits: int, ratio: ClassRatio) -> PpvResult:
-    """Map a hit count from the normalized grid back to the original ratio."""
-
-    if ratio.k1 > ratio.k2:
-        hits = hits + (ratio.k1 - ratio.k2)
-    return PpvResult(k=ratio.k1, hits=hits, value=hits / ratio.k1)
-
-
-def ppvk_max_given_auc(auc: float, ratio: ClassRatio) -> PpvResult:
+def ppvk_max_given_auc(auc: float | Fraction, ratio: ClassRatio) -> PpvResult:
     """Largest base-rate-cut PPV compatible with the observed AUC.
 
     Returns the smallest grid value a = h/k1 whose auc_min reaches the
     observed value, i.e. the outer grid neighbour of the continuous root of
-    auc_min(a) = auc, so no arrangement with this AUC can exceed it. The scan
-    compares exact rationals; AUC_TOLERANCE absorbs float formation error in
-    the input.
+    auc_min(a) = auc, so no arrangement with this AUC can exceed it. The AUC
+    is compared as the exact rational it is: pass a Fraction when the exact
+    AUC is known, since a float is read as its own binary fraction.
     """
 
     norm = ratio.normalized
     k1, k2 = norm.k1, norm.k2
-    threshold = _check_auc(auc) - AUC_TOLERANCE
     # pairs / (k1*k2) >= p / q, with both denominators positive.
-    p, q = threshold.numerator * k1 * k2, threshold.denominator
+    p, q = _threshold(auc, k1 * k2)
     # auc_min is strictly increasing in hits, so bisect for the first level
     # at or above the threshold; hits = k1 always qualifies (auc_min = 1).
     lo, hi = 0, k1
@@ -215,27 +150,26 @@ def ppvk_max_given_auc(auc: float, ratio: ClassRatio) -> PpvResult:
             hi = mid
         else:
             lo = mid + 1
-    return _denormalize_hits(lo, ratio)
+    if ratio.k1 > ratio.k2:
+        lo = swap_hits(lo, k1, k2)
+    return PpvResult(k=ratio.k1, hits=lo, value=lo / ratio.k1)
 
 
-def ppvk_min_given_auc(auc: float, ratio: ClassRatio) -> PpvResult:
+def ppvk_min_given_auc(auc: float | Fraction, ratio: ClassRatio) -> PpvResult:
     """Smallest base-rate-cut PPV compatible with the observed AUC.
 
     Returns the largest grid value a = h/k1 whose auc_max stays at or below
     the observed value (0 when there is none): the outer grid neighbour of
     the continuous root of auc_max(a) = auc, so no arrangement with this AUC
-    can fall below it.
+    can fall below it. The AUC is compared exactly, as in ppvk_max_given_auc.
     """
 
     norm = ratio.normalized
     k1, k2 = norm.k1, norm.k2
-    threshold = _check_auc(auc) + AUC_TOLERANCE
     # pairs / (k1*k2) <= p / q, with both denominators positive.
-    p, q = threshold.numerator * k1 * k2, threshold.denominator
-    if _envelope_pairs(0, k1, k2)[1] * q > p:
-        return _denormalize_hits(0, ratio)
+    p, q = _threshold(auc, k1 * k2)
     # auc_max is strictly increasing in hits; bisect for the last level at or
-    # below the threshold.
+    # below the threshold, which stays at 0 when no level qualifies.
     lo, hi = 0, k1
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -243,7 +177,9 @@ def ppvk_min_given_auc(auc: float, ratio: ClassRatio) -> PpvResult:
             lo = mid
         else:
             hi = mid - 1
-    return _denormalize_hits(lo, ratio)
+    if ratio.k1 > ratio.k2:
+        lo = swap_hits(lo, k1, k2)
+    return PpvResult(k=ratio.k1, hits=lo, value=lo / ratio.k1)
 
 
 @dataclass(frozen=True)

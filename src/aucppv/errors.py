@@ -62,7 +62,7 @@ class InconsistentInput(AucppvError):
     """Values that must describe one ranking contradict each other."""
 
 
-class NonIntegralHits(AucppvError):
+class NonIntegralHits(InconsistentInput):
     """A PPV value does not correspond to an integer hit count."""
 
 

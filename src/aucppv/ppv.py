@@ -12,7 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CutOutOfRange, EmptyPositiveClass, InconsistentInput
+from .errors import CutOutOfRange, EmptyPositiveClass, InconsistentInput, NonIntegralHits
 from .ranking import Ranking
 
 __all__ = [
@@ -24,10 +24,6 @@ __all__ = [
     "expected_hits_at_k",
     "hits_range_at_k",
 ]
-
-#: Absolute slack when checking that a PPV times its cut is an integer.
-INTEGRALITY_TOLERANCE = 1e-9
-
 
 @dataclass(frozen=True)
 class PpvResult:
@@ -64,22 +60,34 @@ def ppv_base_rate(ranking: Ranking) -> PpvResult:
 def hits_from_ppv(ppv: float, k: int) -> int:
     """Recover the integer hit count behind a PPV value at cut k.
 
-    A ppv that is exactly the float hits / k is accepted at any k; otherwise
-    ppv*k must lie within INTEGRALITY_TOLERANCE of an integer (the float
-    product alone drifts past that tolerance once k reaches about 1e8).
-    Raises InconsistentInput when it does not, or when the hit count falls
-    outside [0, k].
+    The ppv is accepted exactly when it equals the float hits / k for some
+    hits in [0, k], at any k; there is no slack, so a float that merely
+    lies near a hit count (``0.1 + 0.2`` at k = 10) raises NonIntegralHits.
     """
 
     if k < 1:
         raise ValueError("cut k must be at least 1")
-    scaled = ppv * k
-    hits = round(scaled)
-    if hits / k != ppv and abs(scaled - hits) > INTEGRALITY_TOLERANCE:
-        raise InconsistentInput(f"ppv {ppv!r} at cut {k} is not an integral hit count")
-    if not 0 <= hits <= k:
-        raise InconsistentInput(f"ppv {ppv!r} at cut {k} implies hits outside [0, {k}]")
+    hits = round(ppv * k)
+    if hits / k != ppv or not 0 <= hits <= k:
+        raise NonIntegralHits(f"ppv {ppv!r} at cut {k} is not h / {k} for any h in 0..{k}")
     return hits
+
+
+def swap_hits(hits: int, k1: int, k2: int) -> int:
+    """Hits of the reversed classifier at its cut k2, given hits at cut k1.
+
+    The bottom k2 records hold k2 - (k1 - hits) negatives, so the map is
+    affine; ``swap_hits(swap_hits(h, k1, k2), k2, k1) == h``. Raises
+    InconsistentInput when the result falls outside [0, k2], that is when
+    no ranking with these class sizes has that many hits.
+    """
+
+    swapped = k2 - k1 + hits
+    if not 0 <= swapped <= k2:
+        raise InconsistentInput(
+            f"{hits} hits at cut {k1} fit no ranking of {k1} positives and {k2} negatives"
+        )
+    return swapped
 
 
 def ppv_swap(ppv_k1: float, k1: int, k2: int) -> float:
@@ -94,13 +102,7 @@ def ppv_swap(ppv_k1: float, k1: int, k2: int) -> float:
 
     if k1 < 1 or k2 < 1:
         raise ValueError("class sizes must be at least 1")
-    hits = hits_from_ppv(ppv_k1, k1)
-    swapped_hits = k2 - k1 + hits
-    if not 0 <= swapped_hits <= k2:
-        raise InconsistentInput(
-            f"ppv {ppv_k1!r} with classes {k1}:{k2} leaves the swapped value outside [0, 1]"
-        )
-    return swapped_hits / k2
+    return swap_hits(hits_from_ppv(ppv_k1, k1), k1, k2) / k2
 
 
 def expected_hits_at_k(ranking: Ranking, k: int) -> float:

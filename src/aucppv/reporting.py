@@ -118,17 +118,15 @@ def build_report(
     ratio = ClassRatio(ranking.k1, ranking.k2)
     lo = float(auc_min_exact(ppv.hits, ratio))
     hi = float(auc_max_exact(ppv.hits, ratio))
-    ppv_lo = ppvk_min_given_auc(auc.value, ratio)
-    ppv_hi = ppvk_max_given_auc(auc.value, ratio)
+    exact_auc = Fraction(auc.doubled_u, 2 * auc.total_pairs)
+    ppv_lo = ppvk_min_given_auc(exact_auc, ratio)
+    ppv_hi = ppvk_max_given_auc(exact_auc, ratio)
     # Tied pairs get half credit, so the AUC is the mean over orderings of
     # the tie groups; the check spans every hit count the boundary group's
     # orderings allow, not only the one the tie policy picked.
     hits_lo, hits_hi = hits_range_at_k(ranking, ranking.k1)
     check_lo = auc_min_exact(hits_lo, ratio)
     check_hi = auc_max_exact(hits_hi, ratio)
-    # correct_pairs is the integer doubled U halved in floating point, which
-    # is exact while k1 * k2 < 2**52, so the comparison is between rationals.
-    exact_auc = Fraction(auc.correct_pairs) / auc.total_pairs
     if not check_lo <= exact_auc <= check_hi:
         raise InternalConsistencyError(
             f"sandwich violated: AUC {auc.value!r} outside "

@@ -48,16 +48,25 @@ class RocCurve:
 
 @dataclass(frozen=True)
 class AucResult:
-    """AUC value with its pair-counting decomposition.
+    """AUC as an exact pair count.
 
-    ``correct_pairs`` counts positive/negative pairs ordered correctly, ties
-    counted one half, so it can end in .5; ``total_pairs`` = k1 * k2 and
-    ``value`` = correct_pairs / total_pairs.
+    ``doubled_u`` is twice the number of correctly ordered positive/negative
+    pairs, ties counted one half, so it stays an integer; ``total_pairs`` =
+    k1 * k2. The exact AUC is doubled_u / (2 * total_pairs); ``value`` and
+    ``correct_pairs`` are its float forms for formatting.
     """
 
-    value: float
-    correct_pairs: float
+    doubled_u: int
     total_pairs: int
+
+    @property
+    def value(self) -> float:
+        return self.doubled_u / (2 * self.total_pairs)
+
+    @property
+    def correct_pairs(self) -> float:
+        """Correctly ordered pairs, which can end in .5."""
+        return self.doubled_u / 2
 
 
 def _require_both_classes(ranking: Ranking) -> None:
@@ -95,9 +104,9 @@ def auc_pairwise(ranking: Ranking) -> AucResult:
     """AUC as the fraction of correctly ordered positive/negative pairs.
 
     Computed as a rank sum over the tie groups of the sorted ranking, entirely
-    in integer arithmetic (doubled midranks) with a single final division, so
-    the result is the correctly rounded exact rational and is bit-for-bit
-    invariant under the class swap.
+    in integer arithmetic (doubled midranks), so the result holds the exact
+    doubled U; its ``value`` is the correctly rounded exact rational and is
+    bit-for-bit invariant under the class swap.
     """
 
     _require_both_classes(ranking)
@@ -109,10 +118,4 @@ def auc_pairwise(ranking: Ranking) -> AucResult:
     positives = map(sub, through, chain((0,), through))
     spans = map(add, chain((0,), ends), ends)
     doubled_rank_sum = k1 * (2 * ranking.n + 1) - sum(map(mul, positives, spans))
-    doubled_u = doubled_rank_sum - k1 * (k1 + 1)
-    total = k1 * ranking.k2
-    return AucResult(
-        value=doubled_u / (2 * total),
-        correct_pairs=doubled_u / 2.0,
-        total_pairs=total,
-    )
+    return AucResult(doubled_rank_sum - k1 * (k1 + 1), k1 * ranking.k2)

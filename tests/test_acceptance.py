@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import random
 import time
+from fractions import Fraction
 
 from aucppv import (
     ClassRatio,
     Scale,
+    auc_max_exact,
     auc_max_given_ppvk,
+    auc_min_exact,
     auc_min_given_ppvk,
     auc_pairwise,
     auc_trapezoid,
@@ -217,12 +220,18 @@ def test_criterion_7_property_suites():
         n = _draw_size(rng, i)
         ranking = random_ranking(rng, n, with_ties=False)
         ratio = ClassRatio(ranking.k1, ranking.k2)
-        ppv = ppv_base_rate(ranking).value
-        auc = auc_pairwise(ranking).value
-        lo = auc_min_given_ppvk(ppv, ratio)
-        hi = auc_max_given_ppvk(ppv, ratio)
-        if not lo - 1e-12 <= auc <= hi + 1e-12:
-            failures.append(f"(d) run {i}: {auc} outside [{lo}, {hi}]")
+        ppv = ppv_base_rate(ranking)
+        auc = auc_pairwise(ranking)
+        exact = Fraction(auc.doubled_u, 2 * auc.total_pairs)
+        lo = auc_min_exact(ppv.hits, ratio)
+        hi = auc_max_exact(ppv.hits, ratio)
+        if not lo <= exact <= hi:
+            failures.append(f"(d) run {i}: {exact} outside [{lo}, {hi}]")
+            break
+        lo_float = auc_min_given_ppvk(ppv.value, ratio)
+        hi_float = auc_max_given_ppvk(ppv.value, ratio)
+        if not lo_float <= auc.value <= hi_float:
+            failures.append(f"(d) run {i}: {auc.value} outside [{lo_float}, {hi_float}]")
             break
     elapsed = time.perf_counter() - started
     ok = not failures and elapsed < 30.0

@@ -20,12 +20,11 @@ from aucppv import (
     auc_min_given_ppvk,
     auc_pairwise,
     envelope_curve,
-    normalize_ratio,
     ppv_base_rate,
+    ppv_swap,
     ppvk_max_given_auc,
     ppvk_min_given_auc,
 )
-from aucppv.envelopes import AUC_TOLERANCE
 from conftest import (
     all_arrangements,
     exact_auc,
@@ -40,41 +39,38 @@ GRRS_AUC = 0.6909022561790231
 
 
 def test_normalize_keeps_small_first_ratio():
-    point = normalize_ratio(ClassRatio(3, 4), 2 / 3)
-    assert point.ratio == ClassRatio(3, 4)
-    assert point.hits == 2
-    assert point.ppv == 2 / 3
-    assert not point.swapped
+    ratio = ClassRatio(3, 4)
+    assert auc_min_given_ppvk(2 / 3, ratio) == float(auc_min_exact(2, ratio)) == 0.5
+    assert auc_max_given_ppvk(2 / 3, ratio) == float(auc_max_exact(2, ratio))
 
 
 def test_normalize_swaps_large_first_ratio():
     # 3 hits of 4 against 3 negatives: the reversed classifier has
     # 3 - (4 - 3) = 2 hits at cut 3.
-    point = normalize_ratio(ClassRatio(4, 3), 3 / 4)
-    assert point.ratio == ClassRatio(3, 4)
-    assert point.hits == 2
-    assert point.ppv == 2 / 3
-    assert point.swapped
+    assert ppv_swap(3 / 4, 4, 3) == 2 / 3
+    for bound in (auc_min_given_ppvk, auc_max_given_ppvk):
+        assert bound(3 / 4, ClassRatio(4, 3)) == bound(2 / 3, ClassRatio(3, 4))
 
 
 def test_normalize_symmetric_identity():
-    point = normalize_ratio(ClassRatio(5, 5), 3 / 5)
-    assert point.ratio == ClassRatio(5, 5)
-    assert point.ppv == 3 / 5
-    assert not point.swapped
+    ratio = ClassRatio(5, 5)
+    assert ppv_swap(3 / 5, 5, 5) == 3 / 5
+    assert auc_min_given_ppvk(3 / 5, ratio) == float(auc_min_exact(3, ratio))
+    assert auc_max_given_ppvk(3 / 5, ratio) == float(auc_max_exact(3, ratio))
 
 
 def test_normalize_rejects_non_integral_hits():
-    with pytest.raises(NonIntegralHits):
-        normalize_ratio(ClassRatio(3, 4), 0.5)
-    with pytest.raises(NonIntegralHits):
-        normalize_ratio(ClassRatio(3, 4), 1.5)
+    for ppv in (0.5, 1.5):
+        for bound in (auc_min_given_ppvk, auc_max_given_ppvk):
+            with pytest.raises(NonIntegralHits):
+                bound(ppv, ClassRatio(3, 4))
 
 
 def test_normalize_rejects_infeasible_swap():
     # 0 hits of 4 cannot happen with a single negative.
-    with pytest.raises(InconsistentInput):
-        normalize_ratio(ClassRatio(4, 1), 0.0)
+    for bound in (auc_min_given_ppvk, auc_max_given_ppvk):
+        with pytest.raises(InconsistentInput):
+            bound(0.0, ClassRatio(4, 1))
 
 
 def test_ratio_validation():
@@ -159,20 +155,19 @@ def test_envelope_curve_matches_fraction_formulas(point):
 def test_ppvk_bounds_are_the_outer_grid_neighbours(point, auc):
     # Checked against the definition with the Fraction forms: the smallest
     # level whose auc_min reaches the AUC, the largest whose auc_max stays
-    # at or below it.
+    # at or below it, with the float read as its exact binary fraction.
     k1, k2, _ = point
     ratio = ClassRatio(k1, k2)
-    low_bar = Fraction(auc) - AUC_TOLERANCE
-    high_bar = Fraction(auc) + AUC_TOLERANCE
+    bar = Fraction(auc)
     top = ppvk_max_given_auc(auc, ratio).hits
-    assert fraction_auc_min(top, k1, k2) >= low_bar
-    assert top == 0 or fraction_auc_min(top - 1, k1, k2) < low_bar
+    assert fraction_auc_min(top, k1, k2) >= bar
+    assert top == 0 or fraction_auc_min(top - 1, k1, k2) < bar
     bottom = ppvk_min_given_auc(auc, ratio).hits
-    if fraction_auc_max(0, k1, k2) > high_bar:
+    if fraction_auc_max(0, k1, k2) > bar:
         assert bottom == 0
     else:
-        assert fraction_auc_max(bottom, k1, k2) <= high_bar
-        assert bottom == k1 or fraction_auc_max(bottom + 1, k1, k2) > high_bar
+        assert fraction_auc_max(bottom, k1, k2) <= bar
+        assert bottom == k1 or fraction_auc_max(bottom + 1, k1, k2) > bar
 
 
 def test_given_ppvk_at_a_hundred_million():
@@ -230,17 +225,17 @@ def test_ppvk_bounds_reject_bad_auc():
 
 
 def test_ppvk_bounds_bracket_every_arrangement():
-    # For every arrangement, feeding its exact AUC back through the inverse
-    # bounds must bracket its actual PPV level.
+    # For every arrangement, feeding its AUC back through the inverse bounds,
+    # exact or as the rounded float, must bracket its actual hit count.
     for k1, k2 in [(1, 4), (2, 3), (3, 4), (3, 3)]:
         ratio = ClassRatio(k1, k2)
         for pattern in all_arrangements(k1, k2):
             ranking = ranking_from_pattern(pattern)
-            auc = auc_pairwise(ranking).value
-            ppv = ppv_base_rate(ranking).value
-            low = ppvk_min_given_auc(auc, ratio)
-            high = ppvk_max_given_auc(auc, ratio)
-            assert low.value - 1e-12 <= ppv <= high.value + 1e-12
+            hits = ppv_base_rate(ranking).hits
+            for auc in (exact_auc(ranking), auc_pairwise(ranking).value):
+                low = ppvk_min_given_auc(auc, ratio)
+                high = ppvk_max_given_auc(auc, ratio)
+                assert low.hits <= hits <= high.hits
 
 
 def test_ppvk_bounds_on_swapped_ratio():
@@ -255,14 +250,42 @@ def test_ppvk_bounds_on_swapped_ratio():
 
 
 def test_roundtrip_inequalities():
+    # Exact envelope values map back to their own hit level; their floats
+    # land on the same side of it.
     for k1, k2 in [(1, 4), (2, 3), (3, 4), (4, 4), (5, 11)]:
         ratio = ClassRatio(k1, k2)
         for hits in range(k1 + 1):
+            assert ppvk_max_given_auc(auc_min_exact(hits, ratio), ratio).hits == hits
+            assert ppvk_min_given_auc(auc_max_exact(hits, ratio), ratio).hits == hits
             a = hits / k1
-            back_max = ppvk_max_given_auc(auc_min_given_ppvk(a, ratio), ratio)
-            assert back_max.value >= a - 1e-12
-            back_min = ppvk_min_given_auc(auc_max_given_ppvk(a, ratio), ratio)
-            assert back_min.value <= a + 1e-12
+            assert ppvk_max_given_auc(auc_min_given_ppvk(a, ratio), ratio).hits >= hits
+            assert ppvk_min_given_auc(auc_max_given_ppvk(a, ratio), ratio).hits <= hits
+
+
+def test_ppvk_bounds_contain_attainable_levels_at_ten_million():
+    # Near AUC 0 and 1 the grid step (2h +- 1)/(k1*k2) is far below 1e-12,
+    # so any absolute slack on the AUC moves the answer across many levels.
+    k1 = k2 = 10**7
+    ratio = ClassRatio(k1, k2)
+    for hits in (3, 50):
+        assert ppvk_max_given_auc(auc_min_exact(hits, ratio), ratio).hits == hits
+        assert ppvk_min_given_auc(auc_min_exact(hits, ratio), ratio).hits <= hits
+        assert ppvk_max_given_auc(float(auc_min_exact(hits, ratio)), ratio).hits >= hits
+        assert ppvk_min_given_auc(float(auc_min_exact(hits, ratio)), ratio).hits <= hits
+    hits = k1 - 3
+    assert ppvk_min_given_auc(auc_max_exact(hits, ratio), ratio).hits == hits
+    assert ppvk_max_given_auc(auc_max_exact(hits, ratio), ratio).hits >= hits
+    assert ppvk_min_given_auc(float(auc_max_exact(hits, ratio)), ratio).hits <= hits
+    assert ppvk_max_given_auc(float(auc_max_exact(hits, ratio)), ratio).hits >= hits
+
+
+def test_ppvk_min_at_a_hundred_million_is_exact():
+    # One half pair below AUC 1: auc_max(k1 - 1) = 1 - 1/k1**2 still fits,
+    # auc_max(k1) = 1 does not.
+    k = 10**8
+    auc = Fraction(2 * k * k - 1, 2 * k * k)
+    assert ppvk_min_given_auc(auc, ClassRatio(k, k)).hits == k - 1
+    assert ppvk_max_given_auc(auc, ClassRatio(k, k)).hits == k
 
 
 def test_envelope_curve_symmetric_two():
@@ -331,27 +354,30 @@ def test_symmetric_gap_formula():
             assert hi - lo == pytest.approx(2 * a - 2 * a * a, abs=1e-12)
 
 
+def _assert_sandwiched(ranking, ratio):
+    # Exact: the pair count lies between the envelopes at the hit count.
+    # Float: correct rounding is monotone, so the floats keep that order.
+    auc = auc_pairwise(ranking)
+    ppv = ppv_base_rate(ranking)
+    exact = Fraction(auc.doubled_u, 2 * auc.total_pairs)
+    assert auc_min_exact(ppv.hits, ratio) <= exact <= auc_max_exact(ppv.hits, ratio)
+    low, high = auc_min_given_ppvk(ppv.value, ratio), auc_max_given_ppvk(ppv.value, ratio)
+    assert low <= auc.value <= high
+
+
 def test_sandwich_exhaustive_small():
     for n in range(2, 13):
         for k1 in range(1, n):
             ratio = ClassRatio(k1, n - k1)
             for pattern in all_arrangements(k1, n - k1):
-                ranking = ranking_from_pattern(pattern)
-                auc = auc_pairwise(ranking).value
-                ppv = ppv_base_rate(ranking).value
-                assert auc_min_given_ppvk(ppv, ratio) - 1e-12 <= auc
-                assert auc <= auc_max_given_ppvk(ppv, ratio) + 1e-12
+                _assert_sandwiched(ranking_from_pattern(pattern), ratio)
 
 
 def test_sandwich_random_large():
     rng = random.Random(43)
     for _ in range(200):
         ranking = random_ranking(rng, rng.randint(2, 800), with_ties=False)
-        ratio = ClassRatio(ranking.k1, ranking.k2)
-        auc = auc_pairwise(ranking).value
-        ppv = ppv_base_rate(ranking).value
-        assert auc_min_given_ppvk(ppv, ratio) - 1e-12 <= auc
-        assert auc <= auc_max_given_ppvk(ppv, ratio) + 1e-12
+        _assert_sandwiched(ranking, ClassRatio(ranking.k1, ranking.k2))
 
 
 def test_sandwich_with_ties_uses_expected_hits():

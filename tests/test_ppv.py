@@ -10,6 +10,7 @@ from aucppv import (
     CutOutOfRange,
     EmptyPositiveClass,
     InconsistentInput,
+    NonIntegralHits,
     PpvResult,
     ScoredRecord,
     TiePolicy,
@@ -21,7 +22,7 @@ from aucppv import (
     ppv_swap,
     reverse_classifier,
 )
-from aucppv.ppv import hits_range_at_k
+from aucppv.ppv import hits_range_at_k, swap_hits
 from conftest import (
     WORKED_EXAMPLE,
     all_arrangements,
@@ -76,6 +77,15 @@ def test_hits_from_ppv_roundtrip_and_rejection():
         hits_from_ppv(0.5, 0)
 
 
+def test_hits_from_ppv_takes_only_the_float_of_a_hit_count():
+    # 0.1 + 0.2 is the float after 0.3 = 3 / 10: near a hit count, not one.
+    assert hits_from_ppv(0.3, 10) == 3
+    with pytest.raises(NonIntegralHits):
+        hits_from_ppv(0.1 + 0.2, 10)
+    with pytest.raises(NonIntegralHits):
+        ppv_swap(0.1 + 0.2, 10, 12)
+
+
 def test_hits_and_swap_at_a_hundred_million():
     # h / k at k = 1e8 drifts more than 1e-9 from h once multiplied back by
     # k; the hit count must still be recovered exactly.
@@ -119,6 +129,16 @@ def test_swap_roundtrip_exhaustive():
                 swapped = ppv_swap(ppv_base_rate(ranking).value, k1, n - k1)
                 reversed_value = ppv_base_rate(reverse_classifier(ranking)).value
                 assert swapped == reversed_value
+
+
+def test_swap_hits_is_its_own_inverse_with_the_classes_exchanged():
+    for k1 in range(1, 8):
+        for k2 in range(1, 8):
+            for hits in range(max(0, k1 - k2), k1 + 1):
+                assert swap_hits(swap_hits(hits, k1, k2), k2, k1) == hits
+            for hits in (k1 - k2 - 1, k1 + 1):
+                with pytest.raises(InconsistentInput):
+                    swap_hits(hits, k1, k2)
 
 
 def test_swap_roundtrip_random():

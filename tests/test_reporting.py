@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -41,7 +42,9 @@ def test_build_report_worked_example():
     assert report.ppv_min.hits == 0
     assert report.ppv_max.hits == 3
     # The self-check passed by construction.
-    assert report.auc_min - 1e-12 <= report.auc.value <= report.auc_max + 1e-12
+    exact = Fraction(report.auc.doubled_u, 2 * report.auc.total_pairs)
+    assert exact == Fraction(7, 12)
+    assert Fraction(report.auc_min) <= exact <= Fraction(report.auc_max)
 
 
 def test_metric_table_values():

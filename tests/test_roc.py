@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -106,8 +107,22 @@ def test_pairwise_matches_exact_rational_oracle():
         ranking = random_ranking(rng, rng.randint(2, 40), with_ties=True)
         expected = exact_auc(ranking)
         result = auc_pairwise(ranking)
+        assert Fraction(result.doubled_u, 2 * result.total_pairs) == expected
         assert Fraction(result.correct_pairs) == expected * result.total_pairs
         assert result.value == float(expected)
+
+
+def test_pairwise_keeps_the_half_pair_past_two_to_the_53():
+    # k1 * k2 = 1e16 > 2**53: one tied pair leaves the odd doubled U
+    # 2e16 - 1, which halving in floating point would round away. The sweep
+    # reads only the tie-group table, so a stand-in carries it.
+    k = 10**8
+    table = SimpleNamespace(
+        n=2 * k, k1=k, k2=k, group_ends=(k - 1, k + 1, 2 * k), group_hits=(k - 1, k, k)
+    )
+    result = auc_pairwise(table)
+    assert result.doubled_u == 2 * k * k - 1
+    assert result.total_pairs == k * k
 
 
 def test_routes_agree_with_and_without_ties():
