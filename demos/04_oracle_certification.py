@@ -1,9 +1,10 @@
-"""Brute-force certification of the envelope formulas.
+"""Certification of the envelope formulas by counting arrangements.
 
-For small classes every arrangement of positives among negatives can
-be enumerated, each scored by its exact integer count of correctly
-ordered pairs, and the per-hit-level extremes compared against the closed
-forms.
+Every arrangement of positives among negatives is scored by its exact
+integer count of correctly ordered pairs. The oracle counts a hit level's
+arrangements by score with a product of two Gaussian binomials, without
+visiting any of them, and the per-hit-level extremes are compared against
+the closed forms.
 Equality must be exact, not approximate: both sides are Fractions.
 """
 
@@ -22,7 +23,7 @@ from aucppv import (
 def main() -> None:
     ratio = ClassRatio(3, 4)
     stats = enumerate_arrangements(ratio)
-    print(f"ratio {ratio.k1}:{ratio.k2}: {stats.arrangements} arrangements enumerated")
+    print(f"ratio {ratio.k1}:{ratio.k2}: {stats.arrangements} arrangements counted")
     print("  hits  count  min AUC      max AUC      closed forms")
     for hits in sorted(stats.per_hits):
         level = stats.per_hits[hits]
@@ -52,8 +53,8 @@ def main() -> None:
     print(f"  all exact across {total} arrangements")
     print()
 
-    # Enumeration is factorial; the guard refuses instances that would
-    # grind, unless the caller raises the limit explicitly.
+    # The guard refuses instances past the limit, unless the caller raises
+    # it explicitly.
     try:
         enumerate_arrangements(ClassRatio(9, 8))
     except InstanceTooLarge as exc:

@@ -3,9 +3,9 @@
 The package evaluates binary classifiers over scored, labeled records
 (confusion metrics, ROC/AUC, PPV at positional cuts) and quantifies the
 tension between threshold-free and deployment-cut quality: closed-form
-extremal envelopes for AUC given PPV_k and vice versa, an exhaustive
-exact-rational oracle that certifies them, and a COMPAS-style case study
-pipeline with bundled synthetic fixtures.
+extremal envelopes for AUC given PPV_k and vice versa, an exact-rational
+oracle that counts every arrangement to certify them, and a COMPAS-style
+case study pipeline with bundled synthetic fixtures.
 """
 
 from __future__ import annotations

@@ -127,8 +127,9 @@ def _envelope_text(args: argparse.Namespace) -> str:
             raise AucppvError(f"grid step {args.step!r} must lie in (0, 1]")
         # A float count first: 1 / step can overflow to inf before rounding.
         _check_rows(1.0 / args.step + 1)
+        # Exact, as in hits_from_ppv: the step must be the float 1 / steps.
         steps = round(1.0 / args.step)
-        if steps < 1 or abs(steps * args.step - 1.0) > 1e-9:
+        if 1 / steps != args.step:
             raise AucppvError(f"grid step {args.step!r} must divide 1 evenly")
         header_fields = ["auc", "ppv_min", "ppv_max"]
         rows = []
@@ -165,10 +166,13 @@ def cmd_envelope(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    """Certify the closed-form envelopes by exhaustive enumeration.
+    """Certify the closed-form envelopes by counting every arrangement.
 
-    Runs every ratio with k1 + k2 <= limit and reports one line per ratio;
-    any exact-rational mismatch fails the run.
+    Runs every ratio with k1 + k2 <= limit and reports one line per ratio.
+    Each hit level's arrangements are counted by pair count with a product
+    of two Gaussian binomials, none of them visited; the level's least and
+    most AUC must equal the closed forms as exact rationals, and any
+    mismatch fails the run.
     """
 
     if args.limit > DEFAULT_LIMIT:
@@ -250,7 +254,7 @@ def _build_parser() -> _Parser:
     p_env.set_defaults(handler=cmd_envelope)
 
     p_verify = sub.add_parser(
-        "verify", help="certify envelopes against exhaustive enumeration",
+        "verify", help="certify envelopes by counting arrangements with Gaussian binomials",
         description=cmd_verify.__doc__,
     )
     p_verify.add_argument(

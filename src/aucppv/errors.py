@@ -67,11 +67,11 @@ class NonIntegralHits(InconsistentInput):
 
 
 class InstanceTooLarge(AucppvError):
-    """Exhaustive enumeration was requested beyond the configured limit."""
+    """A request exceeds a configured size limit (oracle n, envelope rows)."""
 
 
 class CertificationFailure(AucppvError):
-    """The closed-form envelope disagreed with the exhaustive oracle.
+    """The closed-form envelope disagreed with the counting oracle.
 
     Carries the first mismatching hit level together with both values; the
     full per-level report is attached as ``report``.

@@ -1,20 +1,26 @@
-"""Exhaustive arrangement oracle and envelope certification.
+"""Counting arrangement oracle and envelope certification.
 
-For small class sizes every arrangement of k1 positives among n = k1 + k2
-positions can be enumerated. Each arrangement is scored by its integer count
-of correctly ordered positive/negative pairs, formed from the sum of the
-positive positions; only the per-hit-level extremes become exact rationals
-(pairs / (k1*k2)). They then certify the closed-form envelopes by exact
+An arrangement places k1 positives among n = k1 + k2 ranked positions. Its
+integer count of correctly ordered positive/negative pairs falls as the sum
+of its positive positions grows. With h hits (positives in the top k1), h
+positives fill the top block of k1 positions and k1 - h fill the bottom
+block of k2. The Gaussian binomial [m choose j]_q counts the j-subsets of m
+consecutive positions by how far their position sum exceeds the least one,
+so a hit level's arrangements are counted by pair count with the product
+[k1 choose h]_q * [k2 choose k1 - h]_q (the Mann-Whitney U null
+distribution, split by hits). Summed over h this is [n choose k1]_q, the
+q-Vandermonde identity. No arrangement is visited: each level's count is
+the sum of its coefficients and its extremes are its lowest and highest
+non-zero degrees. Only those extremes become exact rationals
+(pairs / (k1*k2)); they then certify the closed-form envelopes by exact
 equality, with no floating point anywhere in the comparison.
 """
 
 from __future__ import annotations
 
-import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .envelopes import ClassRatio, auc_max_exact, auc_min_exact
 from .errors import CertificationFailure, InstanceTooLarge
@@ -29,7 +35,7 @@ __all__ = [
     "certify_envelopes",
 ]
 
-#: Largest n = k1 + k2 enumerated by default; C(16, 8) = 12870 arrangements.
+#: Largest n = k1 + k2 counted by default; C(16, 8) = 12870 arrangements.
 DEFAULT_LIMIT = 16
 
 
@@ -54,60 +60,110 @@ class ArrangementStats:
     arrangements: int
 
 
-def enumerate_arrangements(ratio: ClassRatio, limit: int = DEFAULT_LIMIT) -> ArrangementStats:
-    """Enumerate every placement of the positives and tally exact AUCs.
+def _gaussian_rows(m: int, top: int) -> list[list[int]]:
+    """Coefficients of [m choose j]_q for j = 0..min(top, m), one list per j.
 
-    Arrangements are generated in lexicographic order of the positive
-    positions p_0 < ... < p_{k1-1} (0-based). The positive at p_j is ordered
-    above the n-1-p_j records after it, k1-1-j of which are positives, so an
-    arrangement's correctly ordered pair count is the integer
-    k1*(n-1) - k1*(k1-1)/2 - sum(p_j). Its hit count (positives inside the
-    top k1) is the number of positions below k1. Extremes of the pair count
-    are tracked per hit level as integers, and each becomes the exact
-    rational AUC pairs / (k1*k2) once, at the end.
-    Raises InstanceTooLarge when n exceeds ``limit``.
+    Coefficient d of row j counts the j-subsets of m positions whose sum
+    exceeds the least, 0 + 1 + ... + (j-1), by d. Positions are added one at
+    a time in front of the others: [m choose j]_q = [m-1 choose j-1]_q (the
+    new position is taken) + q^j [m-1 choose j]_q (it is not, and each of the
+    j taken positions moves down by one).
+    """
+
+    rows = [[1]]
+    for size in range(1, m + 1):
+        grown = [[1]]
+        for j in range(1, min(top, size) + 1):
+            taken = rows[j - 1]
+            row = taken + [0] * (j * (size - j) + 1 - len(taken))
+            if j < size:
+                row[j:] = [a + b for a, b in zip(row[j:], rows[j])]
+            grown.append(row)
+        rows = grown
+    return rows
+
+
+def _convolve(left: list[int], right: list[int]) -> list[int]:
+    """Coefficients of the product of two polynomials with non-negative
+    integer coefficients.
+
+    Kronecker substitution: each polynomial is evaluated at q = 256**width,
+    with width bytes enough for any product coefficient (none exceeds the
+    product of the two coefficient sums). One integer multiplication then
+    forms the product, whose coefficients are read back width bytes apiece.
+    """
+
+    width = ((sum(left) * sum(right)).bit_length() + 7) // 8
+
+    def evaluate(coefficients: list[int]) -> int:
+        digits = b"".join(c.to_bytes(width, "little") for c in coefficients)
+        return int.from_bytes(digits, "little")
+
+    size = (len(left) + len(right) - 1) * width
+    digits = (evaluate(left) * evaluate(right)).to_bytes(size, "little")
+    return [int.from_bytes(digits[i:i + width], "little") for i in range(0, size, width)]
+
+
+def _hit_levels(k1: int, k2: int) -> Iterator[tuple[int, int, list[int]]]:
+    """Yield (hits, most, coefficients) for each feasible hit level.
+
+    Coefficient d counts the level's arrangements with most - d correctly
+    ordered pairs. The positive at 0-based position p_j is ordered above the
+    n-1-p_j records after it, k1-1-j of them positives, so an arrangement has
+    k1*(n-1) - k1*(k1-1)/2 - sum(p_j) such pairs. A level's least position
+    sum puts its hits at 0..h-1 and its misses at k1..2*k1-h-1.
+    """
+
+    n = k1 + k2
+    base = k1 * (n - 1) - k1 * (k1 - 1) // 2
+    # Both blocks hold k1 - h misses: k1 - h negatives among the top k1
+    # positions ([k1 choose h]_q = [k1 choose k1 - h]_q) and k1 - h
+    # positives among the bottom k2.
+    top_block = _gaussian_rows(k1, min(k1, k2))
+    bottom_block = _gaussian_rows(k2, min(k1, k2))
+    for hits in range(max(0, k1 - k2), k1 + 1):
+        misses = k1 - hits
+        least_sum = hits * (hits - 1) // 2 + misses * k1 + misses * (misses - 1) // 2
+        yield hits, base - least_sum, _convolve(top_block[misses], bottom_block[misses])
+
+
+def enumerate_arrangements(ratio: ClassRatio, limit: int = DEFAULT_LIMIT) -> ArrangementStats:
+    """Count every placement of the positives by hit level and pair count.
+
+    Each feasible hit level's arrangements are counted by pair count with a
+    product of two Gaussian binomials (see the module docstring), built from
+    their recurrence on every call. The level's count is the sum of the
+    coefficients; its least and most pair counts come from its highest and
+    lowest non-zero degree, and each becomes the exact rational AUC
+    pairs / (k1*k2). Raises InstanceTooLarge when n exceeds ``limit``.
     """
 
     n = ratio.n
     if n > limit:
         raise InstanceTooLarge(f"n = {n} exceeds the enumeration limit {limit}")
-    k1, k2 = ratio.k1, ratio.k2
-    total = k1 * k2
-    base = k1 * (n - 1) - k1 * (k1 - 1) // 2
-    # Indexed by hit count; a level no arrangement reaches keeps count 0.
-    counts = [0] * (k1 + 1)
-    lows = [total + 1] * (k1 + 1)
-    highs = [-1] * (k1 + 1)
-    for positions in itertools.combinations(range(n), k1):
-        pairs = base - sum(positions)
-        hits = bisect_left(positions, k1)
-        counts[hits] += 1
-        if pairs < lows[hits]:
-            lows[hits] = pairs
-        if pairs > highs[hits]:
-            highs[hits] = pairs
-    per_hits = {
-        hits: HitLevelStats(
+    total = ratio.k1 * ratio.k2
+    per_hits = {}
+    for hits, most, coefficients in _hit_levels(ratio.k1, ratio.k2):
+        degrees = [degree for degree, count in enumerate(coefficients) if count]
+        per_hits[hits] = HitLevelStats(
             hits=hits,
-            count=counts[hits],
-            min_auc=Fraction(lows[hits], total),
-            max_auc=Fraction(highs[hits], total),
+            count=sum(coefficients),
+            min_auc=Fraction(most - degrees[-1], total),
+            max_auc=Fraction(most - degrees[0], total),
         )
-        for hits in range(k1 + 1)
-        if counts[hits]
-    }
+    levels = per_hits.values()
     return ArrangementStats(
         ratio=ratio,
         per_hits=per_hits,
-        min_auc=Fraction(min(lows), total),
-        max_auc=Fraction(max(highs), total),
-        arrangements=sum(counts),
+        min_auc=min(level.min_auc for level in levels),
+        max_auc=max(level.max_auc for level in levels),
+        arrangements=sum(level.count for level in levels),
     )
 
 
 @dataclass(frozen=True)
 class CertificationEntry:
-    """One hit level's closed-form vs enumerated extremes, compared exactly."""
+    """One hit level's closed-form vs counted extremes, compared exactly."""
 
     hits: int
     expected_min: Fraction
@@ -134,9 +190,9 @@ class CertificationReport:
 
 
 def certify_envelopes(ratio: ClassRatio, limit: int = DEFAULT_LIMIT) -> CertificationReport:
-    """Prove the closed-form envelopes tight for one ratio by enumeration.
+    """Prove the closed-form envelopes tight for one ratio by counting.
 
-    For every feasible hit level the enumerated min/max AUC must equal the
+    For every feasible hit level the counted min/max AUC must equal the
     closed forms as exact rationals. Returns the full report on success and
     raises CertificationFailure (carrying the first mismatching level and the
     report) otherwise.

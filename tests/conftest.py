@@ -6,10 +6,13 @@ so it can certify the production implementations. ``reference_load_csv``
 runs every row check on every row, the reference for the loader's lookup
 path. ``reference_rank_order`` puts every record in rank order, the
 reference for the rankings that build only their tie-group table.
+``enumerate_by_combinations`` visits every arrangement, the reference for
+the oracle that counts them by Gaussian binomials.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 import math
@@ -106,6 +109,25 @@ def pairwise_per_hits(k1: int, k2: int) -> dict[int, tuple[int, Fraction, Fracti
         hits = pattern[:k1].count("P")
         count, lo, hi = levels.get(hits, (0, auc, auc))
         levels[hits] = (count + 1, min(lo, auc), max(hi, auc))
+    return levels
+
+
+def enumerate_by_combinations(k1: int, k2: int) -> dict[int, dict[int, int]]:
+    """hits -> {correctly ordered pairs: arrangements} over every placement of
+    k1 positives among k1 + k2 positions.
+
+    Positions are 0-based from the top. The positive at p_j is ordered above
+    the n-1-p_j records after it, k1-1-j of which are positives, so the pair
+    count is k1*(n-1) - k1*(k1-1)/2 - sum(p_j); the hits are the positions
+    below k1.
+    """
+    n = k1 + k2
+    base = k1 * (n - 1) - k1 * (k1 - 1) // 2
+    levels: dict[int, dict[int, int]] = {}
+    for positions in itertools.combinations(range(n), k1):
+        level = levels.setdefault(bisect.bisect_left(positions, k1), {})
+        pairs = base - sum(positions)
+        level[pairs] = level.get(pairs, 0) + 1
     return levels
 
 

@@ -192,6 +192,8 @@ def test_envelope_tsv(capsys):
         ["envelope", "--k1", "2", "--k2", "2", "--mode", "ppv-given-auc", "--step", "0.3"],
         ["envelope", "--k1", "2", "--k2", "2", "--mode", "ppv-given-auc", "--step", "0"],
         ["envelope", "--k1", "2", "--k2", "2", "--mode", "ppv-given-auc", "--step", "-0.5"],
+        # Near 1/2 but not the float 1/2: no slack rounds it to a grid.
+        ["envelope", "--k1", "2", "--k2", "2", "--mode", "ppv-given-auc", "--step", "0.50000000004"],
     ],
 )
 def test_envelope_rejects_bad_flags(capsys, argv):
@@ -199,6 +201,15 @@ def test_envelope_rejects_bad_flags(capsys, argv):
     assert code == 1
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize("step, rows", [("0.001", 1001), ("0.01", 101), ("0.05", 21), ("0.25", 5)])
+def test_envelope_accepts_exact_unit_fractions(capsys, step, rows):
+    code, out, _ = run(
+        capsys, ["envelope", "--k1", "2", "--k2", "3", "--mode", "ppv-given-auc", "--step", step]
+    )
+    assert code == 0
+    assert len(out.splitlines()) == rows + 2
 
 
 @pytest.mark.parametrize(

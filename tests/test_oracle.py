@@ -1,4 +1,4 @@
-"""Exhaustive arrangement enumeration and envelope certification."""
+"""Arrangement counting oracle and envelope certification."""
 
 from __future__ import annotations
 
@@ -17,7 +17,12 @@ from aucppv import (
     enumerate_arrangements,
 )
 import aucppv.oracle
-from conftest import exact_auc, pairwise_per_hits, ranking_from_pattern
+from conftest import (
+    enumerate_by_combinations,
+    exact_auc,
+    pairwise_per_hits,
+    ranking_from_pattern,
+)
 
 
 def test_two_record_enumeration():
@@ -100,6 +105,69 @@ def test_enumeration_matches_pairwise_reference_up_to_ten():
             assert list(stats.per_hits) == sorted(reference)
             assert stats.min_auc == min(lo for _, lo, _ in reference.values())
             assert stats.max_auc == max(hi for _, _, hi in reference.values())
+
+
+def _level_distributions(k1: int, k2: int) -> dict[int, dict[int, int]]:
+    """hits -> {correctly ordered pairs: arrangements}, read off the counting
+    oracle's Gaussian-binomial products."""
+    return {
+        hits: {most - degree: count for degree, count in enumerate(coefficients) if count}
+        for hits, most, coefficients in aucppv.oracle._hit_levels(k1, k2)
+    }
+
+
+def test_counting_matches_enumeration_up_to_fourteen():
+    # Every ratio with n <= 14: each hit level's whole pair-count distribution
+    # equals the one found by visiting every arrangement, and the public
+    # count and extremes follow from it.
+    for n in range(2, 15):
+        for k1 in range(1, n):
+            k2 = n - k1
+            reference = enumerate_by_combinations(k1, k2)
+            assert _level_distributions(k1, k2) == reference
+            stats = enumerate_arrangements(ClassRatio(k1, k2))
+            assert {
+                hits: (level.count, level.min_auc, level.max_auc)
+                for hits, level in stats.per_hits.items()
+            } == {
+                hits: (sum(level.values()), Fraction(min(level), k1 * k2), Fraction(max(level), k1 * k2))
+                for hits, level in reference.items()
+            }
+
+
+def test_counting_past_sixteen_without_enumeration():
+    # Every ratio with n <= 40, C(40, 20) ~ 1.4e11 arrangements at the widest.
+    # Each level counts its hypergeometric share, and the levels together
+    # give the pair counts of all k1-subsets of n positions, [n choose k1]_q
+    # (the q-Vandermonde identity). That whole distribution comes from a
+    # subset-sum DP over positions: sums[j][s] counts the j-subsets of the
+    # positions seen so far whose sum is s.
+    sums = [[1]]
+    for n in range(1, 41):
+        added = n - 1
+        sums.append([0])
+        for j in range(n, 0, -1):
+            grown = sums[j] + [0] * (len(sums[j - 1]) + added - len(sums[j]))
+            for s, count in enumerate(sums[j - 1]):
+                grown[s + added] += count
+            sums[j] = grown
+        for k1 in range(1, n):
+            k2 = n - k1
+            stats = enumerate_arrangements(ClassRatio(k1, k2), limit=40)
+            assert {hits: level.count for hits, level in stats.per_hits.items()} == {
+                hits: math.comb(k1, hits) * math.comb(k2, k1 - hits)
+                for hits in range(max(0, k1 - k2), k1 + 1)
+            }
+            assert stats.arrangements == math.comb(n, k1)
+            whole: dict[int, int] = {}
+            for level in _level_distributions(k1, k2).values():
+                for pairs, count in level.items():
+                    whole[pairs] = whole.get(pairs, 0) + count
+            # n-1-p records sit below the positive at 0-based position p;
+            # over all positives that counts every pair of a positive above
+            # a negative plus the k1*(k1-1)/2 pairs of positives.
+            base = k1 * (n - 1) - k1 * (k1 - 1) // 2
+            assert whole == {base - s: count for s, count in enumerate(sums[k1]) if count}
 
 
 def test_limit_enforced():
