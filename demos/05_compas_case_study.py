@@ -26,7 +26,7 @@ def evaluate(scale: Scale, label: str):
     if summary.dropped:
         print(f"  dropped by reason: {summary.dropped}")
     ranking = to_ranking(result.rows)
-    deciles = decile_report(result.rows, scale=scale)
+    deciles = decile_report(result.rows)
     return build_report(ranking, label=label, decile=deciles, load_summary=summary)
 
 

@@ -291,10 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except AucppvError as exc:
+    except (FileNotFoundError, AucppvError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import EmptyAfterFilter, MalformedRow, MissingColumn
-from .ranking import Ranking, TiePolicy, _rank
+from .ranking import Ranking, TiePolicy
 
 __all__ = [
     "Scale",
@@ -125,24 +125,6 @@ class ScoreTable(Sequence[CompasRow]):
         if isinstance(other, list):
             return list(self) == other
         return NotImplemented
-
-
-def _as_table(rows: Sequence[CompasRow]) -> ScoreTable:
-    """The rows as columns; a ScoreTable is returned as it is.
-
-    The table takes the first row's scale; callers that care about mixed
-    scales check them on ``rows`` themselves.
-    """
-
-    if isinstance(rows, ScoreTable):
-        return rows
-    table = ScoreTable(rows[0].scale if rows else Scale.GENERAL)
-    for row in rows:
-        table.ids.append(row.person_id)
-        table.scores.append(row.raw_score)
-        table.deciles.append(row.decile)
-        table.labels.append(row.outcome)
-    return table
 
 
 @dataclass
@@ -305,15 +287,14 @@ def load_csv(
     return LoadResult(rows=rows, summary=summary)
 
 
-def to_ranking(rows: Sequence[CompasRow]) -> Ranking:
-    """Rank rows by descending raw score, ids breaking ties.
+def to_ranking(rows: ScoreTable) -> Ranking:
+    """Rank a score table by descending raw score, ids breaking ties.
 
-    Hand-built rows are checked as ``build_ranking`` checks records: an empty
-    id raises EmptyInput, a NaN or infinite score NonFiniteScore.
+    ``Ranking`` checks the columns, so a hand-built table with an empty id
+    raises EmptyInput and one with a NaN or infinite score NonFiniteScore.
     """
 
-    table = _as_table(rows)
-    return _rank(table.ids, table.scores, table.labels, TiePolicy.BY_ID_ASCENDING)
+    return Ranking(rows.ids, rows.scores, rows.labels, TiePolicy.BY_ID_ASCENDING)
 
 
 @dataclass(frozen=True)
@@ -362,32 +343,25 @@ def _bucket(per_decile: tuple[DecileCount, ...], deciles: tuple[int, ...]) -> Bu
     return BucketStats(deciles=deciles, total=total, positives=positives)
 
 
-def decile_report(rows: Sequence[CompasRow], scale: Scale | None = None) -> DecileReport:
-    """Tally outcomes per decile and per bucket.
+def decile_report(rows: ScoreTable) -> DecileReport:
+    """Tally outcomes per decile and per bucket, under the table's scale.
 
-    ``scale`` defaults to the scale of the supplied rows (which must agree).
-    Raises ValueError for a decile outside 1..10, which only hand-built rows
-    can hold.
+    Raises ValueError for a decile outside 1..10, which only a hand-built
+    table can hold.
     """
 
     if not rows:
         raise EmptyAfterFilter("decile report needs at least one row")
-    table = _as_table(rows)
-    if scale is None:
-        scales = {table.scale} if table is rows else {row.scale for row in rows}
-        if len(scales) != 1:
-            raise ValueError("rows mix scales; pass the scale explicitly")
-        scale = scales.pop()
-    totals = Counter(table.deciles)
+    totals = Counter(rows.deciles)
     for decile in totals:
         if decile not in range(1, 11):
             raise ValueError(f"decile {decile!r} outside [1, 10]")
-    positives = Counter(compress(table.deciles, table.labels))
+    positives = Counter(compress(rows.deciles, rows.labels))
     per_decile = tuple(
         DecileCount(decile=d, total=totals[d], positives=positives[d]) for d in range(1, 11)
     )
     return DecileReport(
-        scale=scale,
+        scale=rows.scale,
         per_decile=per_decile,
         low=_bucket(per_decile, LOW_DECILES),
         medium=_bucket(per_decile, MEDIUM_DECILES),

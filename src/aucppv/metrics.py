@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    CutOutOfRange,
     EmptyNegativeClass,
     EmptyPopulation,
     EmptyPositiveClass,
@@ -69,11 +68,10 @@ def confusion_at_cut(ranking: Ranking, cut: int) -> ConfusionCounts:
     """Counts when the top ``cut`` records are predicted positive.
 
     ``cut`` ranges over 0..n inclusive; 0 predicts nothing positive and n
-    predicts everything positive.
+    predicts everything positive. ``hits_at`` raises CutOutOfRange for any
+    other cut.
     """
 
-    if not 0 <= cut <= ranking.n:
-        raise CutOutOfRange(f"cut {cut} outside [0, {ranking.n}]")
     tp = ranking.hits_at(cut)
     fp = cut - tp
     fn = ranking.k1 - tp

@@ -17,7 +17,7 @@ from itertools import accumulate, compress, islice, repeat
 from operator import itemgetter, ne
 from typing import Iterable
 
-from .errors import CutOutOfRange, DuplicateId, EmptyInput, NonFiniteScore
+from .errors import CutOutOfRange, DuplicateId, EmptyInput, InconsistentInput, NonFiniteScore
 
 __all__ = [
     "TiePolicy",
@@ -74,9 +74,13 @@ class Ranking:
     built on first access, and so are ``items``, ``==`` and ``hash``, which
     read them.
 
-    Constructing a Ranking from records validates them; ``build_ranking``,
-    ``to_ranking`` and ``reverse_classifier`` build theirs through unchecked
-    constructors. A Ranking is immutable.
+    ``Ranking(ids, scores, labels, tie_policy)`` is the only constructor. It
+    takes parallel, sized columns in any order and raises InconsistentInput
+    for columns of different lengths, EmptyInput for empty columns or an
+    empty id, DuplicateId when two records share an id and NonFiniteScore
+    for a NaN or infinite score. Records of equal score rank by ascending id
+    under BY_ID_ASCENDING and in column order under GIVEN. A Ranking is
+    immutable.
     """
 
     __slots__ = (
@@ -91,59 +95,34 @@ class Ranking:
     group_ends: tuple[int, ...]
     group_hits: tuple[int, ...]
 
-    def __init__(
-        self,
-        items: Iterable[ScoredRecord],
-        k1: int,
-        k2: int,
-        tie_policy: TiePolicy,
-    ) -> None:
-        items = tuple(items)
-        if not items:
-            raise EmptyInput("a ranking needs at least one record")
-        if k1 + k2 != len(items):
-            raise ValueError("class counts do not sum to the number of records")
-        if k1 != sum(1 for rec in items if rec.positive):
-            raise ValueError("k1 does not match the number of positive records")
-        for earlier, later in zip(items, items[1:]):
-            if earlier.score < later.score:
-                raise ValueError("ranking is not sorted by descending score")
-        self._fill(
-            tuple(rec.id for rec in items),
-            tuple(rec.score for rec in items),
-            tuple(rec.positive for rec in items),
-            tie_policy,
-            None,
-        )
-
-    @classmethod
-    def _presorted(
-        cls,
-        ids: tuple[str, ...],
-        scores: tuple[float, ...],
-        labels: tuple[bool, ...],
-        tie_policy: TiePolicy,
-    ) -> Ranking:
-        """A ranking from non-empty columns already in rank order; not re-checked."""
-
-        ranking = cls.__new__(cls)
-        ranking._fill(ids, scores, labels, tie_policy, None)
-        return ranking
-
-    def _fill(self, ids, scores, labels, tie_policy: TiePolicy, tie_key) -> None:
-        """Build the tie-group table from non-empty column tuples in any order.
-
-        Records of equal score rank in the order of ``tie_key`` applied to
-        their column positions; a ``tie_key`` of None keeps the column order,
-        which is the rank order of columns already sorted.
-        """
-
-        n = len(scores)
+    def __init__(self, ids, scores, labels, tie_policy: TiePolicy) -> None:
+        n = len(ids)
+        if n == 0:
+            raise EmptyInput("cannot rank an empty record set")
+        if len(scores) != n or len(labels) != n:
+            raise InconsistentInput(
+                f"columns differ in length: {n} ids, {len(scores)} scores, {len(labels)} labels"
+            )
+        # Checking the ids before the copy to tuples is the faster order.
+        distinct = set(ids)
+        if len(distinct) != n:
+            seen: set[str] = set()
+            for rec_id in ids:
+                if rec_id in seen:
+                    raise DuplicateId(f"duplicate record id {rec_id!r}")
+                seen.add(rec_id)
+        if "" in distinct:
+            raise EmptyInput("record id must be a non-empty string")
+        ids, scores, labels = tuple(ids), tuple(scores), tuple(labels)
         ordered = sorted(scores, reverse=True)
         # Offsets where the sorted score changes, then n: the end of every
         # tie group; a group's level is the score at its start.
         ends = list(compress(range(1, n), map(ne, ordered, islice(ordered, 1, None))))
         levels = tuple(map(ordered.__getitem__, [0, *ends]))
+        # Every score is one of the levels, so checking them checks every record.
+        if not all(map(math.isfinite, levels)):
+            bad = next(i for i, score in enumerate(scores) if not math.isfinite(score))
+            raise NonFiniteScore(f"record {ids[bad]!r} has non-finite score {scores[bad]!r}")
         ends.append(n)
         positives = Counter(compress(scores, labels))
         hits = tuple(accumulate(map(positives.get, levels, repeat(0))))
@@ -155,7 +134,9 @@ class Ranking:
         assign(self, "group_ends", tuple(ends))
         assign(self, "group_hits", hits)
         assign(self, "_columns", (ids, scores, labels))
-        assign(self, "_tie_key", tie_key)
+        # Positions of equal score rank by this key; None keeps column order.
+        by_id = tie_policy is TiePolicy.BY_ID_ASCENDING
+        assign(self, "_tie_key", ids.__getitem__ if by_id else None)
         assign(self, "_levels", levels)
         assign(self, "_tie_hits", {})
         assign(self, "_ordered", None)
@@ -241,36 +222,6 @@ class Ranking:
         return hits
 
 
-def _rank(ids, scores, labels, tie_policy: TiePolicy) -> Ranking:
-    """Rank parallel columns in any order.
-
-    Raises EmptyInput for empty columns or an empty id, DuplicateId when two
-    records share an id and NonFiniteScore for a NaN or infinite score.
-    """
-
-    n = len(ids)
-    if n == 0:
-        raise EmptyInput("cannot rank an empty record set")
-    distinct = set(ids)
-    if len(distinct) != n:
-        seen: set[str] = set()
-        for rec_id in ids:
-            if rec_id in seen:
-                raise DuplicateId(f"duplicate record id {rec_id!r}")
-            seen.add(rec_id)
-    if "" in distinct:
-        raise EmptyInput("record id must be a non-empty string")
-    ids, scores, labels = tuple(ids), tuple(scores), tuple(labels)
-    ranking = Ranking.__new__(Ranking)
-    by_id = ids.__getitem__ if tie_policy is TiePolicy.BY_ID_ASCENDING else None
-    ranking._fill(ids, scores, labels, tie_policy, by_id)
-    # Every score is one of the levels, so checking them checks every record.
-    if not all(map(math.isfinite, ranking._levels)):
-        bad = next(i for i, score in enumerate(scores) if not math.isfinite(score))
-        raise NonFiniteScore(f"record {ids[bad]!r} has non-finite score {scores[bad]!r}")
-    return ranking
-
-
 def build_ranking(
     records: Iterable[ScoredRecord],
     tie_policy: TiePolicy = TiePolicy.BY_ID_ASCENDING,
@@ -278,11 +229,11 @@ def build_ranking(
     """Sort records by descending score into a Ranking.
 
     Raises EmptyInput for an empty iterable and DuplicateId when two records
-    share an id. Scores were already validated finite by ScoredRecord.
+    share an id.
     """
 
     items = list(records)
-    return _rank(
+    return Ranking(
         [rec.id for rec in items],
         [rec.score for rec in items],
         [rec.positive for rec in items],
@@ -300,7 +251,7 @@ def reverse_classifier(ranking: Ranking) -> Ranking:
     groups.
     """
 
-    return Ranking._presorted(
+    return Ranking(
         ranking.ids[::-1],
         tuple(-score for score in reversed(ranking.scores)),
         tuple(not label for label in reversed(ranking.labels)),

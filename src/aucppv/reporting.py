@@ -32,17 +32,17 @@ from .roc import AucResult, auc_pairwise
 
 __all__ = ["EvaluationReport", "build_report", "format_report", "format_number"]
 
-#: Metric table rows, in emission order.
-METRIC_ORDER = (
-    "accuracy",
-    "error_rate",
-    "prevalence",
-    "sensitivity",
-    "specificity",
-    "false_positive_rate",
-    "precision",
-    "recall",
-    "f1",
+#: Metric table rows, in emission order, each with the metric that fills it.
+_METRICS = (
+    ("accuracy", m.accuracy),
+    ("error_rate", m.error_rate),
+    ("prevalence", m.prevalence),
+    ("sensitivity", m.sensitivity),
+    ("specificity", m.specificity),
+    ("false_positive_rate", m.false_positive_rate),
+    ("precision", m.precision),
+    ("recall", m.recall),
+    ("f1", m.f1_score),
 )
 
 
@@ -82,20 +82,9 @@ def _metric_table(ranking: Ranking) -> dict[str, float | None]:
 
     counts = m.confusion_at_cut(ranking, ranking.k1)
     table: dict[str, float | None] = {}
-    calculators = {
-        "accuracy": lambda: m.accuracy(counts),
-        "error_rate": lambda: m.error_rate(counts),
-        "prevalence": lambda: m.prevalence(counts),
-        "sensitivity": lambda: m.sensitivity(counts),
-        "specificity": lambda: m.specificity(counts),
-        "false_positive_rate": lambda: m.false_positive_rate(counts),
-        "precision": lambda: m.precision(counts),
-        "recall": lambda: m.recall(counts),
-        "f1": lambda: m.f1_score(counts),
-    }
-    for name in METRIC_ORDER:
+    for name, metric in _METRICS:
         try:
-            table[name] = calculators[name]()
+            table[name] = metric(counts)
         except AucppvError:
             table[name] = None
     return table
@@ -252,8 +241,7 @@ def _format_table(report: EvaluationReport) -> str:
         "",
         "metrics at the base-rate cut",
     ]
-    for name in METRIC_ORDER:
-        value = report.metric_table[name]
+    for name, value in report.metric_table.items():
         rendered = "n/a" if value is None else format_number(value)
         lines.append(f"  {name:<21}{rendered}")
     if report.decile is not None:

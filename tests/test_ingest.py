@@ -330,11 +330,7 @@ def test_load_is_deterministic(tmp_path):
     second = load_csv(path)
     assert first.rows == second.rows
     assert to_ranking(first.rows) == to_ranking(second.rows)
-    # A plain list of rows takes the same path as the loader's columns.
-    rows = list(first.rows)
-    assert first.rows == rows
-    assert to_ranking(rows) == to_ranking(first.rows)
-    assert decile_report(rows) == decile_report(first.rows)
+    assert first.rows == list(first.rows)
 
 
 def test_decile_report_hand_tally(tmp_path):
@@ -399,15 +395,6 @@ def test_decile_report_bucket_rates_are_weighted_means(tmp_path):
     assert report.high.rate == weighted
 
 
-def test_decile_report_rejects_mixed_scales_without_override():
-    general = load_csv(fixture_path(Scale.GENERAL)).rows[:3]
-    violent = load_csv(fixture_path(Scale.VIOLENT), scale=Scale.VIOLENT).rows[:3]
-    with pytest.raises(ValueError):
-        decile_report(general + violent)
-    report = decile_report(general + violent, scale=Scale.GENERAL)
-    assert report.scale is Scale.GENERAL
-
-
 def test_general_fixture_counts_and_metrics():
     result = load_csv(fixture_path(Scale.GENERAL))
     assert result.summary.rows_kept == 11777
@@ -469,26 +456,31 @@ def test_fixture_bucket_rate_exact_fraction():
     ],
 )
 def test_to_ranking_rejects_bad_hand_built_rows(bad, error):
-    rows = [
+    table = _hand_built_table([
         CompasRow("p1", 0.7, 8, True, Scale.GENERAL),
         bad,
         CompasRow("p2", 0.1, 2, False, Scale.GENERAL),
-    ]
+    ])
+    with pytest.raises(error):
+        to_ranking(table)
+
+
+def test_decile_report_rejects_deciles_outside_one_to_ten():
+    table = _hand_built_table(
+        CompasRow(f"p{i}", 0.1 * i, decile, i == 0, Scale.GENERAL)
+        for i, decile in enumerate((3, 11, 0))
+    )
+    with pytest.raises(ValueError, match="decile 11 outside"):
+        decile_report(table)
+
+
+def _hand_built_table(rows) -> ScoreTable:
+    """A general-scale table holding ``rows``, with no loader checks."""
+
     table = ScoreTable(Scale.GENERAL)
     for row in rows:
         table.ids.append(row.person_id)
         table.scores.append(row.raw_score)
         table.deciles.append(row.decile)
         table.labels.append(row.outcome)
-    for given in (rows, table):
-        with pytest.raises(error):
-            to_ranking(given)
-
-
-def test_decile_report_rejects_deciles_outside_one_to_ten():
-    rows = [
-        CompasRow(f"p{i}", 0.1 * i, decile, i == 0, Scale.GENERAL)
-        for i, decile in enumerate((3, 11, 0))
-    ]
-    with pytest.raises(ValueError, match="decile 11 outside"):
-        decile_report(rows)
+    return table

@@ -15,6 +15,7 @@ from aucppv import (
     CutOutOfRange,
     DuplicateId,
     EmptyInput,
+    InconsistentInput,
     NonFiniteScore,
     PpvResult,
     Ranking,
@@ -24,6 +25,7 @@ from aucppv import (
     confusion_at_cut,
     expected_hits_at_k,
     ppv_at_k,
+    ppv_base_rate,
     reverse_classifier,
 )
 from aucppv.ppv import hits_range_at_k
@@ -102,22 +104,29 @@ def test_blank_id_rejected():
         ScoredRecord("", 1.0, True)
 
 
-def test_ranking_validates_sort_order():
-    records = (
-        ScoredRecord("a", 1.0, True),
-        ScoredRecord("b", 2.0, False),
-    )
-    with pytest.raises(ValueError):
-        Ranking(items=records, k1=1, k2=1, tie_policy=TiePolicy.GIVEN)
+def test_constructor_ranks_ties_by_id_in_any_column_order():
+    # Ties given in descending id order still rank by ascending id, so the
+    # base-rate cut inside the top tie group takes "a", not "b".
+    ids, scores, labels = ["b", "a", "d", "c"], [1.0, 1.0, 0.5, 0.5], [True, False, False, False]
+    ranking = Ranking(ids, scores, labels, TiePolicy.BY_ID_ASCENDING)
+    built = build_ranking(map(ScoredRecord, ids, scores, labels))
+    assert ranking.ids == ("a", "b", "c", "d")
+    assert ranking == built
+    assert ppv_base_rate(ranking) == ppv_base_rate(built) == PpvResult(k=1, hits=0, value=0.0)
 
 
-def test_ranking_validates_class_counts():
-    records = (
-        ScoredRecord("a", 2.0, True),
-        ScoredRecord("b", 1.0, False),
-    )
-    with pytest.raises(ValueError):
-        Ranking(items=records, k1=2, k2=0, tie_policy=TiePolicy.GIVEN)
+@pytest.mark.parametrize(
+    "ids, scores, error",
+    [
+        (["a", "b", "a"], [1.0, 0.5, 0.5], DuplicateId),
+        (["a", "", "c"], [1.0, 0.5, 0.5], EmptyInput),
+        (["a", "b", "c"], [1.0, 0.5], InconsistentInput),
+        (["a", "b"], [1.0, 0.5, 0.5], InconsistentInput),
+    ],
+)
+def test_constructor_refuses_bad_columns(ids, scores, error):
+    with pytest.raises(error):
+        Ranking(ids, scores, [True, False, True], TiePolicy.GIVEN)
 
 
 def test_tie_group_table_matches_record_walk():
@@ -133,7 +142,7 @@ def test_tie_group_table_matches_record_walk():
                 assert confusion_at_cut(built, k).tp == exact_hits(built, k)
                 if k:
                     assert ppv_at_k(built, k).hits == exact_hits(built, k)
-            again = Ranking(built.items, built.k1, built.k2, built.tie_policy)
+            again = build_ranking(built.items, built.tie_policy)
             assert again == built
             assert (again.group_ends, again.group_hits) == (built.group_ends, built.group_hits)
 
@@ -199,18 +208,18 @@ def _refuse_rank_order(self):
 
 @pytest.mark.parametrize("policy", list(TiePolicy))
 def test_tie_group_reads_need_no_rank_order(monkeypatch, policy):
-    # Every constructor, on a freshly built ranking: the group table and the
-    # cut reads match a full sort while the record order cannot be built,
-    # then the columns, the records, == and hash match it too; the reads
-    # match again on a ranking whose columns were read first.
+    # From records, from the shuffled columns and from the columns already
+    # in rank order, on a freshly built ranking: the group table and the cut
+    # reads match a full sort while the record order cannot be built, then
+    # the columns, the records, == and hash match it too; the reads match
+    # again on a ranking whose columns were read first.
     for ids, scores, labels in _tied_columns(random.Random(41)):
         ranked = reference_rank_order(ids, scores, labels, policy)
         expected = _walked_reads(*ranked)
-        k1 = sum(labels)
         builds = (
             lambda: build_ranking(map(ScoredRecord, ids, scores, labels), policy),
-            lambda: Ranking(map(ScoredRecord, *ranked), k1, len(ids) - k1, policy),
-            lambda: Ranking._presorted(*ranked, policy),
+            lambda: Ranking(ids, scores, labels, policy),
+            lambda: Ranking(*ranked, policy),
         )
         rankings = []
         for build in builds:
