@@ -23,18 +23,19 @@ Ratios with k1 > k2 are reduced to this case through the class swap, which
 leaves AUC unchanged and maps hit counts affinely (``ppv.swap_hits``, whose
 inverse is the same map with the classes exchanged).
 
-The inverse direction is a grid scan: given an observed AUC value b, the
-feasible hit counts are bracketed by the smallest h whose auc_min reaches b
-and the largest h whose auc_max stays at or below b. Those are the outer grid
-neighbours of the continuous roots, so the reported interval always contains
-every PPV_k attainable at AUC = b. The value b is taken as the exact rational
-it is (a float converts to its binary fraction, and callers with an exact AUC
-pass a Fraction), and every comparison cross-multiplies integers, so the
-scan is exact with no slack.
+The inverse direction solves the envelopes for h: given an observed AUC
+value b, the feasible hit counts are bracketed by the smallest h whose
+auc_min reaches b and the largest h whose auc_max stays at or below b, the
+outer grid neighbours of the continuous roots, so the reported interval
+always contains every PPV_k attainable at AUC = b. Each root is read from
+``math.isqrt`` and settled by an exact integer correction step, with b taken
+as the exact rational it is (a float converts to its binary fraction, and
+callers with an exact AUC pass a Fraction), so there is no slack.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -118,13 +119,17 @@ def auc_min_given_ppvk(ppv: float, ratio: ClassRatio) -> float:
     return float(auc_min_exact(hits_from_ppv(ppv, ratio.k1), ratio))
 
 
-def _threshold(auc: float | Fraction, total: int) -> tuple[int, int]:
-    """(p, q) with auc * total == p / q exactly; auc must lie in [0, 1]."""
+def _threshold(auc: float | Fraction, ratio: ClassRatio) -> tuple[int, int, int, int]:
+    """(k1, k2, p, q): sizes smaller first, p / q == auc * k1*k2; auc in [0, 1]."""
 
-    if not 0 <= auc <= 1:
+    try:
+        num, den = auc.as_integer_ratio()
+    except (ValueError, OverflowError):  # NaN and +-inf have no ratio
+        num, den = -1, 1
+    if not 0 <= num <= den:
         raise InconsistentInput(f"auc {auc!r} outside [0, 1]")
-    exact = Fraction(auc)
-    return exact.numerator * total, exact.denominator
+    k1, k2 = (ratio.k1, ratio.k2) if ratio.k1 <= ratio.k2 else (ratio.k2, ratio.k1)
+    return k1, k2, num * k1 * k2, den
 
 
 def ppvk_max_given_auc(auc: float | Fraction, ratio: ClassRatio) -> PpvResult:
@@ -132,27 +137,25 @@ def ppvk_max_given_auc(auc: float | Fraction, ratio: ClassRatio) -> PpvResult:
 
     Returns the smallest grid value a = h/k1 whose auc_min reaches the
     observed value, i.e. the outer grid neighbour of the continuous root of
-    auc_min(a) = auc, so no arrangement with this AUC can exceed it. The AUC
-    is compared as the exact rational it is: pass a Fraction when the exact
-    AUC is known, since a float is read as its own binary fraction.
+    auc_min(a) = auc, so no arrangement with this AUC can exceed it. The root
+    of h * (k2 - k1 + h) = auc * k1*k2 is read from isqrt and stepped up to
+    the first level that passes the exact test. The AUC is compared as the
+    exact rational it is: pass a Fraction when the exact AUC is known, since
+    a float is read as its own binary fraction.
     """
 
-    norm = ratio.normalized
-    k1, k2 = norm.k1, norm.k2
-    # pairs / (k1*k2) >= p / q, with both denominators positive.
-    p, q = _threshold(auc, k1 * k2)
-    # auc_min is strictly increasing in hits, so bisect for the first level
-    # at or above the threshold; hits = k1 always qualifies (auc_min = 1).
-    lo, hi = 0, k1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _envelope_pairs(mid, k1, k2)[0] * q >= p:
-            hi = mid
-        else:
-            lo = mid + 1
+    k1, k2, p, q = _threshold(auc, ratio)
+    d = k2 - k1
+    # Least h with h * (d + h) * q >= p. Both inverses start from isqrt of a
+    # floored integer, never above the true root (and here >= 0), so the
+    # start cannot overshoot and falls at most about three levels short; each
+    # step is an exact integer test, and h = k1 always passes.
+    hits = (math.isqrt((d * d * q + 4 * p) // q) - d) // 2
+    while hits * (d + hits) * q < p:
+        hits += 1
     if ratio.k1 > ratio.k2:
-        lo = swap_hits(lo, k1, k2)
-    return PpvResult(k=ratio.k1, hits=lo, value=lo / ratio.k1)
+        hits = swap_hits(hits, k1, k2)
+    return PpvResult(k=ratio.k1, hits=hits, value=hits / ratio.k1)
 
 
 def ppvk_min_given_auc(auc: float | Fraction, ratio: ClassRatio) -> PpvResult:
@@ -161,25 +164,20 @@ def ppvk_min_given_auc(auc: float | Fraction, ratio: ClassRatio) -> PpvResult:
     Returns the largest grid value a = h/k1 whose auc_max stays at or below
     the observed value (0 when there is none): the outer grid neighbour of
     the continuous root of auc_max(a) = auc, so no arrangement with this AUC
-    can fall below it. The AUC is compared exactly, as in ppvk_max_given_auc.
+    can fall below it. The root of (k1 - h)^2 = (1 - auc) * k1*k2 is read
+    from isqrt and corrected exactly, as in ppvk_max_given_auc.
     """
 
-    norm = ratio.normalized
-    k1, k2 = norm.k1, norm.k2
-    # pairs / (k1*k2) <= p / q, with both denominators positive.
-    p, q = _threshold(auc, k1 * k2)
-    # auc_max is strictly increasing in hits; bisect for the last level at or
-    # below the threshold, which stays at 0 when no level qualifies.
-    lo, hi = 0, k1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _envelope_pairs(mid, k1, k2)[1] * q <= p:
-            lo = mid
-        else:
-            hi = mid - 1
+    k1, k2, p, q = _threshold(auc, ratio)
+    # Least miss count m = k1 - h with m^2 * q >= r; no level fits if m > k1.
+    r = k1 * k2 * q - p
+    miss = math.isqrt(r // q)
+    while miss * miss * q < r:
+        miss += 1
+    hits = max(0, k1 - miss)
     if ratio.k1 > ratio.k2:
-        lo = swap_hits(lo, k1, k2)
-    return PpvResult(k=ratio.k1, hits=lo, value=lo / ratio.k1)
+        hits = swap_hits(hits, k1, k2)
+    return PpvResult(k=ratio.k1, hits=hits, value=hits / ratio.k1)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ runs every row check on every row, the reference for the loader's lookup
 path. ``reference_rank_order`` puts every record in rank order, the
 reference for the rankings that build only their tie-group table.
 ``enumerate_by_combinations`` visits every arrangement, the reference for
-the oracle that counts them by Gaussian binomials.
+the oracle that counts them by Gaussian binomials. ``ppvk_hits_by_bisection``
+searches the hit levels, the reference for the envelope inverses that solve
+for them in closed form.
 """
 
 from __future__ import annotations
@@ -129,6 +131,37 @@ def enumerate_by_combinations(k1: int, k2: int) -> dict[int, dict[int, int]]:
         pairs = base - sum(positions)
         level[pairs] = level.get(pairs, 0) + 1
     return levels
+
+
+def ppvk_hits_by_bisection(auc, ratio) -> tuple[int, int]:
+    """(ppvk_min_given_auc hits, ppvk_max_given_auc hits) on the ratio's own
+    grid, by bisection over the hit levels with Fraction comparisons.
+
+    On the ratio with the smaller class k1 first, the min is the last level
+    whose auc_max = k1*k2 - (k1 - h)^2 stays at or below auc * k1*k2 (0 when
+    none does), the max the first level whose auc_min = h * (k2 - k1 + h)
+    reaches it; both envelopes increase in h. A ratio with the larger class
+    first shifts both by the difference of the class sizes.
+    """
+    k1, k2 = sorted((ratio.k1, ratio.k2))
+    bar = Fraction(auc) * k1 * k2
+    lo, hi = 0, k1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if k1 * k2 - (k1 - mid) ** 2 <= bar:
+            lo = mid
+        else:
+            hi = mid - 1
+    bottom = lo
+    lo, hi = 0, k1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid * (k2 - k1 + mid) >= bar:
+            hi = mid
+        else:
+            lo = mid + 1
+    shift = ratio.k1 - k1
+    return bottom + shift, lo + shift
 
 
 def reference_load_csv(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from conftest import (
     exact_auc,
     fraction_auc_max,
     fraction_auc_min,
+    ppvk_hits_by_bisection,
     random_ranking,
     ranking_from_pattern,
 )
@@ -218,10 +220,57 @@ def test_ppvk_min_examples():
 
 
 def test_ppvk_bounds_reject_bad_auc():
-    with pytest.raises(InconsistentInput):
-        ppvk_max_given_auc(1.5, ClassRatio(3, 4))
-    with pytest.raises(InconsistentInput):
-        ppvk_min_given_auc(-0.5, ClassRatio(3, 4))
+    bad = (1.5, -0.5, math.nan, math.inf, -math.inf, -0.1, 1.0000001, Fraction(3, 2), Fraction(-1, 2))
+    for auc in bad:
+        for inverse in (ppvk_min_given_auc, ppvk_max_given_auc):
+            for ratio in (ClassRatio(3, 4), ClassRatio(4, 3)):
+                with pytest.raises(InconsistentInput) as refused:
+                    inverse(auc, ratio)
+                assert str(refused.value) == f"auc {auc!r} outside [0, 1]"
+
+
+@pytest.mark.parametrize(
+    "auc, expected",
+    [(0, (0, 0, 1, 1)), (-0.0, (0, 0, 1, 1)), (1, (3, 3, 4, 4)), (True, (3, 3, 4, 4))],
+    ids=repr,
+)
+def test_ppvk_bounds_accept_the_unit_interval_ends(auc, expected):
+    # (min, max) hits at ratio 3:4, then at 4:3, whose grid starts at 1.
+    assert expected == tuple(
+        inverse(auc, ratio).hits
+        for ratio in (ClassRatio(3, 4), ClassRatio(4, 3))
+        for inverse in (ppvk_min_given_auc, ppvk_max_given_auc)
+    )
+
+
+@st.composite
+def ratio_and_auc(draw, largest: int = 10**9):
+    """A ratio in either class order and an AUC in [0, 1]: a float, a point
+    of the k1*k2 grid, an exact envelope level nudged by 0 or +-1e-30, or an
+    end of the interval."""
+    k1, k2 = draw(st.integers(1, largest)), draw(st.integers(1, largest))
+    small, large = sorted((k1, k2))
+    total = small * large
+    hits = draw(st.integers(0, small))
+    levels = (hits * (large - small + hits), total - (small - hits) ** 2)
+    nudge = draw(st.sampled_from((0, 1, -1))) * Fraction(1, 10**30)
+    auc = draw(
+        st.one_of(
+            st.floats(0.0, 1.0),
+            st.integers(0, total).map(lambda pairs: Fraction(pairs, total)),
+            st.sampled_from(levels).map(lambda level: min(max(Fraction(level, total) + nudge, 0), 1)),
+            st.sampled_from((0, 1)),
+        )
+    )
+    return ClassRatio(k1, k2), auc
+
+
+@settings(max_examples=1000, deadline=None)
+@given(ratio_and_auc())
+def test_ppvk_bounds_match_bisection(case):
+    ratio, auc = case
+    expected = ppvk_hits_by_bisection(auc, ratio)
+    assert (ppvk_min_given_auc(auc, ratio).hits, ppvk_max_given_auc(auc, ratio).hits) == expected
 
 
 def test_ppvk_bounds_bracket_every_arrangement():
