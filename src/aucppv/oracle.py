@@ -9,17 +9,24 @@ consecutive positions by how far their position sum exceeds the least one,
 so a hit level's arrangements are counted by pair count with the product
 [k1 choose h]_q * [k2 choose k1 - h]_q (the Mann-Whitney U null
 distribution, split by hits). Summed over h this is [n choose k1]_q, the
-q-Vandermonde identity. No arrangement is visited: each level's count is
-the sum of its coefficients and its extremes are its lowest and highest
-non-zero degrees. Only those extremes become exact rationals
-(pairs / (k1*k2)); they then certify the closed-form envelopes by exact
-equality, with no floating point anywhere in the comparison.
+q-Vandermonde identity. No arrangement is visited, and no polynomial is
+held as a list of coefficients: each is one integer, the polynomial at
+q = 2**width, so coefficient d sits in bits d*width .. (d+1)*width - 1. The
+slot width, comb(n, k1).bit_length() + 1 bits, is fixed per ratio; no
+coefficient exceeds C(n, k1), so no slot carries into the next. A level's
+count, the sum of its coefficients, is its product's residue modulo
+2**width - 1; its extremes, the highest and lowest non-zero degrees, come
+from the product's bit length and its trailing zeros. Only those extremes
+become exact rationals (pairs / (k1*k2)); they then certify the closed-form
+envelopes by exact equality, with no floating point anywhere in the
+comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterator, Mapping
 
 from .envelopes import ClassRatio, auc_max_exact, auc_min_exact
@@ -60,71 +67,52 @@ class ArrangementStats:
     arrangements: int
 
 
-def _gaussian_rows(m: int, top: int) -> list[list[int]]:
-    """Coefficients of [m choose j]_q for j = 0..min(top, m), one list per j.
+def _hit_levels(k1: int, k2: int) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (hits, most, width, packed) for each feasible hit level.
 
-    Coefficient d of row j counts the j-subsets of m positions whose sum
-    exceeds the least, 0 + 1 + ... + (j-1), by d. Positions are added one at
-    a time in front of the others: [m choose j]_q = [m-1 choose j-1]_q (the
-    new position is taken) + q^j [m-1 choose j]_q (it is not, and each of the
-    j taken positions moves down by one).
-    """
-
-    rows = [[1]]
-    for size in range(1, m + 1):
-        grown = [[1]]
-        for j in range(1, min(top, size) + 1):
-            taken = rows[j - 1]
-            row = taken + [0] * (j * (size - j) + 1 - len(taken))
-            if j < size:
-                row[j:] = [a + b for a, b in zip(row[j:], rows[j])]
-            grown.append(row)
-        rows = grown
-    return rows
-
-
-def _convolve(left: list[int], right: list[int]) -> list[int]:
-    """Coefficients of the product of two polynomials with non-negative
-    integer coefficients.
-
-    Kronecker substitution: each polynomial is evaluated at q = 256**width,
-    with width bytes enough for any product coefficient (none exceeds the
-    product of the two coefficient sums). One integer multiplication then
-    forms the product, whose coefficients are read back width bytes apiece.
-    """
-
-    width = ((sum(left) * sum(right)).bit_length() + 7) // 8
-
-    def evaluate(coefficients: list[int]) -> int:
-        digits = b"".join(c.to_bytes(width, "little") for c in coefficients)
-        return int.from_bytes(digits, "little")
-
-    size = (len(left) + len(right) - 1) * width
-    digits = (evaluate(left) * evaluate(right)).to_bytes(size, "little")
-    return [int.from_bytes(digits[i:i + width], "little") for i in range(0, size, width)]
-
-
-def _hit_levels(k1: int, k2: int) -> Iterator[tuple[int, int, list[int]]]:
-    """Yield (hits, most, coefficients) for each feasible hit level.
-
-    Coefficient d counts the level's arrangements with most - d correctly
-    ordered pairs. The positive at 0-based position p_j is ordered above the
-    n-1-p_j records after it, k1-1-j of them positives, so an arrangement has
+    ``packed`` holds the level's polynomial with ``width`` bits per
+    coefficient: bits d*width .. (d+1)*width - 1 count the level's
+    arrangements with most - d correctly ordered pairs. The positive at
+    0-based position p_j is ordered above the n-1-p_j records after it,
+    k1-1-j of them positives, so an arrangement has
     k1*(n-1) - k1*(k1-1)/2 - sum(p_j) such pairs. A level's least position
     sum puts its hits at 0..h-1 and its misses at k1..2*k1-h-1.
+
+    Coefficient d of [m choose j]_q counts the j-subsets of m positions
+    whose sum exceeds the least, 0 + 1 + ... + (j-1), by d. Positions are
+    added one at a time in front of the others: [m choose j]_q =
+    [m-1 choose j-1]_q (the new position is taken) + q^j [m-1 choose j]_q
+    (it is not, and each of the j taken positions moves down by one). With
+    q = 2**width that is one shift and one add per row, and a level's
+    product is one integer multiplication.
     """
 
     n = k1 + k2
+    # Every coefficient of a row or a product is at most its coefficient
+    # sum: C(m, j) <= C(n, j) <= C(n, k1) for a row (m <= max(k1, k2) and
+    # j <= min(k1, k2), so k1 lies in j..n-j), the level's count <= C(n, k1)
+    # for a product. C(n, k1) < 2**(width-1), so no slot carries into the
+    # next, and a level's count stays below the modulus 2**width - 1 that
+    # enumerate_arrangements reads it with; the + 1 is that margin.
+    width = comb(n, k1).bit_length() + 1
     base = k1 * (n - 1) - k1 * (k1 - 1) // 2
     # Both blocks hold k1 - h misses: k1 - h negatives among the top k1
     # positions ([k1 choose h]_q = [k1 choose k1 - h]_q) and k1 - h
-    # positives among the bottom k2.
-    top_block = _gaussian_rows(k1, min(k1, k2))
-    bottom_block = _gaussian_rows(k2, min(k1, k2))
+    # positives among the bottom k2. One build of the rows [size choose j]_q,
+    # j <= min(k1, k2), passes through size k1 and size k2.
+    low = min(k1, k2)
+    rows = top = bottom = [1]
+    for size in range(1, max(k1, k2) + 1):
+        prev = rows + [0]
+        rows = [1] + [prev[j - 1] + (prev[j] << j * width) for j in range(1, min(size, low) + 1)]
+        if size == k1:
+            top = rows
+        if size == k2:
+            bottom = rows
     for hits in range(max(0, k1 - k2), k1 + 1):
         misses = k1 - hits
         least_sum = hits * (hits - 1) // 2 + misses * k1 + misses * (misses - 1) // 2
-        yield hits, base - least_sum, _convolve(top_block[misses], bottom_block[misses])
+        yield hits, base - least_sum, width, top[misses] * bottom[misses]
 
 
 def enumerate_arrangements(ratio: ClassRatio, limit: int = DEFAULT_LIMIT) -> ArrangementStats:
@@ -132,9 +120,13 @@ def enumerate_arrangements(ratio: ClassRatio, limit: int = DEFAULT_LIMIT) -> Arr
 
     Each feasible hit level's arrangements are counted by pair count with a
     product of two Gaussian binomials (see the module docstring), built from
-    their recurrence on every call. The level's count is the sum of the
-    coefficients; its least and most pair counts come from its highest and
-    lowest non-zero degree, and each becomes the exact rational AUC
+    their recurrence on every call and held as one packed integer, ``width``
+    bits per coefficient. Three integer operations read the level off it.
+    Its count, the sum of the coefficients, is the residue modulo
+    2**width - 1, since 2**width is 1 modulo 2**width - 1 and the sum stays
+    below the modulus. Its highest non-zero degree (the least pair count)
+    comes from the bit length and its lowest (the most pair count) from the
+    trailing zeros. Each extreme becomes the exact rational AUC
     pairs / (k1*k2). Raises InstanceTooLarge when n exceeds ``limit``.
     """
 
@@ -143,13 +135,12 @@ def enumerate_arrangements(ratio: ClassRatio, limit: int = DEFAULT_LIMIT) -> Arr
         raise InstanceTooLarge(f"n = {n} exceeds the enumeration limit {limit}")
     total = ratio.k1 * ratio.k2
     per_hits = {}
-    for hits, most, coefficients in _hit_levels(ratio.k1, ratio.k2):
-        degrees = [degree for degree, count in enumerate(coefficients) if count]
+    for hits, most, width, packed in _hit_levels(ratio.k1, ratio.k2):
         per_hits[hits] = HitLevelStats(
             hits=hits,
-            count=sum(coefficients),
-            min_auc=Fraction(most - degrees[-1], total),
-            max_auc=Fraction(most - degrees[0], total),
+            count=packed % ((1 << width) - 1),
+            min_auc=Fraction(most - (packed.bit_length() - 1) // width, total),
+            max_auc=Fraction(most - ((packed & -packed).bit_length() - 1) // width, total),
         )
     levels = per_hits.values()
     return ArrangementStats(

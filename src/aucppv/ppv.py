@@ -67,7 +67,10 @@ def hits_from_ppv(ppv: float, k: int) -> int:
 
     if k < 1:
         raise ValueError("cut k must be at least 1")
-    hits = round(ppv * k)
+    try:
+        hits = round(ppv * k)
+    except (ValueError, OverflowError):  # ppv * k is NaN or infinite
+        hits = -1  # outside 0..k: rejected below
     if hits / k != ppv or not 0 <= hits <= k:
         raise NonIntegralHits(f"ppv {ppv!r} at cut {k} is not h / {k} for any h in 0..{k}")
     return hits

@@ -133,6 +133,13 @@ def enumerate_by_combinations(k1: int, k2: int) -> dict[int, dict[int, int]]:
     return levels
 
 
+def unpack_slots(packed: int, width: int) -> list[int]:
+    """Coefficients of a polynomial packed ``width`` bits per coefficient,
+    lowest degree first: coefficient d is (packed >> d*width) & mask."""
+    mask = (1 << width) - 1
+    return [(packed >> d * width) & mask for d in range((packed.bit_length() + width - 1) // width)]
+
+
 def ppvk_hits_by_bisection(auc, ratio) -> tuple[int, int]:
     """(ppvk_min_given_auc hits, ppvk_max_given_auc hits) on the ratio's own
     grid, by bisection over the hit levels with Fraction comparisons.

@@ -22,6 +22,7 @@ from conftest import (
     exact_auc,
     pairwise_per_hits,
     ranking_from_pattern,
+    unpack_slots,
 )
 
 
@@ -108,11 +109,15 @@ def test_enumeration_matches_pairwise_reference_up_to_ten():
 
 
 def _level_distributions(k1: int, k2: int) -> dict[int, dict[int, int]]:
-    """hits -> {correctly ordered pairs: arrangements}, read off the counting
-    oracle's Gaussian-binomial products."""
+    """hits -> {correctly ordered pairs: arrangements}, unpacked from the
+    counting oracle's packed Gaussian-binomial products."""
     return {
-        hits: {most - degree: count for degree, count in enumerate(coefficients) if count}
-        for hits, most, coefficients in aucppv.oracle._hit_levels(k1, k2)
+        hits: {
+            most - degree: count
+            for degree, count in enumerate(unpack_slots(packed, width))
+            if count
+        }
+        for hits, most, width, packed in aucppv.oracle._hit_levels(k1, k2)
     }
 
 
@@ -168,6 +173,29 @@ def test_counting_past_sixteen_without_enumeration():
             # a negative plus the k1*(k1-1)/2 pairs of positives.
             base = k1 * (n - 1) - k1 * (k1 - 1) // 2
             assert whole == {base - s: count for s, count in enumerate(sums[k1]) if count}
+
+
+def test_certification_far_past_sixteen(monkeypatch):
+    # Every ratio with n <= 60, C(60, 30) ~ 1.2e17 arrangements at the widest:
+    # the closed forms hold at every level, and each level's count, read from
+    # the stats that certification itself counted, is its hypergeometric share.
+    counted = []
+
+    def recording(ratio, limit):
+        counted.append(enumerate_arrangements(ratio, limit))
+        return counted[-1]
+
+    monkeypatch.setattr(aucppv.oracle, "enumerate_arrangements", recording)
+    for n in range(2, 61):
+        for k1 in range(1, n):
+            k2 = n - k1
+            report = certify_envelopes(ClassRatio(k1, k2), limit=60)
+            assert report.ok
+            assert report.arrangements == math.comb(n, k1)
+            assert {hits: level.count for hits, level in counted.pop().per_hits.items()} == {
+                hits: math.comb(k1, hits) * math.comb(k2, k1 - hits)
+                for hits in range(max(0, k1 - k2), k1 + 1)
+            }
 
 
 def test_limit_enforced():

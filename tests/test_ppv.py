@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
 from aucppv import (
+    ClassRatio,
     CutOutOfRange,
     EmptyPositiveClass,
     InconsistentInput,
@@ -14,6 +16,8 @@ from aucppv import (
     PpvResult,
     ScoredRecord,
     TiePolicy,
+    auc_max_given_ppvk,
+    auc_min_given_ppvk,
     build_ranking,
     expected_hits_at_k,
     hits_from_ppv,
@@ -75,6 +79,17 @@ def test_hits_from_ppv_roundtrip_and_rejection():
         hits_from_ppv(1.5, 2)
     with pytest.raises(ValueError):
         hits_from_ppv(0.5, 0)
+    # NaN, an infinity, or a product ppv * k that overflows to one: the hit
+    # count is not rounded from them, and every caller sees the typed error.
+    for ppv, k in [(math.nan, 5), (math.inf, 5), (-math.inf, 5), (1e308, 10**10)]:
+        with pytest.raises(NonIntegralHits):
+            hits_from_ppv(ppv, k)
+    with pytest.raises(NonIntegralHits):
+        auc_min_given_ppvk(math.nan, ClassRatio(5, 7))
+    with pytest.raises(NonIntegralHits):
+        auc_max_given_ppvk(math.inf, ClassRatio(5, 7))
+    with pytest.raises(NonIntegralHits):
+        ppv_swap(1e308, 10**10, 10**10)
 
 
 def test_hits_from_ppv_takes_only_the_float_of_a_hit_count():
