@@ -58,7 +58,7 @@ def main() -> None:
         print(f"  ({x:.4f}, {y:.4f})")
     trap = auc_trapezoid(curve)
     print(f"AUC by trapezoid rule: {trap}")
-    print(f"routes agree: {abs(trap - auc.value) <= 1e-12}")
+    print(f"routes agree: {trap == auc.value}")
     print()
 
     ppv = ppv_base_rate(ranking)

@@ -8,8 +8,6 @@ section shows the typed errors raised on degenerate tables.
 
 from aucppv import (
     ConfusionCounts,
-    NoPredictedPositives,
-    UndefinedF1,
     accuracy,
     build_ranking,
     confusion_at_cut,
@@ -24,6 +22,7 @@ from aucppv import (
     specificity,
     ScoredRecord,
 )
+from aucppv.errors import NoPredictedPositives, UndefinedF1
 
 
 def catalogue(counts: ConfusionCounts) -> dict[str, float | None]:

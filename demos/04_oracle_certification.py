@@ -12,12 +12,12 @@ from fractions import Fraction
 
 from aucppv import (
     ClassRatio,
-    InstanceTooLarge,
     auc_max_exact,
     auc_min_exact,
     certify_envelopes,
     enumerate_arrangements,
 )
+from aucppv.errors import InstanceTooLarge
 
 
 def main() -> None:

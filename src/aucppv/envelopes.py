@@ -155,7 +155,7 @@ def ppvk_max_given_auc(auc: float | Fraction, ratio: ClassRatio) -> PpvResult:
         hits += 1
     if ratio.k1 > ratio.k2:
         hits = swap_hits(hits, k1, k2)
-    return PpvResult(k=ratio.k1, hits=hits, value=hits / ratio.k1)
+    return PpvResult(k=ratio.k1, hits=hits)
 
 
 def ppvk_min_given_auc(auc: float | Fraction, ratio: ClassRatio) -> PpvResult:
@@ -177,7 +177,7 @@ def ppvk_min_given_auc(auc: float | Fraction, ratio: ClassRatio) -> PpvResult:
     hits = max(0, k1 - miss)
     if ratio.k1 > ratio.k2:
         hits = swap_hits(hits, k1, k2)
-    return PpvResult(k=ratio.k1, hits=hits, value=hits / ratio.k1)
+    return PpvResult(k=ratio.k1, hits=hits)
 
 
 @dataclass(frozen=True)

@@ -156,14 +156,6 @@ _DECILES = {str(d): d for d in range(1, 11)}
 _OUTCOMES = {"0": False, "1": True}
 
 
-def _parse_outcome(raw: str) -> bool:
-    if raw == "0":
-        return False
-    if raw == "1":
-        return True
-    raise ValueError(f"outcome must be 0 or 1, got {raw!r}")
-
-
 def _checked_row(
     cells: tuple[str, str, str, str],
     row_number: int,
@@ -204,7 +196,9 @@ def _checked_row(
         decile = int(decile_text)
         if not 1 <= decile <= 10:
             raise ValueError(f"decile {decile_text!r} outside [1, 10]")
-        outcome = _parse_outcome(outcome_text)
+        outcome = _OUTCOMES.get(outcome_text)
+        if outcome is None:
+            raise ValueError(f"outcome must be 0 or 1, got {outcome_text!r}")
     except ValueError as exc:
         raise MalformedRow(row_number, str(exc)) from exc
     if person_id in seen:

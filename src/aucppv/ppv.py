@@ -31,13 +31,16 @@ class PpvResult:
 
     k: int
     hits: int
-    value: float
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("cut k must be at least 1")
         if not 0 <= self.hits <= self.k:
             raise ValueError("hits must lie in [0, k]")
+
+    @property
+    def value(self) -> float:
+        return self.hits / self.k
 
 
 def ppv_at_k(ranking: Ranking, k: int) -> PpvResult:
@@ -46,7 +49,7 @@ def ppv_at_k(ranking: Ranking, k: int) -> PpvResult:
     if not 1 <= k <= ranking.n:
         raise CutOutOfRange(f"cut {k} outside [1, {ranking.n}]")
     hits = ranking.hits_at(k)
-    return PpvResult(k=k, hits=hits, value=hits / k)
+    return PpvResult(k=k, hits=hits)
 
 
 def ppv_base_rate(ranking: Ranking) -> PpvResult:

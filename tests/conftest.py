@@ -26,18 +26,14 @@ import pytest
 
 from aucppv import (
     ColumnMap,
-    EmptyAfterFilter,
-    LoadResult,
-    LoadSummary,
-    MalformedRow,
-    MissingColumn,
     Ranking,
     Scale,
     ScoredRecord,
     TiePolicy,
     build_ranking,
 )
-from aucppv.ingest import MISSING_MARKERS, ScoreTable
+from aucppv.errors import EmptyAfterFilter, MalformedRow, MissingColumn
+from aucppv.ingest import MISSING_MARKERS, LoadResult, LoadSummary, ScoreTable
 
 # The seven-element worked example: positives at ranks 1, 3 and 7.
 # Correctly ordered pairs: 4 + 3 + 0 = 7 of 3*4 = 12, so AUC = 7/12,

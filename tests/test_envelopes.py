@@ -12,9 +12,6 @@ from hypothesis import strategies as st
 
 from aucppv import (
     ClassRatio,
-    EnvelopeCurve,
-    InconsistentInput,
-    NonIntegralHits,
     auc_max_exact,
     auc_max_given_ppvk,
     auc_min_exact,
@@ -26,6 +23,8 @@ from aucppv import (
     ppvk_max_given_auc,
     ppvk_min_given_auc,
 )
+from aucppv.envelopes import EnvelopeCurve
+from aucppv.errors import InconsistentInput, NonIntegralHits
 from conftest import (
     all_arrangements,
     exact_auc,
@@ -434,7 +433,7 @@ def test_sandwich_with_ties_uses_expected_hits():
     # hypergeometric expected hit count stays inside them: auc_min is convex
     # and auc_max concave in a, so averaging over boundary-tie orderings can
     # only move the pair inward.
-    from aucppv import expected_hits_at_k
+    from aucppv.ppv import expected_hits_at_k
 
     rng = random.Random(47)
     for _ in range(100):

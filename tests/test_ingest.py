@@ -13,12 +13,6 @@ from hypothesis import strategies as st
 
 from aucppv import (
     ColumnMap,
-    CompasRow,
-    EmptyAfterFilter,
-    EmptyInput,
-    MalformedRow,
-    MissingColumn,
-    NonFiniteScore,
     Scale,
     auc_pairwise,
     decile_report,
@@ -27,7 +21,8 @@ from aucppv import (
     to_ranking,
 )
 from aucppv.data import GENERAL_FIXTURE, VIOLENT_FIXTURE, fixture_path
-from aucppv.ingest import ScoreTable
+from aucppv.errors import EmptyAfterFilter, EmptyInput, MalformedRow, MissingColumn, NonFiniteScore
+from aucppv.ingest import CompasRow, ScoreTable
 from conftest import reference_load_csv
 
 

@@ -10,13 +10,6 @@ from hypothesis import strategies as st
 
 from aucppv import (
     ConfusionCounts,
-    CutOutOfRange,
-    EmptyNegativeClass,
-    EmptyPopulation,
-    EmptyPositiveClass,
-    NoPredictedPositives,
-    UndefinedEMeasure,
-    UndefinedF1,
     accuracy,
     confusion_at_cut,
     e_measure,
@@ -28,6 +21,15 @@ from aucppv import (
     recall,
     sensitivity,
     specificity,
+)
+from aucppv.errors import (
+    CutOutOfRange,
+    EmptyNegativeClass,
+    EmptyPopulation,
+    EmptyPositiveClass,
+    NoPredictedPositives,
+    UndefinedEMeasure,
+    UndefinedF1,
 )
 from conftest import ranking_from_pattern
 

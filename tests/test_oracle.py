@@ -9,13 +9,12 @@ from fractions import Fraction
 import pytest
 
 from aucppv import (
-    CertificationFailure,
     ClassRatio,
-    InstanceTooLarge,
     auc_pairwise,
     certify_envelopes,
     enumerate_arrangements,
 )
+from aucppv.errors import CertificationFailure, InstanceTooLarge
 import aucppv.oracle
 from conftest import (
     enumerate_by_combinations,

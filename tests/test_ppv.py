@@ -9,24 +9,18 @@ import pytest
 
 from aucppv import (
     ClassRatio,
-    CutOutOfRange,
-    EmptyPositiveClass,
-    InconsistentInput,
-    NonIntegralHits,
-    PpvResult,
     ScoredRecord,
     TiePolicy,
     auc_max_given_ppvk,
     auc_min_given_ppvk,
     build_ranking,
-    expected_hits_at_k,
-    hits_from_ppv,
     ppv_at_k,
     ppv_base_rate,
     ppv_swap,
     reverse_classifier,
 )
-from aucppv.ppv import hits_range_at_k, swap_hits
+from aucppv.errors import CutOutOfRange, EmptyPositiveClass, InconsistentInput, NonIntegralHits
+from aucppv.ppv import PpvResult, expected_hits_at_k, hits_from_ppv, hits_range_at_k, swap_hits
 from conftest import (
     WORKED_EXAMPLE,
     all_arrangements,
@@ -39,7 +33,7 @@ from conftest import (
 def test_worked_example_top_three():
     ranking = ranking_from_pattern(WORKED_EXAMPLE)
     result = ppv_at_k(ranking, 3)
-    assert result == PpvResult(k=3, hits=2, value=2 / 3)
+    assert result == PpvResult(k=3, hits=2)
     assert ppv_base_rate(ranking) == result
 
 

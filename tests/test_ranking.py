@@ -12,23 +12,17 @@ from hypothesis import strategies as st
 
 from aucppv import (
     ConfusionCounts,
-    CutOutOfRange,
-    DuplicateId,
-    EmptyInput,
-    InconsistentInput,
-    NonFiniteScore,
-    PpvResult,
     Ranking,
     ScoredRecord,
     TiePolicy,
     build_ranking,
     confusion_at_cut,
-    expected_hits_at_k,
     ppv_at_k,
     ppv_base_rate,
     reverse_classifier,
 )
-from aucppv.ppv import hits_range_at_k
+from aucppv.errors import CutOutOfRange, DuplicateId, EmptyInput, InconsistentInput, NonFiniteScore
+from aucppv.ppv import PpvResult, expected_hits_at_k, hits_range_at_k
 from conftest import (
     exact_hits,
     pattern_of,
@@ -112,7 +106,7 @@ def test_constructor_ranks_ties_by_id_in_any_column_order():
     built = build_ranking(map(ScoredRecord, ids, scores, labels))
     assert ranking.ids == ("a", "b", "c", "d")
     assert ranking == built
-    assert ppv_base_rate(ranking) == ppv_base_rate(built) == PpvResult(k=1, hits=0, value=0.0)
+    assert ppv_base_rate(ranking) == ppv_base_rate(built) == PpvResult(k=1, hits=0)
 
 
 @pytest.mark.parametrize(
@@ -196,7 +190,7 @@ def _walked_reads(ids, scores, labels) -> dict:
             ConfusionCounts(tp=h, fp=k - h, fn=k1 - h, tn=n - k1 - (k - h))
             for k, h in enumerate(hits)
         ],
-        "ppv": [PpvResult(k=k, hits=hits[k], value=hits[k] / k) for k in range(1, n + 1)],
+        "ppv": [PpvResult(k=k, hits=hits[k]) for k in range(1, n + 1)],
         "range": ranges,
         "expected": expected,
     }

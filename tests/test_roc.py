@@ -4,17 +4,22 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import pairwise
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aucppv import (
-    DegenerateClasses,
+    ScoredRecord,
     auc_pairwise,
     auc_trapezoid,
+    build_ranking,
     reverse_classifier,
     roc_curve,
 )
+from aucppv.errors import DegenerateClasses
 from conftest import (
     WORKED_EXAMPLE,
     all_arrangements,
@@ -24,11 +29,19 @@ from conftest import (
 )
 
 
+def doubled_area(curve) -> int:
+    """Twice the area under the curve's integer vertices, in count units."""
+    return sum((fp1 - fp0) * (tp0 + tp1) for (fp0, tp0), (fp1, tp1) in pairwise(curve.counts))
+
+
 def test_roc_sweep_reference_ordering():
     # Hand sweep of PPNPNNN: cuts after each record pass through
     # (0,1/3), (0,2/3), (1/4,2/3), (1/4,1), then walk the top edge.
     ranking = ranking_from_pattern("PPNPNNN")
-    assert roc_curve(ranking).points == (
+    curve = roc_curve(ranking)
+    assert (curve.k1, curve.k2) == (3, 4)
+    assert curve.counts == ((0, 0), (0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 3), (4, 3))
+    assert curve.points == (
         (0.0, 0.0),
         (0.0, 1 / 3),
         (0.0, 2 / 3),
@@ -62,7 +75,7 @@ def test_roc_groups_ties_into_single_vertices():
 
 def test_trapezoid_worked_example():
     ranking = ranking_from_pattern(WORKED_EXAMPLE)
-    assert auc_trapezoid(roc_curve(ranking)) == pytest.approx(7 / 12, abs=1e-12)
+    assert auc_trapezoid(roc_curve(ranking)) == 7 / 12
 
 
 def test_trapezoid_diagonal_and_perfect():
@@ -123,6 +136,7 @@ def test_pairwise_keeps_the_half_pair_past_two_to_the_53():
     result = auc_pairwise(table)
     assert result.doubled_u == 2 * k * k - 1
     assert result.total_pairs == k * k
+    assert doubled_area(roc_curve(table)) == 2 * k * k - 1
 
 
 def test_routes_agree_with_and_without_ties():
@@ -130,9 +144,27 @@ def test_routes_agree_with_and_without_ties():
     for with_ties in (False, True):
         for _ in range(40):
             ranking = random_ranking(rng, rng.randint(2, 80), with_ties=with_ties)
-            trap = auc_trapezoid(roc_curve(ranking))
-            pair = auc_pairwise(ranking).value
-            assert abs(trap - pair) <= 1e-12
+            curve = roc_curve(ranking)
+            pair = auc_pairwise(ranking)
+            assert auc_trapezoid(curve) == pair.value
+            assert doubled_area(curve) == pair.doubled_u
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_routes_agree_exactly_property(data):
+    n = data.draw(st.integers(min_value=2, max_value=60))
+    labels = data.draw(
+        st.lists(st.booleans(), min_size=n, max_size=n).filter(lambda ls: 0 < sum(ls) < n)
+    )
+    if data.draw(st.booleans(), label="tied"):
+        scores = data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    else:
+        scores = data.draw(st.permutations(range(n)))
+    ranking = build_ranking(
+        [ScoredRecord(f"r{i}", float(scores[i]), labels[i]) for i in range(n)]
+    )
+    assert auc_trapezoid(roc_curve(ranking)) == auc_pairwise(ranking).value
 
 
 def test_class_swap_invariance_exhaustive():
