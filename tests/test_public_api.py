@@ -60,7 +60,9 @@ TOP_LEVEL = {
     "AucppvError",
 }
 
-SUBMODULES = ("cli", "envelopes", "ingest", "metrics", "oracle", "ppv", "ranking", "reporting", "roc")
+SUBMODULES = (
+    "cli", "envelopes", "ingest", "metrics", "oracle", "ppv", "ranking", "reporting", "roc"
+)
 
 
 def test_top_level_names_are_exactly_the_entry_points():
