@@ -27,7 +27,7 @@ def evaluate(scale: Scale, label: str):
         print(f"  dropped by reason: {summary.dropped}")
     ranking = to_ranking(result.rows)
     deciles = decile_report(result.rows)
-    return build_report(ranking, label=label, decile=deciles, load_summary=summary)
+    return build_report(ranking, label=label, decile=deciles)
 
 
 def main() -> None:

@@ -192,7 +192,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             arrangements += report.arrangements
             lines.append(
                 f"ratio {ratio.k1}:{ratio.k2}  arrangements {report.arrangements}"
-                f"  hit levels {len(report.entries)}  ok"
+                f"  hit levels {len(report.per_hits)}  ok"
             )
     lines.append(
         f"certified {ratios} ratios, {arrangements} arrangements, all exact"

@@ -70,13 +70,6 @@ class ClassRatio:
     def n(self) -> int:
         return self.k1 + self.k2
 
-    @property
-    def normalized(self) -> "ClassRatio":
-        """The ratio with the smaller class first (k1 <= k2)."""
-        if self.k1 <= self.k2:
-            return self
-        return ClassRatio(self.k2, self.k1)
-
 
 def _envelope_pairs(hits: int, k1: int, k2: int) -> tuple[int, int]:
     """(auc_min, auc_max) numerators over k1*k2 at a = hits/k1; k1 <= k2."""
@@ -182,40 +175,32 @@ def ppvk_min_given_auc(auc: float | Fraction, ratio: ClassRatio) -> PpvResult:
 
 @dataclass(frozen=True)
 class EnvelopeCurve:
-    """Envelope samples over the full hit grid of a normalized ratio.
+    """Envelope samples over the full hit grid of a ratio with k1 <= k2.
 
     ``samples`` holds (a, auc_min, auc_max) for a = i/k1, i = 0..k1. The
-    ratio stored is the normalized one; ``swapped`` records whether the
-    requested ratio had to be swapped to reach it.
+    ratio stored has the smaller class first; ``swapped`` records whether
+    the requested ratio had to be swapped to reach it.
     """
 
     ratio: ClassRatio
     samples: tuple[tuple[float, float, float], ...]
     swapped: bool = False
 
-    def __post_init__(self) -> None:
-        if len(self.samples) != self.ratio.k1 + 1:
-            raise ValueError("expected one sample per hit level 0..k1")
-        for a, lo, hi in self.samples:
-            if not (0.0 <= lo <= hi <= 1.0):
-                raise ValueError("envelope samples must satisfy 0 <= min <= max <= 1")
-            if lo > a:
-                raise ValueError("auc_min can never exceed its PPV value")
-
 
 def envelope_curve(ratio: ClassRatio) -> EnvelopeCurve:
-    """Tabulate both envelopes over every hit level of the normalized ratio.
+    """Tabulate both envelopes over every hit level, smaller class first.
 
     Ratios with k1 > k2 are swapped first (AUC is swap-invariant and hit
     counts below k1 - k2 would be infeasible un-swapped), so the grid always
     has min(k1, k2) + 1 points.
     """
 
-    norm = ratio.normalized
-    k1, k2 = norm.k1, norm.k2
+    k1, k2 = sorted((ratio.k1, ratio.k2))
     total = k1 * k2
     samples = []
     for i in range(k1 + 1):
         low, high = _envelope_pairs(i, k1, k2)
         samples.append((i / k1, low / total, high / total))
-    return EnvelopeCurve(ratio=norm, samples=tuple(samples), swapped=ratio.k1 > ratio.k2)
+    return EnvelopeCurve(
+        ratio=ClassRatio(k1, k2), samples=tuple(samples), swapped=ratio.k1 > ratio.k2
+    )

@@ -73,8 +73,9 @@ class InstanceTooLarge(AucppvError):
 class CertificationFailure(AucppvError):
     """The closed-form envelope disagreed with the counting oracle.
 
-    Carries the first mismatching hit level together with both values; the
-    full per-level report is attached as ``report``.
+    Carries the first mismatching hit level together with both values, as
+    exact (auc_min, auc_max) Fractions; the counted ``ArrangementStats`` is
+    attached as ``report``.
     """
 
     def __init__(self, message: str, *, hits: int, expected, actual, report=None):

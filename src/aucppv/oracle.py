@@ -16,10 +16,11 @@ slot width, comb(n, k1).bit_length() + 1 bits, is fixed per ratio; no
 coefficient exceeds C(n, k1), so no slot carries into the next. A level's
 count, the sum of its coefficients, is its product's residue modulo
 2**width - 1; its extremes, the highest and lowest non-zero degrees, come
-from the product's bit length and its trailing zeros. Only those extremes
-become exact rationals (pairs / (k1*k2)); they then certify the closed-form
-envelopes by exact equality, with no floating point anywhere in the
-comparison.
+from the product's bit length and its trailing zeros. Those extremes are
+integer pair counts over the k1*k2 pairs; they certify the closed-form
+envelopes by integer equality with the closed forms' numerators. A Fraction
+(pairs / (k1*k2)) is built only when a level's AUC is read, or to report a
+mismatch.
 """
 
 from __future__ import annotations
@@ -29,15 +30,13 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator, Mapping
 
-from .envelopes import ClassRatio, auc_max_exact, auc_min_exact
+from .envelopes import ClassRatio, _exact_pairs
 from .errors import CertificationFailure, InstanceTooLarge
 
 __all__ = [
     "DEFAULT_LIMIT",
     "HitLevelStats",
     "ArrangementStats",
-    "CertificationEntry",
-    "CertificationReport",
     "enumerate_arrangements",
     "certify_envelopes",
 ]
@@ -48,12 +47,26 @@ DEFAULT_LIMIT = 16
 
 @dataclass(frozen=True)
 class HitLevelStats:
-    """Extremes over arrangements with a fixed hit count at the cut."""
+    """Extremes over arrangements with a fixed hit count at the cut.
+
+    ``count`` arrangements have ``hits`` positives in the top k1; their
+    least and most correctly ordered pairs are ``min_pairs`` and
+    ``max_pairs`` out of ``total_pairs`` = k1*k2.
+    """
 
     hits: int
     count: int
-    min_auc: Fraction
-    max_auc: Fraction
+    min_pairs: int
+    max_pairs: int
+    total_pairs: int
+
+    @property
+    def min_auc(self) -> Fraction:
+        return Fraction(self.min_pairs, self.total_pairs)
+
+    @property
+    def max_auc(self) -> Fraction:
+        return Fraction(self.max_pairs, self.total_pairs)
 
 
 @dataclass(frozen=True)
@@ -62,9 +75,15 @@ class ArrangementStats:
 
     ratio: ClassRatio
     per_hits: Mapping[int, HitLevelStats]
-    min_auc: Fraction
-    max_auc: Fraction
     arrangements: int
+
+    @property
+    def min_auc(self) -> Fraction:
+        return min(level.min_auc for level in self.per_hits.values())
+
+    @property
+    def max_auc(self) -> Fraction:
+        return max(level.max_auc for level in self.per_hits.values())
 
 
 def _hit_levels(k1: int, k2: int) -> Iterator[tuple[int, int, int, int]]:
@@ -126,8 +145,7 @@ def enumerate_arrangements(ratio: ClassRatio, limit: int = DEFAULT_LIMIT) -> Arr
     2**width - 1, since 2**width is 1 modulo 2**width - 1 and the sum stays
     below the modulus. Its highest non-zero degree (the least pair count)
     comes from the bit length and its lowest (the most pair count) from the
-    trailing zeros. Each extreme becomes the exact rational AUC
-    pairs / (k1*k2). Raises InstanceTooLarge when n exceeds ``limit``.
+    trailing zeros. Raises InstanceTooLarge when n exceeds ``limit``.
     """
 
     n = ratio.n
@@ -139,77 +157,37 @@ def enumerate_arrangements(ratio: ClassRatio, limit: int = DEFAULT_LIMIT) -> Arr
         per_hits[hits] = HitLevelStats(
             hits=hits,
             count=packed % ((1 << width) - 1),
-            min_auc=Fraction(most - (packed.bit_length() - 1) // width, total),
-            max_auc=Fraction(most - ((packed & -packed).bit_length() - 1) // width, total),
+            min_pairs=most - (packed.bit_length() - 1) // width,
+            max_pairs=most - ((packed & -packed).bit_length() - 1) // width,
+            total_pairs=total,
         )
-    levels = per_hits.values()
     return ArrangementStats(
         ratio=ratio,
         per_hits=per_hits,
-        min_auc=min(level.min_auc for level in levels),
-        max_auc=max(level.max_auc for level in levels),
-        arrangements=sum(level.count for level in levels),
+        arrangements=sum(level.count for level in per_hits.values()),
     )
 
 
-@dataclass(frozen=True)
-class CertificationEntry:
-    """One hit level's closed-form vs counted extremes, compared exactly."""
-
-    hits: int
-    expected_min: Fraction
-    actual_min: Fraction
-    expected_max: Fraction
-    actual_max: Fraction
-
-    @property
-    def ok(self) -> bool:
-        return self.expected_min == self.actual_min and self.expected_max == self.actual_max
-
-
-@dataclass(frozen=True)
-class CertificationReport:
-    """Per-hit-level certification outcomes for one ratio."""
-
-    ratio: ClassRatio
-    entries: tuple[CertificationEntry, ...]
-    arrangements: int
-
-    @property
-    def ok(self) -> bool:
-        return all(entry.ok for entry in self.entries)
-
-
-def certify_envelopes(ratio: ClassRatio, limit: int = DEFAULT_LIMIT) -> CertificationReport:
+def certify_envelopes(ratio: ClassRatio, limit: int = DEFAULT_LIMIT) -> ArrangementStats:
     """Prove the closed-form envelopes tight for one ratio by counting.
 
-    For every feasible hit level the counted min/max AUC must equal the
-    closed forms as exact rationals. Returns the full report on success and
-    raises CertificationFailure (carrying the first mismatching level and the
-    report) otherwise.
+    For every feasible hit level the counted least and most pair counts must
+    equal the closed forms' integer numerators over k1*k2. Returns the
+    counted stats on success and raises CertificationFailure (carrying the
+    first mismatching level as exact rationals, and the stats) otherwise.
     """
 
     stats = enumerate_arrangements(ratio, limit)
-    entries = tuple(
-        CertificationEntry(
-            hits=hits,
-            expected_min=auc_min_exact(hits, ratio),
-            actual_min=level.min_auc,
-            expected_max=auc_max_exact(hits, ratio),
-            actual_max=level.max_auc,
-        )
-        for hits, level in stats.per_hits.items()
-    )
-    report = CertificationReport(ratio=ratio, entries=entries, arrangements=stats.arrangements)
-    if not report.ok:
-        first = next(entry for entry in report.entries if not entry.ok)
-        raise CertificationFailure(
-            f"envelope mismatch at ratio {ratio.k1}:{ratio.k2}, hits {first.hits}: "
-            f"expected [{first.expected_min}, {first.expected_max}], "
-            f"enumerated [{first.actual_min}, {first.actual_max}]",
-            hits=first.hits,
-            expected=(first.expected_min, first.expected_max),
-            actual=(first.actual_min, first.actual_max),
-            report=report,
-        )
-    return report
+    for hits, level in stats.per_hits.items():
+        expected = _exact_pairs(hits, ratio)
+        if (level.min_pairs, level.max_pairs) != expected:
+            lo, hi = (Fraction(pairs, level.total_pairs) for pairs in expected)
+            raise CertificationFailure(
+                f"envelope mismatch at ratio {ratio.k1}:{ratio.k2}, hits {hits}: "
+                f"expected [{lo}, {hi}], enumerated [{level.min_auc}, {level.max_auc}]",
+                hits=hits,
+                expected=(lo, hi),
+                actual=(level.min_auc, level.max_auc),
+                report=stats,
+            )
+    return stats

@@ -292,8 +292,6 @@ def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, str]]:
 def _render(value) -> str:
     if value is None:
         return "n/a"
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, float):
         return format_number(value)
     return str(value)

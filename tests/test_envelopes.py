@@ -23,7 +23,6 @@ from aucppv import (
     ppvk_max_given_auc,
     ppvk_min_given_auc,
 )
-from aucppv.envelopes import EnvelopeCurve
 from aucppv.errors import InconsistentInput, NonIntegralHits
 from conftest import (
     all_arrangements,
@@ -372,16 +371,6 @@ def test_envelope_curve_monotone_and_bounded():
             assert lo >= prev_lo
             assert hi >= prev_hi
             prev_lo, prev_hi = lo, hi
-
-
-def test_envelope_curve_validation():
-    with pytest.raises(ValueError):
-        EnvelopeCurve(ratio=ClassRatio(2, 2), samples=((0.0, 0.0, 0.0),))
-    with pytest.raises(ValueError):
-        EnvelopeCurve(
-            ratio=ClassRatio(1, 1),
-            samples=((0.0, 0.5, 0.25), (1.0, 1.0, 1.0)),
-        )
 
 
 def test_symmetric_closed_forms():

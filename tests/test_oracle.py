@@ -188,9 +188,8 @@ def test_certification_far_past_sixteen(monkeypatch):
     for n in range(2, 61):
         for k1 in range(1, n):
             k2 = n - k1
-            report = certify_envelopes(ClassRatio(k1, k2), limit=60)
-            assert report.ok
-            assert report.arrangements == math.comb(n, k1)
+            stats = certify_envelopes(ClassRatio(k1, k2), limit=60)
+            assert stats.arrangements == math.comb(n, k1)
             assert {hits: level.count for hits, level in counted.pop().per_hits.items()} == {
                 hits: math.comb(k1, hits) * math.comb(k2, k1 - hits)
                 for hits in range(max(0, k1 - k2), k1 + 1)
@@ -208,31 +207,44 @@ def test_limit_enforced():
 def test_certification_passes_small_ratios():
     for n in range(2, 13):
         for k1 in range(1, n):
-            report = certify_envelopes(ClassRatio(k1, n - k1))
-            assert report.ok
-            assert report.arrangements == math.comb(n, k1)
+            stats = certify_envelopes(ClassRatio(k1, n - k1))
+            assert stats.arrangements == math.comb(n, k1)
+
+
+def test_certification_builds_no_fraction(monkeypatch):
+    # Every ratio with n <= 16: both sides of each comparison are integer
+    # pair counts, so a passing certification never builds a Fraction.
+    def no_fraction(*args):
+        raise AssertionError("certification built a Fraction")
+
+    monkeypatch.setattr(aucppv.oracle, "Fraction", no_fraction)
+    for n in range(2, 17):
+        for k1 in range(1, n):
+            stats = certify_envelopes(ClassRatio(k1, n - k1))
+            assert stats.arrangements == math.comb(n, k1)
 
 
 def test_certification_swapped_ratio_grid():
     # k1 > k2: feasible hit levels start at k1 - k2 and the closed forms are
     # evaluated through the class swap.
-    report = certify_envelopes(ClassRatio(4, 3))
-    assert report.ok
-    assert [entry.hits for entry in report.entries] == [1, 2, 3, 4]
+    stats = certify_envelopes(ClassRatio(4, 3))
+    assert list(stats.per_hits) == [1, 2, 3, 4]
 
 
 def test_certification_failure_reports_level(monkeypatch):
-    # Sabotage one closed form and make sure the mismatch is caught,
-    # attributed to a hit level, and carries the full report.
-    def wrong_min(hits, ratio):
-        return Fraction(0)
+    # Sabotage the closed forms' least pair count and make sure the mismatch
+    # is caught, attributed to a hit level, and carries the counted stats.
+    exact_pairs = aucppv.oracle._exact_pairs
 
-    monkeypatch.setattr(aucppv.oracle, "auc_min_exact", wrong_min)
+    def wrong_min(hits, ratio):
+        return 0, exact_pairs(hits, ratio)[1]
+
+    monkeypatch.setattr(aucppv.oracle, "_exact_pairs", wrong_min)
     with pytest.raises(CertificationFailure) as excinfo:
         certify_envelopes(ClassRatio(2, 2))
     failure = excinfo.value
     assert failure.hits == 1
     assert failure.expected == (Fraction(0), Fraction(3, 4))
     assert failure.actual == (Fraction(1, 4), Fraction(3, 4))
-    assert failure.report is not None
-    assert not failure.report.ok
+    level = failure.report.per_hits[1]
+    assert (level.min_auc, level.max_auc) == (Fraction(1, 4), Fraction(3, 4))
