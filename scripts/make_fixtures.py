@@ -289,9 +289,10 @@ def verify_fixture(spec: FixtureSpec, path: Path) -> None:
     assert report.high.rate == float(rate)
     # Decile must be non-increasing as the score falls.
     last = 10
-    for row in sorted(result.rows, key=lambda r: -r.raw_score):
-        assert row.decile <= last
-        last = row.decile
+    rows = result.rows
+    for _, decile in sorted(zip(rows.scores, rows.deciles), key=lambda pair: -pair[0]):
+        assert decile <= last
+        last = decile
     print(
         f"{spec.name}: n={spec.n} k1={spec.k1} auc={auc.value!r} "
         f"ppv={ppv.value!r} high-rate={report.high.rate!r}  ok"

@@ -40,6 +40,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _delimiter(text: str) -> str:
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"must be one character, got {text!r}")
+    return text
+
+
 def _add_input_flags(parser: argparse.ArgumentParser, *, required_input: bool) -> None:
     if required_input:
         parser.add_argument("--input", required=True, help="CSV score table to read")
@@ -47,7 +53,7 @@ def _add_input_flags(parser: argparse.ArgumentParser, *, required_input: bool) -
     parser.add_argument("--score-col", default="raw_score", help="raw score column name")
     parser.add_argument("--decile-col", default="decile", help="decile column name")
     parser.add_argument("--outcome-col", default="outcome", help="outcome column name")
-    parser.add_argument("--delimiter", default=",", help="CSV field delimiter")
+    parser.add_argument("--delimiter", type=_delimiter, default=",", help="CSV field delimiter")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser, formats=("table", "json", "tsv")) -> None:
@@ -291,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, AucppvError) as exc:
+    except (OSError, UnicodeDecodeError, AucppvError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,14 +20,12 @@ GENERAL_FIXTURE = "compas_general_synthetic.csv"
 VIOLENT_FIXTURE = "compas_violent_synthetic.csv"
 
 
-def fixture_path(scale: Scale | str) -> Path:
+def fixture_path(scale: Scale) -> Path:
     """Filesystem path of the bundled fixture for a scale.
 
     The package is installed as plain files (it is not zip-safe), so the
     traversable resolves to a real path directly.
     """
 
-    if isinstance(scale, str):
-        scale = Scale(scale)
     name = GENERAL_FIXTURE if scale is Scale.GENERAL else VIOLENT_FIXTURE
     return Path(str(resources.files(__package__).joinpath(name)))

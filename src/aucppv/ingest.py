@@ -1,10 +1,11 @@
 """CSV ingestion for COMPAS-style score tables and decile summaries.
 
 A usable row needs an id, a raw score, a decile in 1..10, and a binary
-outcome. Rows with missing values are dropped (and counted per reason);
-structurally bad values raise MalformedRow with the offending row number.
-Duplicate ids keep the first occurrence. The loader reports everything it did
-in a LoadSummary so filtering is auditable.
+outcome. A row with a missing cell is dropped and a repeated id keeps its
+first row, each counted per reason in a LoadSummary so filtering is
+auditable; a non-missing value that cannot be parsed raises MalformedRow with
+the offending row number. The kept rows are returned as a ScoreTable of
+parallel columns.
 
 Canonical cells (a decile of "1".."10", an outcome of "0" or "1", a score
 that float() reads as finite, a fresh non-empty id) are resolved by lookup;
@@ -20,7 +21,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
 from pathlib import Path
-from typing import Sequence
 
 from .errors import EmptyAfterFilter, MalformedRow, MissingColumn
 from .ranking import Ranking, TiePolicy
@@ -28,7 +28,6 @@ from .ranking import Ranking, TiePolicy
 __all__ = [
     "Scale",
     "ColumnMap",
-    "CompasRow",
     "ScoreTable",
     "LoadSummary",
     "LoadResult",
@@ -72,25 +71,9 @@ class ColumnMap:
         return (self.id, self.score, self.decile, self.outcome)
 
 
-@dataclass(frozen=True)
-class CompasRow:
-    """One score-table row; ``load_csv`` validates the values it reads."""
-
-    person_id: str
-    raw_score: float
-    decile: int
-    outcome: bool
-    scale: Scale
-
-
-@dataclass(eq=False)
-class ScoreTable(Sequence[CompasRow]):
-    """Score-table rows of one scale, held as parallel columns.
-
-    It is a sequence of CompasRow, and each CompasRow is built only when a
-    row is indexed or iterated; a slice is a list of them. ``to_ranking`` and
-    ``decile_report`` read the columns directly.
-    """
+@dataclass
+class ScoreTable:
+    """Score-table rows of one scale, held as parallel columns."""
 
     scale: Scale
     ids: list[str] = field(default_factory=list)
@@ -100,31 +83,6 @@ class ScoreTable(Sequence[CompasRow]):
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        return CompasRow(
-            self.ids[index], self.scores[index], self.deciles[index], self.labels[index], self.scale
-        )
-
-    def __iter__(self):
-        scale = self.scale
-        for row in zip(self.ids, self.scores, self.deciles, self.labels):
-            yield CompasRow(*row, scale)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ScoreTable):
-            return (
-                self.scale is other.scale
-                and self.ids == other.ids
-                and self.scores == other.scores
-                and self.deciles == other.deciles
-                and self.labels == other.labels
-            )
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
 
 
 @dataclass
@@ -161,34 +119,28 @@ def _checked_row(
     row_number: int,
     seen: set[str],
     summary: LoadSummary,
-    dedupe: bool,
-    drop_missing: bool,
 ) -> tuple[str, float, int, bool] | None:
     """Every check on one row's id, score, decile and outcome cells.
 
-    Returns the parsed row, or None when the row is dropped (counted in
-    ``summary``); raises MalformedRow for a row that can be neither kept nor
-    dropped. The caller adds the id to ``seen``.
+    Returns the parsed row, or None when the row is dropped for a missing
+    cell or a repeated id (counted in ``summary``); raises MalformedRow for a
+    non-missing value that cannot be parsed. The caller adds the id to
+    ``seen``.
     """
 
     person_id, score_text, decile_text, outcome_text = (cell.strip() for cell in cells)
-    if not person_id:
-        if drop_missing:
-            summary.drop("missing id")
-            return None
-        raise MalformedRow(row_number, "missing id")
     missing = None
-    if score_text.lower() in MISSING_MARKERS:
+    if not person_id:
+        missing = "missing id"
+    elif score_text.lower() in MISSING_MARKERS:
         missing = "missing score"
     elif decile_text.lower() in MISSING_MARKERS:
         missing = "missing decile"
     elif outcome_text.lower() in MISSING_MARKERS:
         missing = "missing outcome"
     if missing is not None:
-        if drop_missing:
-            summary.drop(missing)
-            return None
-        raise MalformedRow(row_number, missing)
+        summary.drop(missing)
+        return None
     try:
         score = float(score_text)
         if not math.isfinite(score):
@@ -202,10 +154,8 @@ def _checked_row(
     except ValueError as exc:
         raise MalformedRow(row_number, str(exc)) from exc
     if person_id in seen:
-        if dedupe:
-            summary.drop("duplicate id")
-            return None
-        raise MalformedRow(row_number, f"duplicate id {person_id!r}")
+        summary.drop("duplicate id")
+        return None
     return person_id, score, decile, outcome
 
 
@@ -215,15 +165,12 @@ def load_csv(
     scale: Scale = Scale.GENERAL,
     *,
     delimiter: str = ",",
-    dedupe: bool = True,
-    drop_missing: bool = True,
 ) -> LoadResult:
     """Read and validate a score table.
 
-    Missing score/decile/outcome cells drop the row when ``drop_missing`` is
-    set (the default) and are counted in the summary; with it unset they raise
-    MalformedRow. Unparseable non-missing values always raise MalformedRow.
-    Duplicate ids keep the first occurrence when ``dedupe`` is set, else raise.
+    A row with a missing id, score, decile or outcome is dropped and a
+    repeated id keeps its first row; the summary counts each drop by reason.
+    A non-missing value that cannot be parsed raises MalformedRow.
     Raises MissingColumn if the header lacks a mapped column, FileNotFoundError
     for a missing file, and EmptyAfterFilter when nothing survives.
     """
@@ -265,7 +212,7 @@ def load_csv(
                     pass
             if not isfinite(score):
                 cells = (raw[id_at], raw[score_at], raw[decile_at], raw[outcome_at])
-                checked = _checked_row(cells, row_number, seen, summary, dedupe, drop_missing)
+                checked = _checked_row(cells, row_number, seen, summary)
                 if checked is None:
                     continue
                 person_id, score, decile, outcome = checked

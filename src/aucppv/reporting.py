@@ -45,6 +45,9 @@ _METRICS = (
     ("f1", m.f1_score),
 )
 
+#: Decile buckets, in emission order, each read off the DecileReport by name.
+_BUCKETS = ("low", "medium", "high")
+
 
 def format_number(value: float) -> str:
     """Fixed formatting for report output: 10 significant digits."""
@@ -185,6 +188,7 @@ def _report_payload(report: EvaluationReport) -> dict:
         },
     }
     if report.decile is not None:
+        buckets = ((name, getattr(report.decile, name)) for name in _BUCKETS)
         payload["deciles"] = {
             "per_decile": [
                 {
@@ -202,11 +206,7 @@ def _report_payload(report: EvaluationReport) -> dict:
                     "positives": bucket.positives,
                     "rate": None if bucket.rate is None else num(bucket.rate),
                 }
-                for name, bucket in (
-                    ("low", report.decile.low),
-                    ("medium", report.decile.medium),
-                    ("high", report.decile.high),
-                )
+                for name, bucket in buckets
             },
         }
     if report.load_summary is not None:
@@ -251,11 +251,8 @@ def _format_table(report: EvaluationReport) -> str:
             rate = "n/a" if row.rate is None else format_number(row.rate)
             lines.append(f"{row.decile:>6}  {row.total:>5}  {row.positives:>9}  {rate}")
         lines.append("bucket   deciles  total  positives  rate")
-        for name, bucket in (
-            ("low", report.decile.low),
-            ("medium", report.decile.medium),
-            ("high", report.decile.high),
-        ):
+        for name in _BUCKETS:
+            bucket = getattr(report.decile, name)
             rate = "n/a" if bucket.rate is None else format_number(bucket.rate)
             span = f"{bucket.deciles[0]}-{bucket.deciles[-1]}"
             lines.append(

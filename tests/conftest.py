@@ -173,8 +173,6 @@ def reference_load_csv(
     scale: Scale = Scale.GENERAL,
     *,
     delimiter: str = ",",
-    dedupe: bool = True,
-    drop_missing: bool = True,
 ) -> LoadResult:
     """``load_csv`` with every check run on every row, as it read before
     canonical cells were resolved by lookup."""
@@ -212,22 +210,17 @@ def reference_load_csv(
             decile_text = raw[decile_at].strip()
             outcome_text = raw[outcome_at].strip()
             if not person_id:
-                if drop_missing:
-                    summary.drop("missing id")
-                    continue
-                raise MalformedRow(row_number, "missing id")
-            missing = None
+                summary.drop("missing id")
+                continue
             if score_text.lower() in MISSING_MARKERS:
-                missing = "missing score"
-            elif decile_text.lower() in MISSING_MARKERS:
-                missing = "missing decile"
-            elif outcome_text.lower() in MISSING_MARKERS:
-                missing = "missing outcome"
-            if missing is not None:
-                if drop_missing:
-                    summary.drop(missing)
-                    continue
-                raise MalformedRow(row_number, missing)
+                summary.drop("missing score")
+                continue
+            if decile_text.lower() in MISSING_MARKERS:
+                summary.drop("missing decile")
+                continue
+            if outcome_text.lower() in MISSING_MARKERS:
+                summary.drop("missing outcome")
+                continue
             try:
                 score = float(score_text)
                 if not math.isfinite(score):
@@ -239,10 +232,8 @@ def reference_load_csv(
             except ValueError as exc:
                 raise MalformedRow(row_number, str(exc)) from exc
             if person_id in seen:
-                if dedupe:
-                    summary.drop("duplicate id")
-                    continue
-                raise MalformedRow(row_number, f"duplicate id {person_id!r}")
+                summary.drop("duplicate id")
+                continue
             seen.add(person_id)
             rows.ids.append(person_id)
             rows.scores.append(score)

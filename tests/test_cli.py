@@ -94,6 +94,23 @@ def test_evaluate_missing_file(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("case", ["input-directory", "input-not-utf8", "output-directory"])
+def test_evaluate_unreadable_files(tmp_path, capsys, case):
+    # Unreadable files are data errors: exit 1 with a message, no traceback.
+    path = write_csv(tmp_path)
+    argv = ["evaluate", "--input", path]
+    if case == "input-directory":
+        argv[2] = str(tmp_path)
+    elif case == "input-not-utf8":
+        Path(path).write_bytes(b"person_id,raw_score,decile,outcome\n\xff,1.0,5,1\n")
+    else:
+        argv += ["--output", str(tmp_path)]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err
+
+
 def test_evaluate_malformed_csv(tmp_path, capsys):
     path = write_csv(
         tmp_path,
@@ -121,6 +138,14 @@ def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["evaluate", "--no-such-flag"])
     assert excinfo.value.code == 1
+
+
+def test_delimiter_must_be_one_character(tmp_path, capsys):
+    path = write_csv(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["evaluate", "--input", path, "--delimiter", ";;"])
+    assert excinfo.value.code == 1
+    assert "--delimiter: must be one character" in capsys.readouterr().err
 
 
 def test_missing_subcommand_exits_one(capsys):

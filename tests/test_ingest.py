@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import runpy
+import sys
 import textwrap
 from fractions import Fraction
 from pathlib import Path
@@ -22,7 +24,7 @@ from aucppv import (
 )
 from aucppv.data import GENERAL_FIXTURE, VIOLENT_FIXTURE, fixture_path
 from aucppv.errors import EmptyAfterFilter, EmptyInput, MalformedRow, MissingColumn, NonFiniteScore
-from aucppv.ingest import CompasRow, ScoreTable
+from aucppv.ingest import ScoreTable
 from conftest import reference_load_csv
 
 
@@ -45,14 +47,9 @@ def test_load_well_formed(tmp_path):
     assert result.summary.rows_read == 2
     assert result.summary.rows_kept == 2
     assert result.summary.rows_dropped == 0
-    first = result.rows[0]
-    assert (first.person_id, first.raw_score, first.decile, first.outcome) == (
-        "a",
-        1.25,
-        10,
-        True,
-    )
-    assert first.scale is Scale.GENERAL
+    rows = result.rows
+    assert (rows.ids[0], rows.scores[0], rows.deciles[0], rows.labels[0]) == ("a", 1.25, 10, True)
+    assert rows.scale is Scale.GENERAL
 
 
 def test_missing_column_rejected(tmp_path):
@@ -94,20 +91,7 @@ def test_missing_values_dropped_and_counted(tmp_path):
         "missing outcome": 1,
         "missing id": 1,
     }
-    assert [row.person_id for row in result.rows] == ["a", "e"]
-
-
-def test_missing_values_raise_when_not_dropping(tmp_path):
-    path = write(
-        tmp_path,
-        """
-        person_id,raw_score,decile,outcome
-        a,,3,0
-        """,
-    )
-    with pytest.raises(MalformedRow) as excinfo:
-        load_csv(path, drop_missing=False)
-    assert excinfo.value.row_number == 2
+    assert result.rows.ids == ["a", "e"]
 
 
 @pytest.mark.parametrize(
@@ -174,22 +158,19 @@ def csv_tables(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("drop_missing", [True, False])
-@pytest.mark.parametrize("dedupe", [True, False])
 @settings(max_examples=150, deadline=None)
 @given(text=csv_tables())
-def test_lookup_path_matches_full_checks(tmp_path_factory, text, dedupe, drop_missing):
+def test_lookup_path_matches_full_checks(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "differential.csv"
     path.write_text(text, encoding="utf-8")
-    flags = dict(dedupe=dedupe, drop_missing=drop_missing)
     try:
-        expected = reference_load_csv(path, **flags)
+        expected = reference_load_csv(path)
     except (MalformedRow, EmptyAfterFilter) as exc:
         with pytest.raises(type(exc)) as raised:
-            load_csv(path, **flags)
+            load_csv(path)
         assert str(raised.value) == str(exc)
         return
-    result = load_csv(path, **flags)
+    result = load_csv(path)
     assert result.rows == expected.rows
     assert result.summary == expected.summary
 
@@ -215,13 +196,11 @@ def test_ragged_rows_short_dropped_long_loaded(tmp_path):
         "missing decile": 1,
         "missing score": 1,
     }
-    assert [(row.person_id, row.raw_score, row.decile, row.outcome) for row in result.rows] == [
+    rows = result.rows
+    assert list(zip(rows.ids, rows.scores, rows.deciles, rows.labels)) == [
         ("a", 1.0, 5, True),
         ("e", 0.25, 2, False),
     ]
-    with pytest.raises(MalformedRow) as excinfo:
-        load_csv(path, drop_missing=False)
-    assert excinfo.value.row_number == 3
     id_last = write(
         tmp_path,
         """
@@ -246,22 +225,8 @@ def test_duplicate_ids_keep_first(tmp_path):
     )
     result = load_csv(path)
     assert result.summary.dropped == {"duplicate id": 1}
-    assert [row.person_id for row in result.rows] == ["a", "b"]
-    assert result.rows[0].raw_score == 1.0
-
-
-def test_duplicate_ids_raise_without_dedupe(tmp_path):
-    path = write(
-        tmp_path,
-        """
-        person_id,raw_score,decile,outcome
-        a,1.0,5,1
-        a,2.0,6,0
-        """,
-    )
-    with pytest.raises(MalformedRow) as excinfo:
-        load_csv(path, dedupe=False)
-    assert excinfo.value.row_number == 3
+    assert result.rows.ids == ["a", "b"]
+    assert result.rows.scores[0] == 1.0
 
 
 def test_empty_after_filter(tmp_path):
@@ -292,7 +257,7 @@ def test_custom_columns_and_delimiter(tmp_path):
         delimiter=";",
     )
     assert result.summary.rows_kept == 2
-    assert result.rows[0].scale is Scale.VIOLENT
+    assert result.rows.scale is Scale.VIOLENT
 
 
 def test_to_ranking_orders_ties_by_id(tmp_path):
@@ -325,7 +290,6 @@ def test_load_is_deterministic(tmp_path):
     second = load_csv(path)
     assert first.rows == second.rows
     assert to_ranking(first.rows) == to_ranking(second.rows)
-    assert first.rows == list(first.rows)
 
 
 def test_decile_report_hand_tally(tmp_path):
@@ -425,6 +389,16 @@ def test_fixture_paths_resolve():
         assert path.is_file()
 
 
+def test_make_fixtures_reproduces_bundled_csvs(tmp_path, monkeypatch, capsys):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_fixtures.py"
+    make_fixtures = runpy.run_path(str(script), run_name="make_fixtures")
+    monkeypatch.setattr(sys, "argv", [str(script), str(tmp_path)])
+    assert make_fixtures["main"]() == 0
+    for scale in (Scale.GENERAL, Scale.VIOLENT):
+        bundled = fixture_path(scale)
+        assert (tmp_path / bundled.name).read_bytes() == bundled.read_bytes()
+
+
 def test_fixture_decile_rates_decrease_with_decile():
     # Higher deciles claim higher risk; the synthetic tables honor that
     # monotonically, mirroring the real instrument's direction.
@@ -444,38 +418,33 @@ def test_fixture_bucket_rate_exact_fraction():
 @pytest.mark.parametrize(
     "bad, error",
     [
-        (CompasRow("", 0.2, 3, True, Scale.GENERAL), EmptyInput),
-        (CompasRow("p9", math.nan, 3, True, Scale.GENERAL), NonFiniteScore),
-        (CompasRow("p9", math.inf, 3, False, Scale.GENERAL), NonFiniteScore),
-        (CompasRow("p9", -math.inf, 3, True, Scale.GENERAL), NonFiniteScore),
+        (("", 0.2, 3, True), EmptyInput),
+        (("p9", math.nan, 3, True), NonFiniteScore),
+        (("p9", math.inf, 3, False), NonFiniteScore),
+        (("p9", -math.inf, 3, True), NonFiniteScore),
     ],
 )
 def test_to_ranking_rejects_bad_hand_built_rows(bad, error):
-    table = _hand_built_table([
-        CompasRow("p1", 0.7, 8, True, Scale.GENERAL),
-        bad,
-        CompasRow("p2", 0.1, 2, False, Scale.GENERAL),
-    ])
+    # A hand-built table has none of the loader's checks.
+    person_id, score, decile, label = bad
+    table = ScoreTable(
+        Scale.GENERAL,
+        ids=["p1", person_id, "p2"],
+        scores=[0.7, score, 0.1],
+        deciles=[8, decile, 2],
+        labels=[True, label, False],
+    )
     with pytest.raises(error):
         to_ranking(table)
 
 
 def test_decile_report_rejects_deciles_outside_one_to_ten():
-    table = _hand_built_table(
-        CompasRow(f"p{i}", 0.1 * i, decile, i == 0, Scale.GENERAL)
-        for i, decile in enumerate((3, 11, 0))
+    table = ScoreTable(
+        Scale.GENERAL,
+        ids=["p0", "p1", "p2"],
+        scores=[0.0, 0.1, 0.2],
+        deciles=[3, 11, 0],
+        labels=[True, False, False],
     )
     with pytest.raises(ValueError, match="decile 11 outside"):
         decile_report(table)
-
-
-def _hand_built_table(rows) -> ScoreTable:
-    """A general-scale table holding ``rows``, with no loader checks."""
-
-    table = ScoreTable(Scale.GENERAL)
-    for row in rows:
-        table.ids.append(row.person_id)
-        table.scores.append(row.raw_score)
-        table.deciles.append(row.decile)
-        table.labels.append(row.outcome)
-    return table
