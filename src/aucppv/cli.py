@@ -3,12 +3,14 @@
 Exit codes: 0 on success, 1 for data or usage errors (typed AucppvError,
 bad flags, unreadable files), 2 for internal consistency failures (a
 self-check caught a toolkit bug). Output is byte-deterministic for fixed
-input and flags; numbers carry 10 significant digits.
+input and flags; numbers carry 10 significant digits, and pair counts print
+exactly.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -56,18 +58,10 @@ def _add_input_flags(parser: argparse.ArgumentParser, *, required_input: bool) -
     parser.add_argument("--delimiter", type=_delimiter, default=",", help="CSV field delimiter")
 
 
-def _add_output_flags(parser: argparse.ArgumentParser, formats=("table", "json", "tsv")) -> None:
-    parser.add_argument("--format", choices=formats, default=formats[0], help="output format")
+def _add_output_flags(parser: argparse.ArgumentParser) -> None:
+    formats = ("table", "json", "tsv")
+    parser.add_argument("--format", choices=formats, default="table", help="output format")
     parser.add_argument("--output", default=None, help="write output here instead of stdout")
-
-
-def _column_map(args: argparse.Namespace) -> ColumnMap:
-    return ColumnMap(
-        id=args.id_col,
-        score=args.score_col,
-        decile=args.decile_col,
-        outcome=args.outcome_col,
-    )
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -78,12 +72,12 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _evaluate_one(path: str, scale: Scale, args: argparse.Namespace, label: str):
-    result = load_csv(
-        path,
-        _column_map(args),
-        scale,
-        delimiter=args.delimiter,
-    )
+    column_map = ColumnMap(args.id_col, args.score_col, args.decile_col, args.outcome_col)
+    try:
+        result = load_csv(path, column_map, scale, delimiter=args.delimiter)
+    except (AucppvError, UnicodeDecodeError) as exc:
+        # report-compas reads two files: say which one is bad.
+        raise AucppvError(f"{path}: {exc}") from exc
     ranking = to_ranking(result.rows)
     deciles = decile_report(result.rows)
     return build_report(
@@ -110,7 +104,9 @@ def _check_rows(rows: float) -> None:
         )
 
 
-def _envelope_text(args: argparse.Namespace) -> str:
+def cmd_envelope(args: argparse.Namespace) -> int:
+    """Tabulate envelope curves for a class ratio."""
+
     if args.k1 < 1 or args.k2 < 1:
         raise AucppvError("class sizes k1 and k2 must be at least 1")
     ratio = ClassRatio(args.k1, args.k2)
@@ -146,8 +142,6 @@ def _envelope_text(args: argparse.Namespace) -> str:
             rows.append((format_number(float(b)), format_number(lo), format_number(hi)))
         note = f"# ratio {ratio.k1}:{ratio.k2}"
     if args.format == "json":
-        import json
-
         payload = {
             "mode": args.mode,
             "k1": args.k1,
@@ -157,17 +151,13 @@ def _envelope_text(args: argparse.Namespace) -> str:
                 for row in rows
             ],
         }
-        return json.dumps(payload, indent=2) + "\n"
-    sep = "\t" if args.format == "tsv" else "  "
-    lines = [note, sep.join(header_fields)]
-    lines.extend(sep.join(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def cmd_envelope(args: argparse.Namespace) -> int:
-    """Tabulate envelope curves for a class ratio."""
-
-    _emit(_envelope_text(args), args.output)
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        sep = "\t" if args.format == "tsv" else "  "
+        lines = [note, sep.join(header_fields)]
+        lines.extend(sep.join(row) for row in rows)
+        text = "\n".join(lines) + "\n"
+    _emit(text, args.output)
     return 0
 
 
@@ -188,20 +178,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.limit < 2:
         raise AucppvError("limit must be at least 2 (one record per class)")
     lines = []
-    ratios = 0
     arrangements = 0
     for n in range(2, args.limit + 1):
         for k1 in range(1, n):
             ratio = ClassRatio(k1, n - k1)
             report = certify_envelopes(ratio, limit=args.limit)
-            ratios += 1
             arrangements += report.arrangements
             lines.append(
                 f"ratio {ratio.k1}:{ratio.k2}  arrangements {report.arrangements}"
                 f"  hit levels {len(report.per_hits)}  ok"
             )
     lines.append(
-        f"certified {ratios} ratios, {arrangements} arrangements, all exact"
+        f"certified {len(lines)} ratios, {arrangements} arrangements, all exact"
     )
     _emit("\n".join(lines) + "\n", args.output)
     return 0
@@ -256,7 +244,7 @@ def _build_parser() -> _Parser:
         "--step", type=float, default=0.01,
         help="AUC grid step for ppv-given-auc mode (must divide 1)",
     )
-    _add_output_flags(p_env, formats=("table", "tsv", "json"))
+    _add_output_flags(p_env)
     p_env.set_defaults(handler=cmd_envelope)
 
     p_verify = sub.add_parser(
@@ -297,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 2
-    except (OSError, UnicodeDecodeError, AucppvError) as exc:
+    except (OSError, AucppvError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,8 +6,11 @@ boundary tie group allows, and those hit counts must meet the feasible
 interval at the observed AUC. A violation is an InternalConsistencyError
 (a toolkit bug), never a data error.
 
-All numeric output is formatted to 10 significant digits with a stable field
-order, so a report is byte-deterministic for fixed input and flags.
+What a report says is decided once: ``_report_payload`` turns it into one
+dict with a stable field order, and the table, JSON and TSV formats each
+render that dict. Numbers carry 10 significant digits, except pair counts,
+which print exactly, so a report is byte-deterministic for fixed input and
+flags.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .envelopes import (
 )
 from .errors import AucppvError, InternalConsistencyError
 from .ingest import DecileReport, LoadSummary
-from .ppv import PpvResult, hits_range_at_k, ppv_base_rate
+from .ppv import PpvResult, hits_range_at_k
 from .ranking import Ranking
 from .roc import AucResult, auc_pairwise
 
@@ -80,10 +83,9 @@ class EvaluationReport:
         return self.auc.value - self.ppv.value
 
 
-def _metric_table(ranking: Ranking) -> dict[str, float | None]:
+def _metric_table(counts: m.ConfusionCounts) -> dict[str, float | None]:
     """Scalar metrics at the base-rate cut; undefined ones become None."""
 
-    counts = m.confusion_at_cut(ranking, ranking.k1)
     table: dict[str, float | None] = {}
     for name, metric in _METRICS:
         try:
@@ -106,7 +108,8 @@ def build_report(
     """
 
     auc = auc_pairwise(ranking)
-    ppv = ppv_base_rate(ranking)
+    counts = m.confusion_at_cut(ranking, ranking.k1)
+    ppv = PpvResult(k=ranking.k1, hits=counts.tp)
     ratio = ClassRatio(ranking.k1, ranking.k2)
     lo = float(auc_min_exact(ppv.hits, ratio))
     hi = float(auc_max_exact(ppv.hits, ratio))
@@ -143,7 +146,7 @@ def build_report(
         ppv_max=ppv_hi,
         auc_min=lo,
         auc_max=hi,
-        metric_table=_metric_table(ranking),
+        metric_table=_metric_table(counts),
         decile=decile,
         load_summary=load_summary,
     )
@@ -152,8 +155,8 @@ def build_report(
 def _report_payload(report: EvaluationReport) -> dict:
     """The report as a JSON-ready dict with rounded floats."""
 
-    def num(value: float) -> float:
-        return float(format_number(value))
+    def num(value: float | None) -> float | None:
+        return None if value is None else float(format_number(value))
 
     payload: dict = {
         "label": report.label,
@@ -183,8 +186,7 @@ def _report_payload(report: EvaluationReport) -> dict:
             "auc_max": num(report.auc_max),
         },
         "metrics": {
-            name: (None if value is None else num(value))
-            for name, value in report.metric_table.items()
+            name: num(value) for name, value in report.metric_table.items()
         },
     }
     if report.decile is not None:
@@ -195,7 +197,7 @@ def _report_payload(report: EvaluationReport) -> dict:
                     "decile": row.decile,
                     "total": row.total,
                     "positives": row.positives,
-                    "rate": None if row.rate is None else num(row.rate),
+                    "rate": num(row.rate),
                 }
                 for row in report.decile.per_decile
             ],
@@ -204,7 +206,7 @@ def _report_payload(report: EvaluationReport) -> dict:
                     "deciles": list(bucket.deciles),
                     "total": bucket.total,
                     "positives": bucket.positives,
-                    "rate": None if bucket.rate is None else num(bucket.rate),
+                    "rate": num(bucket.rate),
                 }
                 for name, bucket in buckets
             },
@@ -220,51 +222,51 @@ def _report_payload(report: EvaluationReport) -> dict:
     return payload
 
 
-def _format_table(report: EvaluationReport) -> str:
+def _format_table(payload: dict) -> str:
+    auc, ppv = payload["auc"], payload["ppv_k"]
+    at_auc, at_ppv = payload["envelope_at_auc"], payload["envelope_at_ppv"]
     lines = [
-        f"== {report.label} ==",
-        f"records              {report.n}",
-        f"positives (k1)       {report.k1}",
-        f"negatives (k2)       {report.k2}",
-        f"base rate            {format_number(report.base_rate)}",
-        f"auc                  {format_number(report.auc.value)}",
-        f"  correct pairs      {format_number(report.auc.correct_pairs)}",
-        f"  total pairs        {report.auc.total_pairs}",
-        f"ppv_k (k = {report.ppv.k})".ljust(21)
-        + f"{format_number(report.ppv.value)}",
-        f"  hits               {report.ppv.hits}",
-        f"auc - ppv_k gap      {format_number(report.gap)}",
+        f"== {payload['label']} ==",
+        f"records              {payload['n']}",
+        f"positives (k1)       {payload['k1']}",
+        f"negatives (k2)       {payload['k2']}",
+        f"base rate            {_render(payload['base_rate'])}",
+        f"auc                  {_render(auc['value'])}",
+        f"  correct pairs      {_render(auc['correct_pairs'])}",
+        f"  total pairs        {auc['total_pairs']}",
+        f"ppv_k (k = {ppv['k']})".ljust(21) + _render(ppv["value"]),
+        f"  hits               {ppv['hits']}",
+        f"auc - ppv_k gap      {_render(payload['gap'])}",
         "feasible ppv at this auc   "
-        f"[{format_number(report.ppv_min.value)}, {format_number(report.ppv_max.value)}]",
+        f"[{_render(at_auc['ppv_min'])}, {_render(at_auc['ppv_max'])}]",
         "feasible auc at this ppv   "
-        f"[{format_number(report.auc_min)}, {format_number(report.auc_max)}]",
+        f"[{_render(at_ppv['auc_min'])}, {_render(at_ppv['auc_max'])}]",
         "",
         "metrics at the base-rate cut",
     ]
-    for name, value in report.metric_table.items():
-        rendered = "n/a" if value is None else format_number(value)
-        lines.append(f"  {name:<21}{rendered}")
-    if report.decile is not None:
+    for name, value in payload["metrics"].items():
+        lines.append(f"  {name:<21}{_render(value)}")
+    deciles = payload.get("deciles")
+    if deciles is not None:
         lines.append("")
         lines.append("decile  total  positives  rate")
-        for row in report.decile.per_decile:
-            rate = "n/a" if row.rate is None else format_number(row.rate)
-            lines.append(f"{row.decile:>6}  {row.total:>5}  {row.positives:>9}  {rate}")
+        for row in deciles["per_decile"]:
+            rate = _render(row["rate"])
+            lines.append(f"{row['decile']:>6}  {row['total']:>5}  {row['positives']:>9}  {rate}")
         lines.append("bucket   deciles  total  positives  rate")
-        for name in _BUCKETS:
-            bucket = getattr(report.decile, name)
-            rate = "n/a" if bucket.rate is None else format_number(bucket.rate)
-            span = f"{bucket.deciles[0]}-{bucket.deciles[-1]}"
+        for name, bucket in deciles["buckets"].items():
+            rate = _render(bucket["rate"])
+            span = f"{bucket['deciles'][0]}-{bucket['deciles'][-1]}"
             lines.append(
-                f"{name:<8} {span:>7}  {bucket.total:>5}  {bucket.positives:>9}  {rate}"
+                f"{name:<8} {span:>7}  {bucket['total']:>5}  {bucket['positives']:>9}  {rate}"
             )
-    if report.load_summary is not None:
+    summary = payload.get("load_summary")
+    if summary is not None:
         lines.append("")
-        summary = report.load_summary
         lines.append(
-            f"loaded {summary.rows_kept} of {summary.rows_read} rows from {summary.path}"
+            f"loaded {summary['rows_kept']} of {summary['rows_read']} rows from {summary['path']}"
         )
-        for reason, count in sorted(summary.dropped.items()):
+        for reason, count in summary["dropped"].items():
             lines.append(f"  dropped ({reason}): {count}")
     return "\n".join(lines) + "\n"
 
@@ -290,6 +292,10 @@ def _render(value) -> str:
     if value is None:
         return "n/a"
     if isinstance(value, float):
+        # Only a correct-pair count, a multiple of 1/2, reaches 1e9, where 10
+        # significant digits stop holding its half; it is exact below 2**53.
+        if abs(value) >= 1e9:
+            return f"{value:.1f}".removesuffix(".0")
         return format_number(value)
     return str(value)
 
@@ -297,9 +303,9 @@ def _render(value) -> str:
 def format_report(report: EvaluationReport, fmt: str = "table") -> str:
     """Render a report as ``table``, ``json``, or ``tsv``."""
 
-    if fmt == "table":
-        return _format_table(report)
     payload = _report_payload(report)
+    if fmt == "table":
+        return _format_table(payload)
     if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"
     if fmt == "tsv":

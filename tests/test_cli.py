@@ -111,6 +111,25 @@ def test_evaluate_unreadable_files(tmp_path, capsys, case):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"person_id,raw_score,decile,outcome\na,1.0,5,1\n\xff,2.0,6,0\n",
+        b"person_id,raw_score,decile,outcome\na,x,5,1\n",
+        b"person_id,score,decile,outcome\na,1.0,5,1\n",
+    ],
+    ids=["not-utf8", "bad-score", "missing-column"],
+)
+def test_load_errors_name_the_file(tmp_path, capsys, content):
+    # report-compas reads two tables; the message says which one is bad.
+    bad = tmp_path / "violent.csv"
+    bad.write_bytes(content)
+    code, out, err = run(capsys, ["report-compas", "--violent-input", str(bad)])
+    assert code == 1
+    assert out == ""
+    assert f"error: {bad}: " in err
+
+
 def test_evaluate_malformed_csv(tmp_path, capsys):
     path = write_csv(
         tmp_path,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -24,6 +25,7 @@ from aucppv import (
 from aucppv.cli import main
 from aucppv.data import fixture_path
 from aucppv.errors import InternalConsistencyError
+from aucppv.roc import AucResult
 from conftest import WORKED_EXAMPLE, ranking_from_pattern
 
 DATA = Path(__file__).parent / "data"
@@ -171,3 +173,33 @@ def test_report_pipeline_never_puts_records_in_rank_order(monkeypatch, capsys):
     assert main(["evaluate", "--input", "tied_scores.csv", "--format", "json"]) == 0
     assert main(["report-compas", "--format", "json"]) == 0
     capsys.readouterr()
+
+
+def test_build_report_reads_the_base_rate_cut_once(monkeypatch):
+    # The k1 cut of tied_scores.csv falls inside a tie group; PPV_k and the
+    # metric table share one confusion_at_cut read of it.
+    ranking = to_ranking(load_csv(DATA / "tied_scores.csv").rows)
+    calls = []
+    hits_at = Ranking.hits_at
+
+    def counted(self, k):
+        calls.append(k)
+        return hits_at(self, k)
+
+    monkeypatch.setattr(Ranking, "hits_at", counted)
+    build_report(ranking)
+    assert calls == [ranking.k1]
+
+
+@pytest.mark.parametrize(
+    "correct_pairs", [12_345_678_901.5, 1_234_567_890.5, 19_989_294_817]
+)
+def test_large_pair_counts_print_exactly(correct_pairs):
+    # 10 significant digits would round these; table and TSV print them whole.
+    report = build_report(ranking_from_pattern(WORKED_EXAMPLE))
+    report = dataclasses.replace(
+        report, auc=AucResult(round(2 * correct_pairs), 10**11)
+    )
+    expected = f"{correct_pairs}".removesuffix(".0")
+    assert f"  correct pairs      {expected}\n" in format_report(report, "table")
+    assert f"auc.correct_pairs\t{expected}\n" in format_report(report, "tsv")
