@@ -36,8 +36,8 @@ callers with an exact AUC pass a Fraction), so there is no slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InconsistentInput, NonIntegralHits
 from .ppv import PpvResult, hits_from_ppv, swap_hits
@@ -55,15 +55,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ClassRatio:
+class ClassRatio(NamedTuple("ClassRatio", [("k1", int), ("k2", int)])):
     """Class sizes k1 (positives) and k2 (negatives), both at least 1."""
 
-    k1: int
-    k2: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.k1 < 1 or self.k2 < 1:
+    def __init__(self, k1: int, k2: int) -> None:
+        if k1 < 1 or k2 < 1:
             raise ValueError("class sizes must be at least 1")
 
     @property
@@ -173,8 +171,7 @@ def ppvk_min_given_auc(auc: float | Fraction, ratio: ClassRatio) -> PpvResult:
     return PpvResult(k=ratio.k1, hits=hits)
 
 
-@dataclass(frozen=True)
-class EnvelopeCurve:
+class EnvelopeCurve(NamedTuple):
     """Envelope samples over the full hit grid of a ratio with k1 <= k2.
 
     ``samples`` holds (a, auc_min, auc_max) for a = i/k1, i = 0..k1. The

@@ -18,9 +18,10 @@ import csv
 import enum
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import compress
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .errors import EmptyAfterFilter, MalformedRow, MissingColumn
 from .ranking import Ranking, TiePolicy
@@ -58,8 +59,7 @@ class Scale(enum.Enum):
     VIOLENT = "violent"
 
 
-@dataclass(frozen=True)
-class ColumnMap:
+class ColumnMap(NamedTuple):
     """Names of the four required columns in the input CSV."""
 
     id: str = "person_id"
@@ -71,40 +71,63 @@ class ColumnMap:
         return (self.id, self.score, self.decile, self.outcome)
 
 
-@dataclass
 class ScoreTable:
-    """Score-table rows of one scale, held as parallel columns."""
+    """Score-table rows of one scale, held as parallel columns.
 
-    scale: Scale
-    ids: list[str] = field(default_factory=list)
-    scores: list[float] = field(default_factory=list)
-    deciles: list[int] = field(default_factory=list)
-    labels: list[bool] = field(default_factory=list)
+    The loader appends to the lists, so this is the one mutable record, and
+    not a tuple: ``len`` counts its rows.
+    """
+
+    __slots__ = ("scale", "ids", "scores", "deciles", "labels")
+
+    def __init__(
+        self,
+        scale: Scale,
+        ids: list[str] | None = None,
+        scores: list[float] | None = None,
+        deciles: list[int] | None = None,
+        labels: list[bool] | None = None,
+    ) -> None:
+        self.scale = scale
+        self.ids = [] if ids is None else ids
+        self.scores = [] if scores is None else scores
+        self.deciles = [] if deciles is None else deciles
+        self.labels = [] if labels is None else labels
 
     def __len__(self) -> int:
         return len(self.ids)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
-@dataclass
-class LoadSummary:
-    """What the loader read, kept, and dropped (by reason)."""
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class LoadSummary(NamedTuple):
+    """What the loader read, kept, and dropped (by reason).
+
+    The default ``dropped`` is an empty read-only mapping: a NamedTuple
+    default is one object shared by every instance.
+    """
 
     path: str
     scale: Scale
     rows_read: int = 0
     rows_kept: int = 0
-    dropped: dict[str, int] = field(default_factory=dict)
-
-    def drop(self, reason: str) -> None:
-        self.dropped[reason] = self.dropped.get(reason, 0) + 1
+    dropped: Mapping[str, int] = MappingProxyType({})
 
     @property
     def rows_dropped(self) -> int:
         return sum(self.dropped.values())
 
 
-@dataclass
-class LoadResult:
+class LoadResult(NamedTuple):
+    """The rows ``load_csv`` kept and the summary of what it read."""
+
     rows: ScoreTable
     summary: LoadSummary
 
@@ -118,14 +141,14 @@ def _checked_row(
     cells: tuple[str, str, str, str],
     row_number: int,
     seen: set[str],
-    summary: LoadSummary,
+    dropped: Counter[str],
 ) -> tuple[str, float, int, bool] | None:
     """Every check on one row's id, score, decile and outcome cells.
 
     Returns the parsed row, or None when the row is dropped for a missing
-    cell or a repeated id (counted in ``summary``); raises MalformedRow for a
-    non-missing value that cannot be parsed. The caller adds the id to
-    ``seen``.
+    cell or a repeated id (counted by reason in ``dropped``); raises
+    MalformedRow for a non-missing value that cannot be parsed. The caller
+    adds the id to ``seen``.
     """
 
     person_id, score_text, decile_text, outcome_text = (cell.strip() for cell in cells)
@@ -139,7 +162,7 @@ def _checked_row(
     elif outcome_text.lower() in MISSING_MARKERS:
         missing = "missing outcome"
     if missing is not None:
-        summary.drop(missing)
+        dropped[missing] += 1
         return None
     try:
         score = float(score_text)
@@ -154,7 +177,7 @@ def _checked_row(
     except ValueError as exc:
         raise MalformedRow(row_number, str(exc)) from exc
     if person_id in seen:
-        summary.drop("duplicate id")
+        dropped["duplicate id"] += 1
         return None
     return person_id, score, decile, outcome
 
@@ -176,10 +199,10 @@ def load_csv(
     """
 
     path = Path(path)
-    summary = LoadSummary(path=str(path), scale=scale)
     rows = ScoreTable(scale)
     ids, scores, deciles, labels = rows.ids, rows.scores, rows.deciles, rows.labels
     seen: set[str] = set()
+    dropped: Counter[str] = Counter()
     decile_of, outcome_of, isfinite, nan = _DECILES.get, _OUTCOMES.get, math.isfinite, math.nan
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
@@ -212,7 +235,7 @@ def load_csv(
                     pass
             if not isfinite(score):
                 cells = (raw[id_at], raw[score_at], raw[decile_at], raw[outcome_at])
-                checked = _checked_row(cells, row_number, seen, summary)
+                checked = _checked_row(cells, row_number, seen, dropped)
                 if checked is None:
                     continue
                 person_id, score, decile, outcome = checked
@@ -222,9 +245,8 @@ def load_csv(
             deciles.append(decile)
             labels.append(outcome)
     if not rows:
-        raise EmptyAfterFilter(f"no usable rows in {path}")
-    summary.rows_read = row_number - 1
-    summary.rows_kept = len(rows)
+        raise EmptyAfterFilter("no usable rows")
+    summary = LoadSummary(str(path), scale, row_number - 1, len(rows), dict(dropped))
     return LoadResult(rows=rows, summary=summary)
 
 
@@ -238,8 +260,9 @@ def to_ranking(rows: ScoreTable) -> Ranking:
     return Ranking(rows.ids, rows.scores, rows.labels, TiePolicy.BY_ID_ASCENDING)
 
 
-@dataclass(frozen=True)
-class DecileCount:
+class DecileCount(NamedTuple):
+    """One decile's totals; rate is None for an empty decile."""
+
     decile: int
     total: int
     positives: int
@@ -252,8 +275,7 @@ class DecileCount:
         return self.positives / self.total
 
 
-@dataclass(frozen=True)
-class BucketStats:
+class BucketStats(NamedTuple):
     """A decile bucket's totals; rate is None for an empty bucket."""
 
     deciles: tuple[int, ...]
@@ -267,8 +289,7 @@ class BucketStats:
         return self.positives / self.total
 
 
-@dataclass(frozen=True)
-class DecileReport:
+class DecileReport(NamedTuple):
     """Per-decile counts plus the low/medium/high bucket summaries."""
 
     scale: Scale

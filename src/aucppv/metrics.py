@@ -7,7 +7,7 @@ Undefined cases raise typed errors instead of returning NaN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     EmptyNegativeClass,
@@ -35,18 +35,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(
+    NamedTuple("ConfusionCounts", [("tp", int), ("fp", int), ("fn", int), ("tn", int)])
+):
     """tp/fp/fn/tn at a positional cut; all counts non-negative."""
 
-    tp: int
-    fp: int
-    fn: int
-    tn: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("tp", "fp", "fn", "tn"):
-            if getattr(self, name) < 0:
+    def __init__(self, tp: int, fp: int, fn: int, tn: int) -> None:
+        for name, count in zip(self._fields, self):
+            if count < 0:
                 raise ValueError(f"{name} must be non-negative")
 
     @property

@@ -25,10 +25,9 @@ mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .envelopes import ClassRatio, _exact_pairs
 from .errors import CertificationFailure, InstanceTooLarge
@@ -45,8 +44,7 @@ __all__ = [
 DEFAULT_LIMIT = 16
 
 
-@dataclass(frozen=True)
-class HitLevelStats:
+class HitLevelStats(NamedTuple):
     """Extremes over arrangements with a fixed hit count at the cut.
 
     ``count`` arrangements have ``hits`` positives in the top k1; their
@@ -69,8 +67,7 @@ class HitLevelStats:
         return Fraction(self.max_pairs, self.total_pairs)
 
 
-@dataclass(frozen=True)
-class ArrangementStats:
+class ArrangementStats(NamedTuple):
     """Exact per-hit-level AUC extremes over all C(n, k1) arrangements."""
 
     ratio: ClassRatio

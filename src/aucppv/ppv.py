@@ -9,8 +9,8 @@ translates PPV at the base-rate cut between a classifier and its reverse.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import CutOutOfRange, EmptyPositiveClass, InconsistentInput, NonIntegralHits
 from .ranking import Ranking
@@ -25,17 +25,16 @@ __all__ = [
     "hits_range_at_k",
 ]
 
-@dataclass(frozen=True)
-class PpvResult:
+
+class PpvResult(NamedTuple("PpvResult", [("k", int), ("hits", int)])):
     """PPV at cut k: ``hits`` positives among the top k, value = hits / k."""
 
-    k: int
-    hits: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
+    def __init__(self, k: int, hits: int) -> None:
+        if k < 1:
             raise ValueError("cut k must be at least 1")
-        if not 0 <= self.hits <= self.k:
+        if not 0 <= hits <= k:
             raise ValueError("hits must lie in [0, k]")
 
     @property

@@ -12,10 +12,9 @@ import enum
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, compress, islice, repeat
 from operator import itemgetter, ne
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import CutOutOfRange, DuplicateId, EmptyInput, InconsistentInput, NonFiniteScore
 
@@ -41,23 +40,22 @@ class TiePolicy(enum.Enum):
     GIVEN = "given"
 
 
-@dataclass(frozen=True)
-class ScoredRecord:
+class ScoredRecord(
+    NamedTuple("ScoredRecord", [("id", str), ("score", float), ("positive", bool)])
+):
     """One record: unique id, finite real score, binary label.
 
     ``positive`` is True for the positive class (the outcome the classifier
     tries to place on top, e.g. reoffended within two years).
     """
 
-    id: str
-    score: float
-    positive: bool
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __init__(self, id: str, score: float, positive: bool) -> None:
+        if not id:
             raise EmptyInput("record id must be a non-empty string")
-        if not math.isfinite(self.score):
-            raise NonFiniteScore(f"record {self.id!r} has non-finite score {self.score!r}")
+        if not math.isfinite(score):
+            raise NonFiniteScore(f"record {id!r} has non-finite score {score!r}")
 
 
 class Ranking:

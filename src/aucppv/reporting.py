@@ -16,8 +16,8 @@ flags.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import metrics as m
 from .envelopes import (
@@ -58,8 +58,7 @@ def format_number(value: float) -> str:
     return f"{value:.10g}"
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     """Everything the evaluate/report commands print for one ranking."""
 
     label: str

@@ -9,9 +9,9 @@ ties included, which the test suite exploits as a dual-route check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, pairwise
 from operator import add, mul, sub
+from typing import NamedTuple
 
 from .errors import DegenerateClasses
 from .ranking import Ranking
@@ -25,8 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RocCurve:
+class RocCurve(NamedTuple):
     """ROC polygon vertices as integer (false positive, true positive) counts.
 
     ``counts`` runs from (0, 0) to (k2, k1), one vertex per tie group, and
@@ -44,8 +43,7 @@ class RocCurve:
         return tuple((fp / k2, tp / k1) for fp, tp in self.counts)
 
 
-@dataclass(frozen=True)
-class AucResult:
+class AucResult(NamedTuple):
     """AUC as an exact pair count.
 
     ``doubled_u`` is twice the number of correctly ordered positive/negative

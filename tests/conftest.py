@@ -185,9 +185,14 @@ def reference_load_csv(
         raise ValueError(f"outcome must be 0 or 1, got {raw!r}")
 
     path = Path(path)
-    summary = LoadSummary(path=str(path), scale=scale)
     rows = ScoreTable(scale)
     seen: set[str] = set()
+    rows_read = 0
+    dropped: dict[str, int] = {}
+
+    def drop(reason: str) -> None:
+        dropped[reason] = dropped.get(reason, 0) + 1
+
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         header = next(reader, [])
@@ -202,7 +207,7 @@ def reference_load_csv(
             if not raw:
                 continue
             row_number += 1
-            summary.rows_read += 1
+            rows_read += 1
             if len(raw) < width:
                 raw += [""] * (width - len(raw))
             person_id = raw[id_at].strip()
@@ -210,16 +215,16 @@ def reference_load_csv(
             decile_text = raw[decile_at].strip()
             outcome_text = raw[outcome_at].strip()
             if not person_id:
-                summary.drop("missing id")
+                drop("missing id")
                 continue
             if score_text.lower() in MISSING_MARKERS:
-                summary.drop("missing score")
+                drop("missing score")
                 continue
             if decile_text.lower() in MISSING_MARKERS:
-                summary.drop("missing decile")
+                drop("missing decile")
                 continue
             if outcome_text.lower() in MISSING_MARKERS:
-                summary.drop("missing outcome")
+                drop("missing outcome")
                 continue
             try:
                 score = float(score_text)
@@ -232,7 +237,7 @@ def reference_load_csv(
             except ValueError as exc:
                 raise MalformedRow(row_number, str(exc)) from exc
             if person_id in seen:
-                summary.drop("duplicate id")
+                drop("duplicate id")
                 continue
             seen.add(person_id)
             rows.ids.append(person_id)
@@ -240,8 +245,8 @@ def reference_load_csv(
             rows.deciles.append(decile)
             rows.labels.append(outcome)
     if not rows:
-        raise EmptyAfterFilter(f"no usable rows in {path}")
-    summary.rows_kept = len(rows)
+        raise EmptyAfterFilter("no usable rows")
+    summary = LoadSummary(str(path), scale, rows_read, len(rows), dropped)
     return LoadResult(rows=rows, summary=summary)
 
 

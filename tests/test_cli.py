@@ -130,6 +130,21 @@ def test_load_errors_name_the_file(tmp_path, capsys, content):
     assert f"error: {bad}: " in err
 
 
+def test_empty_table_names_its_file_once(tmp_path, capsys):
+    # The CLI's prefix names the file; the loader's message does not repeat it.
+    path = write_csv(
+        tmp_path,
+        """
+        person_id,raw_score,decile,outcome
+        a,,5,1
+        """,
+    )
+    code, out, err = run(capsys, ["evaluate", "--input", path])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: no usable rows\n"
+
+
 def test_evaluate_malformed_csv(tmp_path, capsys):
     path = write_csv(
         tmp_path,

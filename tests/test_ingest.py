@@ -415,6 +415,22 @@ def test_fixture_bucket_rate_exact_fraction():
     assert report.high.rate == float(Fraction(1560, 2698))
 
 
+def test_score_table_is_a_mutable_column_container():
+    first, second = ScoreTable(Scale.GENERAL), ScoreTable(Scale.GENERAL)
+    assert first.ids is not second.ids and first.labels is not second.labels
+    first.ids.append("p1")
+    assert (len(first), len(second)) == (1, 0)
+    assert first != second
+    second.ids.append("p1")
+    assert first == second
+    assert first != ScoreTable(Scale.VIOLENT, ["p1"])
+    assert repr(second) == (
+        "ScoreTable(scale=<Scale.GENERAL: 'general'>, ids=['p1'], scores=[], deciles=[], labels=[])"
+    )
+    with pytest.raises(TypeError):
+        hash(first)
+
+
 @pytest.mark.parametrize(
     "bad, error",
     [

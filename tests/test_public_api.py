@@ -1,15 +1,43 @@
-"""The package's top-level names, the submodules' own exports, and the README quick start."""
+"""The package's top-level names, the submodules' own exports, the result
+records, the import cost, and the README quick start."""
 
 from __future__ import annotations
 
 import importlib
+import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import aucppv
 import aucppv.errors
+from aucppv.envelopes import ClassRatio, EnvelopeCurve, envelope_curve
+from aucppv.errors import EmptyInput, NonFiniteScore
+from aucppv.ingest import (
+    BucketStats,
+    ColumnMap,
+    DecileCount,
+    DecileReport,
+    LoadResult,
+    LoadSummary,
+    Scale,
+    ScoreTable,
+    decile_report,
+)
+from aucppv.metrics import ConfusionCounts, confusion_at_cut
+from aucppv.oracle import ArrangementStats, HitLevelStats, enumerate_arrangements
+from aucppv.ppv import PpvResult, ppv_base_rate
+from aucppv.ranking import ScoredRecord
+from aucppv.reporting import EvaluationReport, build_report
+from aucppv.roc import AucResult, RocCurve, auc_pairwise, roc_curve
+from conftest import WORKED_EXAMPLE, ranking_from_pattern
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 # Only what the README quick start, the demos and the benchmark import from
 # ``aucppv``, plus the documented Ranking constructor, the error base and
@@ -96,3 +124,96 @@ def test_readme_quick_start_runs():
     assert block is not None
     assert "from aucppv import" in block.group(1)
     exec(compile(block.group(1), "README quick start", "exec"), {})
+
+
+def _records() -> dict[type, tuple]:
+    """One valid instance of every public result record."""
+
+    ranking = ranking_from_pattern(WORKED_EXAMPLE)
+    table = ScoreTable(Scale.GENERAL, ["a", "b"], [0.9, 0.1], [9, 2], [True, False])
+    deciles = decile_report(table)
+    stats = enumerate_arrangements(ClassRatio(2, 3))
+    instances = [
+        ColumnMap(),
+        deciles,
+        deciles.per_decile[0],
+        deciles.low,
+        LoadSummary("scores.csv", Scale.GENERAL, 2, 2, {}),
+        LoadResult(table, LoadSummary("scores.csv", Scale.GENERAL)),
+        roc_curve(ranking),
+        auc_pairwise(ranking),
+        stats,
+        stats.per_hits[1],
+        ClassRatio(2, 3),
+        envelope_curve(ClassRatio(3, 2)),
+        build_report(ranking),
+        ScoredRecord("a", 0.5, True),
+        ppv_base_rate(ranking),
+        confusion_at_cut(ranking, 3),
+    ]
+    return {type(record): record for record in instances}
+
+
+RECORD_TYPES = (
+    ColumnMap, DecileCount, BucketStats, DecileReport, LoadSummary, LoadResult,
+    RocCurve, AucResult, HitLevelStats, ArrangementStats, ClassRatio, EnvelopeCurve,
+    EvaluationReport, ScoredRecord, PpvResult, ConfusionCounts,
+)
+
+
+def test_record_types_are_every_exported_tuple():
+    exported = {
+        value
+        for name in SUBMODULES
+        for value in vars(importlib.import_module(f"aucppv.{name}")).values()
+        if isinstance(value, type)
+        and issubclass(value, tuple)
+        and value.__module__.startswith("aucppv")
+    }
+    assert exported == set(RECORD_TYPES) == set(_records())
+
+
+@pytest.mark.parametrize("record_type", RECORD_TYPES, ids=lambda t: t.__name__)
+def test_records_are_immutable(record_type):
+    record = _records()[record_type]
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], record[0])
+    # A subclass without ``__slots__ = ()`` would take a new attribute.
+    with pytest.raises(AttributeError):
+        record.note = "x"
+
+
+@pytest.mark.parametrize(
+    "record_type, args, error",
+    [
+        (ClassRatio, {"k1": 0, "k2": 3}, ValueError),
+        (ClassRatio, {"k1": 2, "k2": 0}, ValueError),
+        (PpvResult, {"k": 0, "hits": 0}, ValueError),
+        (PpvResult, {"k": 2, "hits": 3}, ValueError),
+        (PpvResult, {"k": 2, "hits": -1}, ValueError),
+        (ConfusionCounts, {"tp": 1, "fp": -1, "fn": 0, "tn": 2}, ValueError),
+        (ConfusionCounts, {"tp": 1, "fp": 0, "fn": 0, "tn": -2}, ValueError),
+        (ScoredRecord, {"id": "", "score": 0.5, "positive": True}, EmptyInput),
+        (ScoredRecord, {"id": "a", "score": math.nan, "positive": True}, NonFiniteScore),
+        (ScoredRecord, {"id": "a", "score": -math.inf, "positive": False}, NonFiniteScore),
+    ],
+)
+def test_validating_records_check_positional_and_keyword_input(record_type, args, error):
+    with pytest.raises(error):
+        record_type(*args.values())
+    with pytest.raises(error):
+        record_type(**args)
+
+
+def test_import_leaves_dataclasses_and_inspect_out():
+    # Import time is a benchmarked cost; dataclasses pulls in inspect, ast and dis.
+    # -S keeps site hooks of the environment from importing either first.
+    code = (
+        "import sys, aucppv, aucppv.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"

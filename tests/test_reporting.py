@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -197,9 +196,7 @@ def test_build_report_reads_the_base_rate_cut_once(monkeypatch):
 def test_large_pair_counts_print_exactly(correct_pairs):
     # 10 significant digits would round these; table and TSV print them whole.
     report = build_report(ranking_from_pattern(WORKED_EXAMPLE))
-    report = dataclasses.replace(
-        report, auc=AucResult(round(2 * correct_pairs), 10**11)
-    )
+    report = report._replace(auc=AucResult(round(2 * correct_pairs), 10**11))
     expected = f"{correct_pairs}".removesuffix(".0")
     assert f"  correct pairs      {expected}\n" in format_report(report, "table")
     assert f"auc.correct_pairs\t{expected}\n" in format_report(report, "tsv")
