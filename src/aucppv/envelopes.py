@@ -4,24 +4,23 @@ Fix the class sizes k1 (positives) and k2 (negatives) and the hit count
 h = PPV_k * k1. Over all arrangements with exactly h positives in the top k1,
 the largest AUC is attained by packing the remaining positives directly below
 the cut and the misplaced negatives directly above the bottom, and the
-smallest by the mirror arrangement. With a = h/k1 and k1 <= k2 the extremes
-have closed forms:
-
-    auc_max(a) = 1 - (k1/k2) * (1 - a)^2
-    auc_min(a) = a * (1 - (k1/k2) * (1 - a))
-
-At a = h/k1 both are integer pair counts over the k1*k2 pairs:
+smallest by the mirror arrangement. Both extremes are integer pair counts
+over the k1*k2 pairs:
 
     auc_max = (k1*k2 - (k1 - h)^2) / (k1*k2)
     auc_min = h * (k2 - k1 + h) / (k1*k2)
 
-so the module works with those integer numerators and divides only at the
-edge: a Fraction for the ``*_exact`` functions, one correctly rounded
-int/int division for the float ones.
+These numerators, and the inverses below, hold for either class order over
+the feasible levels h >= max(0, k1 - k2); below that the top k1 would need
+more negatives than there are. Only the float forms in a = h/k1 take
+k1 <= k2:
 
-Ratios with k1 > k2 are reduced to this case through the class swap, which
-leaves AUC unchanged and maps hit counts affinely (``ppv.swap_hits``, whose
-inverse is the same map with the classes exchanged).
+    auc_max(a) = 1 - (k1/k2) * (1 - a)^2
+    auc_min(a) = a * (1 - (k1/k2) * (1 - a))
+
+The module works with the integer numerators and divides only at the edge:
+a Fraction for the ``*_exact`` functions, one correctly rounded int/int
+division for the float ones.
 
 The inverse direction solves the envelopes for h: given an observed AUC
 value b, the feasible hit counts are bracketed by the smallest h whose
@@ -40,7 +39,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InconsistentInput, NonIntegralHits
-from .ppv import PpvResult, hits_from_ppv, swap_hits
+from .ppv import PpvResult, hits_from_ppv
 
 __all__ = [
     "ClassRatio",
@@ -70,20 +69,23 @@ class ClassRatio(NamedTuple("ClassRatio", [("k1", int), ("k2", int)])):
 
 
 def _envelope_pairs(hits: int, k1: int, k2: int) -> tuple[int, int]:
-    """(auc_min, auc_max) numerators over k1*k2 at a = hits/k1; k1 <= k2."""
+    """(auc_min, auc_max) numerators over k1*k2; hits >= max(0, k1 - k2)."""
 
     miss = k1 - hits
     return hits * (k2 - miss), k1 * k2 - miss * miss
 
 
 def _exact_pairs(hits: int, ratio: ClassRatio) -> tuple[int, int]:
-    """(auc_min, auc_max) numerators over k1*k2 for any ratio, swapped to k1 <= k2."""
+    """(auc_min, auc_max) numerators over k1*k2 for a checked hit count."""
 
-    if not 0 <= hits <= ratio.k1:
-        raise NonIntegralHits(f"hits {hits} outside [0, {ratio.k1}]")
-    if ratio.k1 <= ratio.k2:
-        return _envelope_pairs(hits, ratio.k1, ratio.k2)
-    return _envelope_pairs(swap_hits(hits, ratio.k1, ratio.k2), ratio.k2, ratio.k1)
+    k1, k2 = ratio
+    if not 0 <= hits <= k1:
+        raise NonIntegralHits(f"hits {hits} outside [0, {k1}]")
+    if hits < k1 - k2:
+        raise InconsistentInput(
+            f"{hits} hits at cut {k1} fit no ranking of {k1} positives and {k2} negatives"
+        )
+    return _envelope_pairs(hits, k1, k2)
 
 
 def auc_max_exact(hits: int, ratio: ClassRatio) -> Fraction:
@@ -110,8 +112,33 @@ def auc_min_given_ppvk(ppv: float, ratio: ClassRatio) -> float:
     return float(auc_min_exact(hits_from_ppv(ppv, ratio.k1), ratio))
 
 
-def _threshold(auc: float | Fraction, ratio: ClassRatio) -> tuple[int, int, int, int]:
-    """(k1, k2, p, q): sizes smaller first, p / q == auc * k1*k2; auc in [0, 1]."""
+def _hit_bounds(num: int, den: int, k1: int, k2: int) -> tuple[int, int]:
+    """(least, most) hits at the cut k1 for an AUC of num / den in [0, 1].
+
+    Each bound is the outer grid neighbour of a continuous root, read from
+    isqrt of a floored integer and stepped up by exact integer tests. The
+    start is never above the true root, so it cannot overshoot and falls at
+    most about three levels short.
+    """
+
+    p = num * k1 * k2
+    # Least miss count m with m^2 * den >= r: k1 - m is the largest level
+    # whose auc_max stays at or below the AUC, if it is feasible.
+    r = (den - num) * k1 * k2
+    miss = math.isqrt(r // den)
+    while miss * miss * den < r:
+        miss += 1
+    # Least h with h * (d + h) * den >= p. For d < 0 the start is at least
+    # -d = k1 - k2, the least feasible level; h = k1 always passes.
+    d = k2 - k1
+    most = (math.isqrt((d * d * den + 4 * p) // den) - d) // 2
+    while most * (d + most) * den < p:
+        most += 1
+    return max(0, -d, k1 - miss), most
+
+
+def _hits_given_auc(auc: float | Fraction, ratio: ClassRatio) -> tuple[int, int]:
+    """_hit_bounds for an AUC read as the exact rational it is."""
 
     try:
         num, den = auc.as_integer_ratio()
@@ -119,8 +146,7 @@ def _threshold(auc: float | Fraction, ratio: ClassRatio) -> tuple[int, int, int,
         num, den = -1, 1
     if not 0 <= num <= den:
         raise InconsistentInput(f"auc {auc!r} outside [0, 1]")
-    k1, k2 = (ratio.k1, ratio.k2) if ratio.k1 <= ratio.k2 else (ratio.k2, ratio.k1)
-    return k1, k2, num * k1 * k2, den
+    return _hit_bounds(num, den, ratio.k1, ratio.k2)
 
 
 def ppvk_max_given_auc(auc: float | Fraction, ratio: ClassRatio) -> PpvResult:
@@ -128,47 +154,25 @@ def ppvk_max_given_auc(auc: float | Fraction, ratio: ClassRatio) -> PpvResult:
 
     Returns the smallest grid value a = h/k1 whose auc_min reaches the
     observed value, i.e. the outer grid neighbour of the continuous root of
-    auc_min(a) = auc, so no arrangement with this AUC can exceed it. The root
-    of h * (k2 - k1 + h) = auc * k1*k2 is read from isqrt and stepped up to
-    the first level that passes the exact test. The AUC is compared as the
-    exact rational it is: pass a Fraction when the exact AUC is known, since
-    a float is read as its own binary fraction.
+    auc_min(a) = auc, so no arrangement with this AUC can exceed it. The AUC
+    is compared as the exact rational it is: pass a Fraction when the exact
+    AUC is known, since a float is read as its own binary fraction.
     """
 
-    k1, k2, p, q = _threshold(auc, ratio)
-    d = k2 - k1
-    # Least h with h * (d + h) * q >= p. Both inverses start from isqrt of a
-    # floored integer, never above the true root (and here >= 0), so the
-    # start cannot overshoot and falls at most about three levels short; each
-    # step is an exact integer test, and h = k1 always passes.
-    hits = (math.isqrt((d * d * q + 4 * p) // q) - d) // 2
-    while hits * (d + hits) * q < p:
-        hits += 1
-    if ratio.k1 > ratio.k2:
-        hits = swap_hits(hits, k1, k2)
-    return PpvResult(k=ratio.k1, hits=hits)
+    return PpvResult(k=ratio.k1, hits=_hits_given_auc(auc, ratio)[1])
 
 
 def ppvk_min_given_auc(auc: float | Fraction, ratio: ClassRatio) -> PpvResult:
     """Smallest base-rate-cut PPV compatible with the observed AUC.
 
     Returns the largest grid value a = h/k1 whose auc_max stays at or below
-    the observed value (0 when there is none): the outer grid neighbour of
-    the continuous root of auc_max(a) = auc, so no arrangement with this AUC
-    can fall below it. The root of (k1 - h)^2 = (1 - auc) * k1*k2 is read
-    from isqrt and corrected exactly, as in ppvk_max_given_auc.
+    the observed value (the least feasible level when there is none): the
+    outer grid neighbour of the continuous root of auc_max(a) = auc, so no
+    arrangement with this AUC can fall below it. Exact, as in
+    ppvk_max_given_auc.
     """
 
-    k1, k2, p, q = _threshold(auc, ratio)
-    # Least miss count m = k1 - h with m^2 * q >= r; no level fits if m > k1.
-    r = k1 * k2 * q - p
-    miss = math.isqrt(r // q)
-    while miss * miss * q < r:
-        miss += 1
-    hits = max(0, k1 - miss)
-    if ratio.k1 > ratio.k2:
-        hits = swap_hits(hits, k1, k2)
-    return PpvResult(k=ratio.k1, hits=hits)
+    return PpvResult(k=ratio.k1, hits=_hits_given_auc(auc, ratio)[0])
 
 
 class EnvelopeCurve(NamedTuple):
@@ -192,12 +196,10 @@ def envelope_curve(ratio: ClassRatio) -> EnvelopeCurve:
     has min(k1, k2) + 1 points.
     """
 
-    k1, k2 = sorted((ratio.k1, ratio.k2))
+    k1, k2 = sorted(ratio)
     total = k1 * k2
-    samples = []
-    for i in range(k1 + 1):
-        low, high = _envelope_pairs(i, k1, k2)
-        samples.append((i / k1, low / total, high / total))
-    return EnvelopeCurve(
-        ratio=ClassRatio(k1, k2), samples=tuple(samples), swapped=ratio.k1 > ratio.k2
-    )
+    samples = tuple([
+        (i / k1, i * (k2 - k1 + i) / total, (total - (k1 - i) ** 2) / total)
+        for i in range(k1 + 1)
+    ])
+    return EnvelopeCurve(ratio=ClassRatio(k1, k2), samples=samples, swapped=ratio.k1 > ratio.k2)

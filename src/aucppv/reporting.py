@@ -4,7 +4,8 @@ The report builder runs a sandwich self-check before anything is emitted:
 the observed AUC must lie inside the envelope over the hit counts the
 boundary tie group allows, and those hit counts must meet the feasible
 interval at the observed AUC. A violation is an InternalConsistencyError
-(a toolkit bug), never a data error.
+(a toolkit bug), never a data error. The report carries that hit range and
+the envelope over it as ``tie_range``.
 
 What a report says is decided once: ``_report_payload`` turns it into one
 dict with a stable field order, and the table, JSON and TSV formats each
@@ -29,7 +30,7 @@ from .envelopes import (
 )
 from .errors import AucppvError, InternalConsistencyError
 from .ingest import DecileReport, LoadSummary
-from .ppv import PpvResult, hits_range_at_k
+from .ppv import PpvResult, _boundary_group, hits_range_at_k
 from .ranking import Ranking
 from .roc import AucResult, auc_pairwise
 
@@ -72,6 +73,11 @@ class EvaluationReport(NamedTuple):
     ppv_max: PpvResult
     auc_min: float
     auc_max: float
+    boundary_group_size: int
+    tie_hits_min: int
+    tie_hits_max: int
+    tie_auc_min: float
+    tie_auc_max: float
     metric_table: dict[str, float | None]
     decile: DecileReport | None = None
     load_summary: LoadSummary | None = None
@@ -145,6 +151,11 @@ def build_report(
         ppv_max=ppv_hi,
         auc_min=lo,
         auc_max=hi,
+        boundary_group_size=_boundary_group(ranking, ranking.k1)[2],
+        tie_hits_min=hits_lo,
+        tie_hits_max=hits_hi,
+        tie_auc_min=float(check_lo),
+        tie_auc_max=float(check_hi),
         metric_table=_metric_table(counts),
         decile=decile,
         load_summary=load_summary,
@@ -183,6 +194,13 @@ def _report_payload(report: EvaluationReport) -> dict:
         "envelope_at_ppv": {
             "auc_min": num(report.auc_min),
             "auc_max": num(report.auc_max),
+        },
+        "tie_range": {
+            "boundary_group_size": report.boundary_group_size,
+            "hits_min": report.tie_hits_min,
+            "hits_max": report.tie_hits_max,
+            "auc_min": num(report.tie_auc_min),
+            "auc_max": num(report.tie_auc_max),
         },
         "metrics": {
             name: num(value) for name, value in report.metric_table.items()
@@ -224,6 +242,7 @@ def _report_payload(report: EvaluationReport) -> dict:
 def _format_table(payload: dict) -> str:
     auc, ppv = payload["auc"], payload["ppv_k"]
     at_auc, at_ppv = payload["envelope_at_auc"], payload["envelope_at_ppv"]
+    ties = payload["tie_range"]
     lines = [
         f"== {payload['label']} ==",
         f"records              {payload['n']}",
@@ -240,6 +259,8 @@ def _format_table(payload: dict) -> str:
         f"[{_render(at_auc['ppv_min'])}, {_render(at_auc['ppv_max'])}]",
         "feasible auc at this ppv   "
         f"[{_render(at_ppv['auc_min'])}, {_render(at_ppv['auc_max'])}]",
+        "feasible auc over tie orderings "
+        f"[{_render(ties['auc_min'])}, {_render(ties['auc_max'])}]",
         "",
         "metrics at the base-rate cut",
     ]

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aucppv.cli
 import aucppv.reporting
 from aucppv.cli import main
+from aucppv.envelopes import ClassRatio, ppvk_max_given_auc, ppvk_min_given_auc
+from aucppv.reporting import format_number
 
 PERFECT_CSV = """
 person_id,raw_score,decile,outcome
@@ -33,6 +40,15 @@ def run(capsys, argv: list[str]) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def stdout_of(argv: list[str]) -> str:
+    """Stdout of a successful run, without capsys (which hypothesis cannot share)."""
+
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert main(argv) == 0
+    return buffer.getvalue()
+
+
 def test_evaluate_perfect_toy(tmp_path, capsys):
     path = write_csv(tmp_path)
     code, out, err = run(capsys, ["evaluate", "--input", path, "--format", "json"])
@@ -43,6 +59,26 @@ def test_evaluate_perfect_toy(tmp_path, capsys):
     assert payload["ppv_k"]["value"] == 1.0
     assert payload["n"] == 4
     assert payload["load_summary"]["rows_kept"] == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tie_range_contains_the_printed_auc(tmp_path_factory, data):
+    # Coarse scores put the base-rate cut inside a tie group often; whatever
+    # the id tie-break decides there, the envelope over the group's orderings
+    # must hold the half-credit AUC, as printed.
+    n = data.draw(st.integers(2, 14))
+    scores = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    labels = [1, 0] + data.draw(st.lists(st.integers(0, 1), min_size=n - 2, max_size=n - 2))
+    ids = data.draw(st.permutations(range(n)))
+    rows = [f"id{i},{score},5,{label}" for i, score, label in zip(ids, scores, labels)]
+    path = tmp_path_factory.mktemp("tied") / "scores.csv"
+    path.write_text("person_id,raw_score,decile,outcome\n" + "\n".join(rows) + "\n", "utf-8")
+    out = stdout_of(["evaluate", "--input", str(path)]).splitlines()
+    auc = next(float(line.split()[1]) for line in out if line.startswith("auc "))
+    span = next(line for line in out if line.startswith("feasible auc over tie orderings ["))
+    low, high = (float(value) for value in span.split("[")[1].rstrip("]").split(", "))
+    assert low <= auc <= high
 
 
 def test_evaluate_table_format(tmp_path, capsys):
@@ -282,12 +318,31 @@ def test_envelope_refuses_oversized_tables_up_front(capsys, monkeypatch, argv):
     def build_nothing(*args):
         raise AssertionError("a row was built")
 
-    for name in ("envelope_curve", "ppvk_min_given_auc", "ppvk_max_given_auc"):
+    for name in ("envelope_curve", "_hit_bounds"):
         monkeypatch.setattr(aucppv.cli, name, build_nothing)
     code, out, err = run(capsys, argv)
     assert code == 1
     assert out == ""
     assert "exceeds the limit" in err
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 25), st.integers(1, 25), st.integers(1, 40))
+def test_envelope_grid_equals_the_public_inverses(small, large, steps):
+    # The grid solves for the hit bounds in integers; each row must print
+    # what the public inverses give at the exact grid AUC, in both class orders.
+    for k1, k2 in ((small, large), (large, small)):
+        ratio = ClassRatio(k1, k2)
+        argv = ["envelope", "--k1", str(k1), "--k2", str(k2), "--mode", "ppv-given-auc"]
+        out = stdout_of(argv + ["--step", repr(1 / steps)]).splitlines()
+        assert len(out) == steps + 3
+        for index, row in enumerate(out[2:]):
+            auc = Fraction(index, steps)
+            assert row.split("  ") == [
+                format_number(index / steps),
+                format_number(ppvk_min_given_auc(auc, ratio).value),
+                format_number(ppvk_max_given_auc(auc, ratio).value),
+            ]
 
 
 def test_verify_small_limit(capsys):

@@ -53,6 +53,15 @@ def test_verify_output_is_unchanged(capsys):
 
 CURVE = ["envelope", "--k1", "4262", "--k2", "7515"]
 GRID = ["envelope", "--k1", "11441", "--k2", "1085", "--mode", "ppv-given-auc", "--step", "0.001"]
+# The same two tables with the class order reversed: a swapped curve and an
+# unswapped grid.
+CURVE_SWAPPED = ["envelope", "--k1", "7515", "--k2", "4262"]
+GRID_UNSWAPPED = [
+    "envelope", "--k1", "1085", "--k2", "11441", "--mode", "ppv-given-auc", "--step", "0.001",
+]
+TABLES = {
+    "curve": CURVE, "grid": GRID, "curve_swapped": CURVE_SWAPPED, "grid_unswapped": GRID_UNSWAPPED,
+}
 ENVELOPE_SHA256 = {
     ("curve", "table"): "668bcc210b0fd2d0812a11aae49784bc93492b24c3da2be6700f2bd82053c05e",
     ("curve", "tsv"): "e8d0e9371ee544abc191cc0bdf481ae536aa9db68f5c0182a5a66f1585d1a7f7",
@@ -60,12 +69,18 @@ ENVELOPE_SHA256 = {
     ("grid", "table"): "cc23707668d27311811e6f31084cba8c096c9bb5b18617fc72b083f55827bbb4",
     ("grid", "tsv"): "2615b7b4c1ddedd98587ad02908705331bb7d36377f71cd131db6526fb919f38",
     ("grid", "json"): "e19d6f98cce96dba4ff83eb2489caa5623a177a7bc2d6755e3222a524804d337",
+    ("curve_swapped", "table"): "87cfcb04175a6d02a3126b5c1eb851aa35a7058fb5bb75ad1155b422e25af07b",
+    ("curve_swapped", "tsv"): "f7db0777916f6b0169c5499b4f3dd317033f7fdc4c5634004a574672f100fc65",
+    ("curve_swapped", "json"): "6a5b5b514cc7abcbf822878e889ba4393575ba7379bebc739148af6bec683fc7",
+    ("grid_unswapped", "table"): "5c25040266a703ea030479ca6435fe0896d598dc9580ba7c537fee333684f0fd",
+    ("grid_unswapped", "tsv"): "48bb1a2d4876014957892f1fdb09eb9033be11b8fea2c6242d029936b98eb569",
+    ("grid_unswapped", "json"): "9b90f7ed8044d18f24bd8feaa3fc1890b0cf6100d3bf911a441eb9aa7f02a5c7",
 }
 
 
 @pytest.mark.parametrize("table, fmt", sorted(ENVELOPE_SHA256))
 def test_envelope_output_is_unchanged(capsys, table, fmt):
-    argv = {"curve": CURVE, "grid": GRID}[table] + ["--format", fmt]
+    argv = TABLES[table] + ["--format", fmt]
     digest = hashlib.sha256(stdout_of(capsys, argv).encode("utf-8")).hexdigest()
     assert digest == ENVELOPE_SHA256[table, fmt]
 
@@ -80,3 +95,4 @@ def test_evaluate_accepts_a_cut_inside_a_tie_with_positives_first(capsys, monkey
     out = capsys.readouterr().out
     assert "auc                  0.6625\n" in out
     assert "  hits               4\n" in out
+    assert "feasible auc over tie orderings [0.25, 0.975]\n" in out
