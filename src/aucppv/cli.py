@@ -18,7 +18,7 @@ from .data import fixture_path
 from .envelopes import ClassRatio, _hit_bounds, envelope_curve
 from .errors import AucppvError, InstanceTooLarge, InternalConsistencyError
 from .ingest import ColumnMap, Scale, decile_report, load_csv, to_ranking
-from .oracle import DEFAULT_LIMIT, certify_envelopes
+from .oracle import certify_up_to
 from .reporting import build_report, format_number, format_report
 
 __all__ = ["main", "cmd_evaluate", "cmd_envelope", "cmd_verify", "cmd_report_compas"]
@@ -157,30 +157,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     Runs every ratio with k1 + k2 <= limit and reports one line per ratio.
     Each hit level's arrangements are counted by pair count with a product
-    of two Gaussian binomials, none of them visited; the level's least and
-    most AUC must equal the closed forms as exact rationals, and any
-    mismatch fails the run. Past n of about 14 this checks the
-    Gaussian-binomial decomposition, not each arrangement: only the test
-    suite's itertools checks (n <= 14) visit arrangements.
+    of two Gaussian binomials, none of them visited. One table of those
+    Gaussian binomials serves the whole run; each level's count and its
+    least and most AUC are read off its two factors, and the extremes must
+    equal the closed forms as exact rationals: any mismatch fails the run.
+    A limit whose table would pass the work bound is refused before any row
+    is built. Past n of about 14 this checks the Gaussian-binomial
+    decomposition, not each arrangement: only the test suite's itertools
+    checks (n <= 14) visit arrangements.
     """
 
-    if args.limit > DEFAULT_LIMIT:
-        raise InstanceTooLarge(
-            f"limit {args.limit} exceeds the supported maximum {DEFAULT_LIMIT}"
-        )
-    if args.limit < 2:
-        raise AucppvError("limit must be at least 2 (one record per class)")
     lines = []
     arrangements = 0
-    for n in range(2, args.limit + 1):
-        for k1 in range(1, n):
-            ratio = ClassRatio(k1, n - k1)
-            report = certify_envelopes(ratio, limit=args.limit)
-            arrangements += report.arrangements
-            lines.append(
-                f"ratio {ratio.k1}:{ratio.k2}  arrangements {report.arrangements}"
-                f"  hit levels {len(report.per_hits)}  ok"
-            )
+    for report in certify_up_to(args.limit):
+        arrangements += report.arrangements
+        lines.append(
+            f"ratio {report.ratio.k1}:{report.ratio.k2}  arrangements {report.arrangements}"
+            f"  hit levels {len(report.per_hits)}  ok"
+        )
     lines.append(
         f"certified {len(lines)} ratios, {arrangements} arrangements, all exact"
     )
@@ -246,7 +240,7 @@ def _build_parser() -> _Parser:
     )
     p_verify.add_argument(
         "--limit", type=int, default=12,
-        help=f"certify every ratio with k1 + k2 up to this n (max {DEFAULT_LIMIT})",
+        help="certify every ratio with k1 + k2 up to this n (refused past 209, the work bound)",
     )
     p_verify.add_argument("--output", default=None, help="write output here instead of stdout")
     p_verify.set_defaults(handler=cmd_verify)

@@ -1,24 +1,30 @@
 """Counting arrangement oracle and envelope certification.
 
 An arrangement places k1 positives among n = k1 + k2 ranked positions. Its
-integer count of correctly ordered positive/negative pairs falls as the sum
-of its positive positions grows. With h hits (positives in the top k1), h
-positives fill the top block of k1 positions and k1 - h fill the bottom
-block of k2. The Gaussian binomial [m choose j]_q counts the j-subsets of m
-consecutive positions by how far their position sum exceeds the least one,
-so a hit level's arrangements are counted by pair count with the product
-[k1 choose h]_q * [k2 choose k1 - h]_q (the Mann-Whitney U null
+integer count of correctly ordered positive/negative pairs falls by one for
+each step its positives' position sum grows. With h hits (positives in the
+top k1), h positives fill the top block of k1 positions and k1 - h fill the
+bottom block of k2. The Gaussian binomial [m choose j]_q counts the
+j-subsets of m consecutive positions by how far their position sum exceeds
+the least one, so a hit level's arrangements are counted by pair count with
+the product [k1 choose h]_q * [k2 choose k1 - h]_q (the Mann-Whitney U null
 distribution, split by hits). Summed over h this is [n choose k1]_q, the
-q-Vandermonde identity. No arrangement is visited, and no polynomial is
-held as a list of coefficients: each is one integer, the polynomial at
-q = 2**width, so coefficient d sits in bits d*width .. (d+1)*width - 1. The
-slot width, comb(n, k1).bit_length() + 1 bits, is fixed per ratio; no
-coefficient exceeds C(n, k1), so no slot carries into the next. A level's
-count, the sum of its coefficients, is its product's residue modulo
-2**width - 1; its extremes, the highest and lowest non-zero degrees, come
-from the product's bit length and its trailing zeros. Those extremes are
-integer pair counts over the k1*k2 pairs; they certify the closed-form
-envelopes by integer equality with the closed forms' numerators. A Fraction
+q-Vandermonde identity. No arrangement is visited.
+
+Each Gaussian binomial is built as one integer, the polynomial at
+q = 2**width: coefficient d sits in bits d*width .. (d+1)*width - 1. The
+rows stream past, and the table keeps three integers per entry: its count
+(its residue modulo 2**width - 1) and its lowest and highest non-zero
+degrees (from its trailing zeros and bit length). A level is read off its
+two factors, never multiplied out: its count is the product of theirs and,
+as no coefficient is negative, its extreme degrees are the sums of theirs.
+Those extremes are the level's most and least correctly ordered pairs; they
+certify the closed-form envelopes by integer equality with the closed
+forms' numerators over k1*k2. The extremes of [m choose j]_q are 0 and
+j*(m - j), so past n of about 14 this checks the Gaussian-binomial
+decomposition, not each arrangement. One table, at the slot width of
+n = L, serves every ratio with n <= L: ``certify_up_to`` builds it once per
+run, ``enumerate_arrangements`` one for its own ratio. A Fraction
 (pairs / (k1*k2)) is built only when a level's AUC is read, or to report a
 mismatch.
 """
@@ -27,10 +33,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Mapping, NamedTuple
+from typing import Container, Iterator, Mapping, NamedTuple
 
 from .envelopes import ClassRatio, _exact_pairs
-from .errors import CertificationFailure, InstanceTooLarge
+from .errors import AucppvError, CertificationFailure, InstanceTooLarge
 
 __all__ = [
     "DEFAULT_LIMIT",
@@ -38,10 +44,15 @@ __all__ = [
     "ArrangementStats",
     "enumerate_arrangements",
     "certify_envelopes",
+    "certify_up_to",
 ]
 
 #: Largest n = k1 + k2 counted by default; C(16, 8) = 12870 arrangements.
 DEFAULT_LIMIT = 16
+
+#: Most bits the rows of one table may hold, by _table_bits; refused before
+#: any row is built. Every limit up to 209 fits.
+MAX_TABLE_BITS = 2**32
 
 
 class HitLevelStats(NamedTuple):
@@ -83,98 +94,94 @@ class ArrangementStats(NamedTuple):
         return max(level.max_auc for level in self.per_hits.values())
 
 
-def _hit_levels(k1: int, k2: int) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (hits, most, width, packed) for each feasible hit level.
+def _table_bits(n: int, low: int) -> int:
+    """Upper bound, in O(1) integer operations, on the bits _rows(n, low, width)
+    builds. Rows m = j .. n - j hold entry j, of j*(m - j) + 1 slots: at most
+    j*(a - 2j)**2/2 + a slots in all, a = n + 1, summed over j <= low in
+    closed form. A slot is width <= n + 1 bits, as C(n, low) < 2**n."""
 
-    ``packed`` holds the level's polynomial with ``width`` bits per
-    coefficient: bits d*width .. (d+1)*width - 1 count the level's
-    arrangements with most - d correctly ordered pairs. The positive at
-    0-based position p_j is ordered above the n-1-p_j records after it,
-    k1-1-j of them positives, so an arrangement has
-    k1*(n-1) - k1*(k1-1)/2 - sum(p_j) such pairs. A level's least position
-    sum puts its hits at 0..h-1 and its misses at k1..2*k1-h-1.
+    a = n + 1
+    sum_j = low * (low + 1) // 2
+    sum_j2 = sum_j * (2 * low + 1) // 3
+    return a * ((a * a * sum_j - 4 * a * sum_j2 + 4 * sum_j * sum_j) // 2 + (low + 1) * a)
+
+
+def _rows(n: int, low: int, width: int) -> Iterator[list[int]]:
+    """Yield, for m = 0 .. n - 1, [m choose j]_q packed for j <= min(m, low, n - m).
 
     Coefficient d of [m choose j]_q counts the j-subsets of m positions
     whose sum exceeds the least, 0 + 1 + ... + (j-1), by d. Positions are
     added one at a time in front of the others: [m choose j]_q =
     [m-1 choose j-1]_q (the new position is taken) + q^j [m-1 choose j]_q
     (it is not, and each of the j taken positions moves down by one). With
-    q = 2**width that is one shift and one add per row, and a level's
-    product is one integer multiplication.
+    q = 2**width that is one shift and one add per entry.
     """
 
-    n = k1 + k2
-    # Every coefficient of a row or a product is at most its coefficient
-    # sum: C(m, j) <= C(n, j) <= C(n, k1) for a row (m <= max(k1, k2) and
-    # j <= min(k1, k2), so k1 lies in j..n-j), the level's count <= C(n, k1)
-    # for a product. C(n, k1) < 2**(width-1), so no slot carries into the
-    # next, and a level's count stays below the modulus 2**width - 1 that
-    # enumerate_arrangements reads it with; the + 1 is that margin.
-    width = comb(n, k1).bit_length() + 1
-    base = k1 * (n - 1) - k1 * (k1 - 1) // 2
-    # Both blocks hold k1 - h misses: k1 - h negatives among the top k1
-    # positions ([k1 choose h]_q = [k1 choose k1 - h]_q) and k1 - h
-    # positives among the bottom k2. One build of the rows [size choose j]_q,
-    # j <= min(k1, k2), passes through size k1 and size k2.
-    low = min(k1, k2)
-    rows = top = bottom = [1]
-    for size in range(1, max(k1, k2) + 1):
-        prev = rows + [0]
-        rows = [1] + [prev[j - 1] + (prev[j] << j * width) for j in range(1, min(size, low) + 1)]
-        if size == k1:
-            top = rows
-        if size == k2:
-            bottom = rows
+    row = [1]
+    yield row
+    for size in range(1, n):
+        prev = row + [0]
+        row = [1] + [prev[j - 1] + (prev[j] << j * width) for j in range(1, min(size, low, n - size) + 1)]
+        yield row
+
+
+def _table(n: int, low: int, sizes: Container[int]) -> dict[int, list[tuple[int, int, int]]]:
+    """Row m -> (count, lowest degree, highest degree) per entry, m in ``sizes``.
+
+    It holds rows k1 and k2 of every ratio with k1 + k2 <= n and
+    min(k1, k2) <= low. A coefficient is at most its entry's count
+    C(m, j) <= C(n, low) < 2**(width - 1), so no slot carries into the next
+    and the count is the entry's residue modulo 2**width - 1.
+    """
+
+    if _table_bits(n, low) > MAX_TABLE_BITS:
+        raise InstanceTooLarge(
+            f"n = {n} exceeds the work bound: its Gaussian-binomial table "
+            f"may pass {MAX_TABLE_BITS} bits"
+        )
+    width = comb(n, low).bit_length() + 1
+    modulus = (1 << width) - 1
+    return {
+        size: [
+            (packed % modulus, ((packed & -packed).bit_length() - 1) // width, (packed.bit_length() - 1) // width)
+            for packed in row
+        ]
+        for size, row in zip(range(max(sizes) + 1), _rows(n, low, width))
+        if size in sizes
+    }
+
+
+def _read_levels(ratio: ClassRatio, table: dict[int, list[tuple[int, int, int]]]) -> ArrangementStats:
+    """Every feasible hit level of ``ratio``, read off its two factors.
+
+    Level h is [k1 choose k1 - h]_q * [k2 choose k1 - h]_q: k1 - h negatives
+    in the top block and k1 - h positives in the bottom one. Degree 0 puts
+    the hits on top and those positives right below the cut, each under each
+    of those negatives: k1*k2 - (k1 - h)**2 pairs, and degree d has d fewer.
+    """
+
+    k1, k2 = ratio
+    total = k1 * k2
+    per_hits = {}
     for hits in range(max(0, k1 - k2), k1 + 1):
         misses = k1 - hits
-        least_sum = hits * (hits - 1) // 2 + misses * k1 + misses * (misses - 1) // 2
-        yield hits, base - least_sum, width, top[misses] * bottom[misses]
-
-
-def enumerate_arrangements(ratio: ClassRatio, limit: int = DEFAULT_LIMIT) -> ArrangementStats:
-    """Count every placement of the positives by hit level and pair count.
-
-    Each feasible hit level's arrangements are counted by pair count with a
-    product of two Gaussian binomials (see the module docstring), built from
-    their recurrence on every call and held as one packed integer, ``width``
-    bits per coefficient. Three integer operations read the level off it.
-    Its count, the sum of the coefficients, is the residue modulo
-    2**width - 1, since 2**width is 1 modulo 2**width - 1 and the sum stays
-    below the modulus. Its highest non-zero degree (the least pair count)
-    comes from the bit length and its lowest (the most pair count) from the
-    trailing zeros. Raises InstanceTooLarge when n exceeds ``limit``.
-    """
-
-    n = ratio.n
-    if n > limit:
-        raise InstanceTooLarge(f"n = {n} exceeds the enumeration limit {limit}")
-    total = ratio.k1 * ratio.k2
-    per_hits = {}
-    for hits, most, width, packed in _hit_levels(ratio.k1, ratio.k2):
+        most = total - misses * misses
+        top_count, top_lowest, top_highest = table[k1][misses]
+        bottom_count, bottom_lowest, bottom_highest = table[k2][misses]
         per_hits[hits] = HitLevelStats(
-            hits=hits,
-            count=packed % ((1 << width) - 1),
-            min_pairs=most - (packed.bit_length() - 1) // width,
-            max_pairs=most - ((packed & -packed).bit_length() - 1) // width,
-            total_pairs=total,
+            hits,
+            top_count * bottom_count,
+            most - top_highest - bottom_highest,
+            most - top_lowest - bottom_lowest,
+            total,
         )
-    return ArrangementStats(
-        ratio=ratio,
-        per_hits=per_hits,
-        arrangements=sum(level.count for level in per_hits.values()),
-    )
+    return ArrangementStats(ratio, per_hits, sum(level.count for level in per_hits.values()))
 
 
-def certify_envelopes(ratio: ClassRatio, limit: int = DEFAULT_LIMIT) -> ArrangementStats:
-    """Prove the closed-form envelopes tight for one ratio by counting.
+def _certify(stats: ArrangementStats) -> ArrangementStats:
+    """``stats``, once every level's extremes equal the closed forms."""
 
-    For every feasible hit level the counted least and most pair counts must
-    equal the closed forms' integer numerators over k1*k2. Returns the
-    counted stats on success and raises CertificationFailure (carrying the
-    first mismatching level as exact rationals, and the stats) otherwise.
-    """
-
-    stats = enumerate_arrangements(ratio, limit)
+    ratio = stats.ratio
     for hits, level in stats.per_hits.items():
         expected = _exact_pairs(hits, ratio)
         if (level.min_pairs, level.max_pairs) != expected:
@@ -188,3 +195,49 @@ def certify_envelopes(ratio: ClassRatio, limit: int = DEFAULT_LIMIT) -> Arrangem
                 report=stats,
             )
     return stats
+
+
+def enumerate_arrangements(ratio: ClassRatio, limit: int = DEFAULT_LIMIT) -> ArrangementStats:
+    """Count every placement of the positives by hit level and pair count.
+
+    Each feasible hit level is read off its two Gaussian-binomial factors
+    (see the module docstring) in a table built for this ratio alone, at
+    its own slot width comb(n, k1).bit_length() + 1. Raises
+    InstanceTooLarge when n exceeds ``limit`` or the work bound.
+    """
+
+    k1, k2 = ratio
+    if k1 + k2 > limit:
+        raise InstanceTooLarge(f"n = {k1 + k2} exceeds the enumeration limit {limit}")
+    return _read_levels(ratio, _table(k1 + k2, min(k1, k2), (k1, k2)))
+
+
+def certify_envelopes(ratio: ClassRatio, limit: int = DEFAULT_LIMIT) -> ArrangementStats:
+    """Prove the closed-form envelopes tight for one ratio by counting.
+
+    For every feasible hit level the counted least and most pair counts must
+    equal the closed forms' integer numerators over k1*k2. Returns the
+    counted stats on success and raises CertificationFailure (carrying the
+    first mismatching level as exact rationals, and the stats) otherwise.
+    """
+
+    return _certify(enumerate_arrangements(ratio, limit))
+
+
+def certify_up_to(limit: int) -> Iterator[ArrangementStats]:
+    """Certify every ratio with k1 + k2 <= ``limit`` through one table.
+
+    Builds the table before returning, then yields each ratio's stats, by n
+    and then k1, as certify_envelopes returns them. Raises AucppvError below
+    2, InstanceTooLarge past the work bound and CertificationFailure at the
+    first mismatching level.
+    """
+
+    if limit < 2:
+        raise AucppvError("limit must be at least 2 (one record per class)")
+    table = _table(limit, limit // 2, range(1, limit))
+    return (
+        _certify(_read_levels(ClassRatio(k1, n - k1), table))
+        for n in range(2, limit + 1)
+        for k1 in range(1, n)
+    )

@@ -364,10 +364,20 @@ def test_verify_limit_ten(capsys):
     assert lines[-1].endswith("all exact")
 
 
+def test_verify_limit_sixty(capsys):
+    code, out, _ = run(capsys, ["verify", "--limit", "60"])
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1770 + 1
+    assert all(line.endswith("  ok") for line in lines[:-1])
+    assert lines[-1] == f"certified 1770 ratios, {sum(2**n - 2 for n in range(2, 61))} arrangements, all exact"
+
+
 def test_verify_limit_too_large(capsys):
-    code, out, err = run(capsys, ["verify", "--limit", "20"])
+    code, out, err = run(capsys, ["verify", "--limit", "1000000000"])
     assert code == 1
-    assert "exceeds the supported maximum 16" in err
+    assert out == ""
+    assert "exceeds the work bound" in err
 
 
 def test_verify_limit_too_small(capsys):

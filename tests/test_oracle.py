@@ -15,6 +15,7 @@ from aucppv import (
     enumerate_arrangements,
 )
 from aucppv.errors import CertificationFailure, InstanceTooLarge
+from aucppv.oracle import certify_up_to
 import aucppv.oracle
 from conftest import (
     enumerate_by_combinations,
@@ -109,15 +110,30 @@ def test_enumeration_matches_pairwise_reference_up_to_ten():
 
 def _level_distributions(k1: int, k2: int) -> dict[int, dict[int, int]]:
     """hits -> {correctly ordered pairs: arrangements}, unpacked from the
-    counting oracle's packed Gaussian-binomial products."""
-    return {
-        hits: {
-            most - degree: count
+    product of each level's two packed Gaussian-binomial factors, taken from
+    the counting oracle's rows: [k1 choose k1 - h]_q * [k2 choose k1 - h]_q.
+
+    Degree d of a level's product counts its arrangements whose positive
+    position sum exceeds the least by d. The positive at 0-based position p
+    is ordered above the n-1-p records after it, k1-1-j of them positives
+    for the j-th positive, so an arrangement has
+    k1*(n-1) - k1*(k1-1)/2 - sum(p) correctly ordered pairs; the least sum
+    puts the hits at 0..h-1 and the misses at k1..2*k1-h-1."""
+    n = k1 + k2
+    width = math.comb(n, k1).bit_length() + 1
+    rows = list(aucppv.oracle._rows(n, min(k1, k2), width))
+    base = k1 * (n - 1) - k1 * (k1 - 1) // 2
+    distributions = {}
+    for hits in range(max(0, k1 - k2), k1 + 1):
+        misses = k1 - hits
+        least_sum = hits * (hits - 1) // 2 + misses * k1 + misses * (misses - 1) // 2
+        packed = rows[k1][misses] * rows[k2][misses]
+        distributions[hits] = {
+            base - least_sum - degree: count
             for degree, count in enumerate(unpack_slots(packed, width))
             if count
         }
-        for hits, most, width, packed in aucppv.oracle._hit_levels(k1, k2)
-    }
+    return distributions
 
 
 def test_counting_matches_enumeration_up_to_fourteen():
@@ -202,6 +218,48 @@ def test_limit_enforced():
     # Raising the limit admits the instance.
     stats = enumerate_arrangements(ClassRatio(9, 8), limit=17)
     assert stats.arrangements == math.comb(17, 9)
+
+
+def test_work_bound_refuses_before_building(monkeypatch):
+    # Past the work bound no row is built, however high the limit.
+    def no_rows(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(aucppv.oracle, "_rows", no_rows)
+    with pytest.raises(InstanceTooLarge, match="work bound"):
+        enumerate_arrangements(ClassRatio(150, 150), limit=300)
+    with pytest.raises(InstanceTooLarge, match="work bound"):
+        enumerate_arrangements(ClassRatio(10**9, 10**9), limit=10**10)
+    with pytest.raises(InstanceTooLarge, match="work bound"):
+        certify_up_to(10**9)
+    # The README's figure: limits up to 209 fit the bound.
+    bits = aucppv.oracle._table_bits
+    assert bits(209, 104) <= aucppv.oracle.MAX_TABLE_BITS < bits(210, 105)
+
+
+def test_work_bound_covers_every_row_built():
+    # The bound counts every slot up to each entry's highest degree, at the
+    # widest slot of n + 1 bits, so it never reads below what is built.
+    for n in range(2, 41):
+        width = n + 1
+        for low in range(1, n // 2 + 1):
+            slots = sum(
+                (entry.bit_length() - 1) // width + 1
+                for row in aucppv.oracle._rows(n, low, width)
+                for entry in row
+            )
+            assert slots * width <= aucppv.oracle._table_bits(n, low)
+
+
+def test_shared_table_matches_per_ratio_certification():
+    # Every ratio with n <= 30, read through the one table of a run, has the
+    # same levels, counts and extremes as certifying it on its own table.
+    shared = list(certify_up_to(30))
+    assert [stats.ratio for stats in shared] == [
+        ClassRatio(k1, n - k1) for n in range(2, 31) for k1 in range(1, n)
+    ]
+    for stats in shared:
+        assert stats == certify_envelopes(stats.ratio, limit=30)
 
 
 def test_certification_passes_small_ratios():
