@@ -151,7 +151,7 @@ def _checked_row(
     adds the id to ``seen``.
     """
 
-    person_id, score_text, decile_text, outcome_text = (cell.strip() for cell in cells)
+    person_id, score_text, decile_text, outcome_text = map(str.strip, cells)
     missing = None
     if not person_id:
         missing = "missing id"
@@ -223,12 +223,13 @@ def load_csv(
                 raw += [""] * (width - len(raw))  # a short row's absent cells are empty
             # Canonical cells resolve by lookup to the values the full checks
             # give them: float() strips what str.strip() strips, and the only
-            # missing marker it parses is nan, which fails isfinite.
+            # missing marker it parses is nan, which fails isfinite. So such a
+            # row with a repeated id is a duplicate, as the full checks find.
             person_id = raw[id_at].strip()
             decile = decile_of(raw[decile_at])
             outcome = outcome_of(raw[outcome_at])
             score = nan
-            if decile is not None and outcome is not None and person_id and person_id not in seen:
+            if decile is not None and outcome is not None and person_id:
                 try:
                     score = float(raw[score_at])
                 except ValueError:
@@ -239,6 +240,9 @@ def load_csv(
                 if checked is None:
                     continue
                 person_id, score, decile, outcome = checked
+            elif person_id in seen:
+                dropped["duplicate id"] += 1
+                continue
             seen.add(person_id)
             ids.append(person_id)
             scores.append(score)

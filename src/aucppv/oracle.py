@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Container, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .envelopes import ClassRatio, _exact_pairs
 from .errors import AucppvError, CertificationFailure, InstanceTooLarge
@@ -51,7 +51,8 @@ __all__ = [
 DEFAULT_LIMIT = 16
 
 #: Most bits the rows of one table may hold, by _table_bits; refused before
-#: any row is built. Every limit up to 209 fits.
+#: any row is built. Every limit up to 209 fits, and every balanced ratio up to
+#: 137:137.
 MAX_TABLE_BITS = 2**32
 
 
@@ -94,16 +95,20 @@ class ArrangementStats(NamedTuple):
         return max(level.max_auc for level in self.per_hits.values())
 
 
-def _table_bits(n: int, low: int) -> int:
-    """Upper bound, in O(1) integer operations, on the bits _rows(n, low, width)
-    builds. Rows m = j .. n - j hold entry j, of j*(m - j) + 1 slots: at most
-    j*(a - 2j)**2/2 + a slots in all, a = n + 1, summed over j <= low in
-    closed form. A slot is width <= n + 1 bits, as C(n, low) < 2**n."""
+def _table_bits(n: int, low: int, top: int) -> int:
+    """Upper bound, in O(1) integer operations, on the bits rows 0 .. top of
+    _rows(n, low, width) hold. Rows m = j .. min(top, n - j) hold entry j, of
+    j*(m - j) + 1 slots: at most j*(t + 1)**2/2 + a slots in all, t the
+    smaller of top - j and n - 2j and a = n + 1. Summed over j <= low in
+    closed form with t + 1 taken as n + 1 - 2j, or as top + 1 - j, whichever
+    total is smaller. A slot is width <= a bits, as C(n, low) < 2**n."""
 
-    a = n + 1
+    a, b = n + 1, top + 1
     sum_j = low * (low + 1) // 2
     sum_j2 = sum_j * (2 * low + 1) // 3
-    return a * ((a * a * sum_j - 4 * a * sum_j2 + 4 * sum_j * sum_j) // 2 + (low + 1) * a)
+    sum_j3 = sum_j * sum_j
+    squares = min(a * a * sum_j - 4 * a * sum_j2 + 4 * sum_j3, b * b * sum_j - 2 * b * sum_j2 + sum_j3)
+    return a * (squares // 2 + (low + 1) * a)
 
 
 def _rows(n: int, low: int, width: int) -> Iterator[list[int]]:
@@ -125,8 +130,9 @@ def _rows(n: int, low: int, width: int) -> Iterator[list[int]]:
         yield row
 
 
-def _table(n: int, low: int, sizes: Container[int]) -> dict[int, list[tuple[int, int, int]]]:
-    """Row m -> (count, lowest degree, highest degree) per entry, m in ``sizes``.
+def _table(n: int, low: int, sizes: Sequence[int]) -> dict[int, list[tuple[int, int, int]]]:
+    """Row m -> (count, lowest degree, highest degree) per entry, m in ``sizes``
+    (ascending); no row past the last is built.
 
     It holds rows k1 and k2 of every ratio with k1 + k2 <= n and
     min(k1, k2) <= low. A coefficient is at most its entry's count
@@ -134,7 +140,8 @@ def _table(n: int, low: int, sizes: Container[int]) -> dict[int, list[tuple[int,
     and the count is the entry's residue modulo 2**width - 1.
     """
 
-    if _table_bits(n, low) > MAX_TABLE_BITS:
+    top = sizes[-1]
+    if _table_bits(n, low, top) > MAX_TABLE_BITS:
         raise InstanceTooLarge(
             f"n = {n} exceeds the work bound: its Gaussian-binomial table "
             f"may pass {MAX_TABLE_BITS} bits"
@@ -146,7 +153,7 @@ def _table(n: int, low: int, sizes: Container[int]) -> dict[int, list[tuple[int,
             (packed % modulus, ((packed & -packed).bit_length() - 1) // width, (packed.bit_length() - 1) // width)
             for packed in row
         ]
-        for size, row in zip(range(max(sizes) + 1), _rows(n, low, width))
+        for size, row in zip(range(top + 1), _rows(n, low, width))
         if size in sizes
     }
 
@@ -209,7 +216,8 @@ def enumerate_arrangements(ratio: ClassRatio, limit: int = DEFAULT_LIMIT) -> Arr
     k1, k2 = ratio
     if k1 + k2 > limit:
         raise InstanceTooLarge(f"n = {k1 + k2} exceeds the enumeration limit {limit}")
-    return _read_levels(ratio, _table(k1 + k2, min(k1, k2), (k1, k2)))
+    low, top = sorted(ratio)
+    return _read_levels(ratio, _table(k1 + k2, low, (low, top)))
 
 
 def certify_envelopes(ratio: ClassRatio, limit: int = DEFAULT_LIMIT) -> ArrangementStats:

@@ -66,7 +66,12 @@ class Ranking:
     the records in order: ``group_ends[g]`` is the end offset of the g-th run
     of equal scores in rank order and ``group_hits[g]`` the positives before
     that offset, so the sweeps read O(groups) entries instead of walking
-    records. ``hits_at`` puts only the members of the tie group a cut falls
+    records. When two positives share a score, the scores are tied: the
+    table counts the records at each score and sorts only the distinct
+    scores, O(n + d log d) for d of them. Otherwise it sorts the bare
+    scores, which is faster when most of them are distinct. Either way a
+    group's level is its first score in column order, so 0.0 and -0.0 share
+    a group. ``hits_at`` puts only the members of the tie group a cut falls
     inside in tie order, once per group. ``ids``, ``scores`` and ``labels``
     (parallel tuples in rank order, ``labels[i]`` True for a positive) are
     built on first access, and so are ``items``, ``==`` and ``hash``, which
@@ -112,17 +117,24 @@ class Ranking:
         if "" in distinct:
             raise EmptyInput("record id must be a non-empty string")
         ids, scores, labels = tuple(ids), tuple(scores), tuple(labels)
-        ordered = sorted(scores, reverse=True)
-        # Offsets where the sorted score changes, then n: the end of every
-        # tie group; a group's level is the score at its start.
-        ends = list(compress(range(1, n), map(ne, ordered, islice(ordered, 1, None))))
-        levels = tuple(map(ordered.__getitem__, [0, *ends]))
+        positives = Counter(compress(scores, labels))
+        if len(positives) < positives.total():
+            # Two positives share a score: count the records at each level
+            # and sort only the distinct levels.
+            sizes = Counter(scores)
+            levels = tuple(sorted(sizes, reverse=True))
+            ends = list(accumulate(map(sizes.__getitem__, levels)))
+        else:
+            ordered = sorted(scores, reverse=True)
+            # Offsets where the sorted score changes, then n: the end of
+            # every tie group; a group's level is the score at its start.
+            ends = list(compress(range(1, n), map(ne, ordered, islice(ordered, 1, None))))
+            levels = tuple(map(ordered.__getitem__, [0, *ends]))
+            ends.append(n)
         # Every score is one of the levels, so checking them checks every record.
         if not all(map(math.isfinite, levels)):
             bad = next(i for i, score in enumerate(scores) if not math.isfinite(score))
             raise NonFiniteScore(f"record {ids[bad]!r} has non-finite score {scores[bad]!r}")
-        ends.append(n)
-        positives = Counter(compress(scores, labels))
         hits = tuple(accumulate(map(positives.get, levels, repeat(0))))
         assign = object.__setattr__
         assign(self, "n", n)

@@ -229,6 +229,24 @@ def test_duplicate_ids_keep_first(tmp_path):
     assert result.rows.scores[0] == 1.0
 
 
+@pytest.mark.parametrize(
+    "cells, reason",
+    [
+        ("0.5,6,2", "outcome must be 0 or 1, got '2'"),
+        ("0.5,11,0", "decile '11' outside [1, 10]"),
+        ("inf,6,0", "score 'inf' is not finite"),
+        ("x,6,0", "could not convert string to float: 'x'"),
+    ],
+)
+def test_repeated_id_with_a_malformed_cell_raises(tmp_path, cells, reason):
+    # Row 4 repeats "a" (row 3, with a missing score, drops as missing): a
+    # malformed cell raises with its row number, not as a duplicate id.
+    path = write(tmp_path, f"person_id,raw_score,decile,outcome\na,1.0,5,1\na,,6,0\na,{cells}\n")
+    with pytest.raises(MalformedRow) as raised:
+        load_csv(path)
+    assert (raised.value.row_number, raised.value.reason) == (4, reason)
+
+
 def test_empty_after_filter(tmp_path):
     path = write(
         tmp_path,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -232,23 +233,27 @@ def test_work_bound_refuses_before_building(monkeypatch):
         enumerate_arrangements(ClassRatio(10**9, 10**9), limit=10**10)
     with pytest.raises(InstanceTooLarge, match="work bound"):
         certify_up_to(10**9)
-    # The README's figure: limits up to 209 fit the bound.
-    bits = aucppv.oracle._table_bits
-    assert bits(209, 104) <= aucppv.oracle.MAX_TABLE_BITS < bits(210, 105)
+    # The README's figure: limits up to 209 fit the bound. A single ratio
+    # builds rows only up to its larger class: 137:137 fits, 150:150 not.
+    bits, most = aucppv.oracle._table_bits, aucppv.oracle.MAX_TABLE_BITS
+    assert bits(209, 104, 208) <= most < bits(210, 105, 209)
+    assert bits(274, 137, 137) <= most < bits(300, 150, 150)
 
 
 def test_work_bound_covers_every_row_built():
-    # The bound counts every slot up to each entry's highest degree, at the
-    # widest slot of n + 1 bits, so it never reads below what is built.
+    # For every ratio with n <= 40, on its own table (rows up to its larger
+    # class) and on the shared table of a run (every row), the bound never
+    # reads below the bits of the rows built, nor below their slots at the
+    # widest slot of n + 1 bits.
     for n in range(2, 41):
-        width = n + 1
         for low in range(1, n // 2 + 1):
-            slots = sum(
-                (entry.bit_length() - 1) // width + 1
-                for row in aucppv.oracle._rows(n, low, width)
-                for entry in row
-            )
-            assert slots * width <= aucppv.oracle._table_bits(n, low)
+            width = math.comb(n, low).bit_length() + 1
+            for top in (n - low, n - 1):
+                built = list(itertools.islice(aucppv.oracle._rows(n, low, width), top + 1))
+                bits = sum(entry.bit_length() for row in built for entry in row)
+                slots = sum((entry.bit_length() - 1) // width + 1 for row in built for entry in row)
+                bound = aucppv.oracle._table_bits(n, low, top)
+                assert bits <= bound and slots * (n + 1) <= bound
 
 
 def test_shared_table_matches_per_ratio_certification():

@@ -141,18 +141,39 @@ def test_tie_group_table_matches_record_walk():
             assert (again.group_ends, again.group_hits) == (built.group_ends, built.group_hits)
 
 
+def _counts_levels(scores, labels) -> bool:
+    """Ranking's rule: when two positives share a score it counts the records
+    at each level, otherwise it sorts every score."""
+
+    positives = [score for score, label in zip(scores, labels) if label]
+    return len(set(positives)) < len(positives)
+
+
 def _tied_columns(rng: random.Random):
     """Columns in no particular order: one record, all tied, 0.0 and -0.0 in
-    one group, then random heavily tied tables with ids out of order."""
+    one group, then random heavily tied tables with ids out of order. Ties
+    among the negatives alone, a single positive or none take the sort
+    route; the rest count each level."""
 
     yield ["a"], [0.5], [True]
     yield [f"id{i}" for i in range(9, 0, -1)], [2.0] * 9, [i % 3 == 0 for i in range(9)]
     yield ["z", "b", "y", "a", "c"], [0.0, -0.0, 1.0, -0.0, 0.0], [True, False, False, True, True]
+    yield ["z", "b", "y", "a", "c"], [0.0, -0.0, 1.0, -0.0, 0.0], [False, True, False, False, False]
+    steps = [step / 4 for step in range(-10, 40)]
     for _ in range(120):
         n = rng.randint(1, 40)
         pool = rng.sample([-1.5, -0.0, 0.0, 0.25, 0.5, 3.0, 7.0], rng.randint(1, 4))
         ids = [f"r{v}" for v in rng.sample(range(1000), n)]
-        yield ids, [rng.choice(pool) for _ in ids], [rng.random() < 0.4 for _ in ids]
+        scores = [rng.choice(pool) for _ in ids]
+        yield ids, scores, [rng.random() < 0.4 for _ in ids]
+        yield ids, scores, [False] * n
+        one = rng.randrange(n)
+        yield ids, scores, [i == one for i in range(n)]
+        # Every positive at a score of its own; the negatives share a few.
+        labels = [rng.random() < 0.4 for _ in ids]
+        distinct = iter(rng.sample(steps, n))
+        pool = rng.sample(steps, rng.randint(1, 3))
+        yield ids, [next(distinct) if label else rng.choice(pool) for label in labels], labels
 
 
 def _tie_group_reads(ranking: Ranking) -> dict:
@@ -206,8 +227,11 @@ def test_tie_group_reads_need_no_rank_order(monkeypatch, policy):
     # in rank order, on a freshly built ranking: the group table and the cut
     # reads match a full sort while the record order cannot be built, then
     # the columns, the records, == and hash match it too; the reads match
-    # again on a ranking whose columns were read first.
+    # again on a ranking whose columns were read first. Both routes to the
+    # group table run, on tied inputs.
+    routes = {False: 0, True: 0}
     for ids, scores, labels in _tied_columns(random.Random(41)):
+        routes[_counts_levels(scores, labels)] += len(set(scores)) < len(scores)
         ranked = reference_rank_order(ids, scores, labels, policy)
         expected = _walked_reads(*ranked)
         builds = (
@@ -231,6 +255,33 @@ def test_tie_group_reads_need_no_rank_order(monkeypatch, policy):
             assert _tie_group_reads(ranking) == expected
         assert rankings[0] == rankings[1] == rankings[2]
         assert len({hash(ranking) for ranking in rankings}) == 1
+    assert min(routes.values()) >= 50
+
+
+def test_signed_zero_level_is_the_first_in_column_order():
+    # 0.0 and -0.0 form one group on either route, and its level is the
+    # zero that comes first in the columns.
+    ids = ["z", "b", "y", "a", "c"]
+    for scores in ([0.0, -0.0, 1.0, -0.0, -0.0], [-0.0, 0.0, 1.0, 0.0, 0.0]):
+        for labels in ([True, False, False, True, True], [False, True, False, False, False]):
+            ranking = Ranking(ids, scores, labels, TiePolicy.BY_ID_ASCENDING)
+            assert (ranking.group_ends, ranking.group_hits) == ((1, 5), (0, sum(labels)))
+            assert list(map(repr, ranking._levels)) == ["1.0", repr(scores[0])]
+
+
+def test_non_finite_score_names_the_same_record_on_both_routes():
+    # Two positives share inf, or two positives share one NaN object, so
+    # the levels are counted; with one positive or none they are sorted.
+    # Either way the first bad record in column order is named, not the
+    # first bad level.
+    ids = ["a", "b", "c", "d", "e"]
+    for bad, other in ((-math.inf, math.inf), (math.nan, math.inf), (math.inf, math.nan)):
+        scores = [1.0, bad, 0.5, bad, other]
+        for labels in ([False, True, False, True, False], [True] * 5, [False] * 5, [True] + [False] * 4):
+            assert _counts_levels(scores, labels) is (sum(labels[1::2]) == 2)
+            with pytest.raises(NonFiniteScore) as raised:
+                Ranking(ids, scores, labels, TiePolicy.BY_ID_ASCENDING)
+            assert str(raised.value) == f"record 'b' has non-finite score {bad!r}"
 
 
 def test_hits_at_rejects_cuts_outside_the_ranking():
