@@ -207,7 +207,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser(
-        "evaluate", help="evaluate one CSV score table", parents=[], description=cmd_evaluate.__doc__
+        "evaluate", help="evaluate one CSV score table", description=cmd_evaluate.__doc__
     )
     _add_input_flags(p_eval, required_input=True)
     p_eval.add_argument(

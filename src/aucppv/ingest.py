@@ -72,23 +72,21 @@ class ColumnMap(NamedTuple):
 
 
 class ScoreTable:
-    """Score-table rows of one scale, held as parallel columns.
+    """Score-table rows, held as parallel columns; the load summary names their scale.
 
     The loader appends to the lists, so this is the one mutable record, and
     not a tuple: ``len`` counts its rows.
     """
 
-    __slots__ = ("scale", "ids", "scores", "deciles", "labels")
+    __slots__ = ("ids", "scores", "deciles", "labels")
 
     def __init__(
         self,
-        scale: Scale,
         ids: list[str] | None = None,
         scores: list[float] | None = None,
         deciles: list[int] | None = None,
         labels: list[bool] | None = None,
     ) -> None:
-        self.scale = scale
         self.ids = [] if ids is None else ids
         self.scores = [] if scores is None else scores
         self.deciles = [] if deciles is None else deciles
@@ -140,15 +138,14 @@ _OUTCOMES = {"0": False, "1": True}
 def _checked_row(
     cells: tuple[str, str, str, str],
     row_number: int,
-    seen: set[str],
     dropped: Counter[str],
 ) -> tuple[str, float, int, bool] | None:
     """Every check on one row's id, score, decile and outcome cells.
 
     Returns the parsed row, or None when the row is dropped for a missing
-    cell or a repeated id (counted by reason in ``dropped``); raises
-    MalformedRow for a non-missing value that cannot be parsed. The caller
-    adds the id to ``seen``.
+    cell (counted by reason in ``dropped``); raises MalformedRow for a
+    non-missing value that cannot be parsed. The caller drops a repeated id,
+    after these checks, so a malformed repeat still raises.
     """
 
     person_id, score_text, decile_text, outcome_text = map(str.strip, cells)
@@ -176,9 +173,6 @@ def _checked_row(
             raise ValueError(f"outcome must be 0 or 1, got {outcome_text!r}")
     except ValueError as exc:
         raise MalformedRow(row_number, str(exc)) from exc
-    if person_id in seen:
-        dropped["duplicate id"] += 1
-        return None
     return person_id, score, decile, outcome
 
 
@@ -193,13 +187,14 @@ def load_csv(
 
     A row with a missing id, score, decile or outcome is dropped and a
     repeated id keeps its first row; the summary counts each drop by reason.
-    A non-missing value that cannot be parsed raises MalformedRow.
+    A non-missing value that cannot be parsed raises MalformedRow. ``scale``
+    is recorded in the summary.
     Raises MissingColumn if the header lacks a mapped column, FileNotFoundError
     for a missing file, and EmptyAfterFilter when nothing survives.
     """
 
     path = Path(path)
-    rows = ScoreTable(scale)
+    rows = ScoreTable()
     ids, scores, deciles, labels = rows.ids, rows.scores, rows.deciles, rows.labels
     seen: set[str] = set()
     dropped: Counter[str] = Counter()
@@ -223,8 +218,7 @@ def load_csv(
                 raw += [""] * (width - len(raw))  # a short row's absent cells are empty
             # Canonical cells resolve by lookup to the values the full checks
             # give them: float() strips what str.strip() strips, and the only
-            # missing marker it parses is nan, which fails isfinite. So such a
-            # row with a repeated id is a duplicate, as the full checks find.
+            # missing marker it parses is nan, which fails isfinite.
             person_id = raw[id_at].strip()
             decile = decile_of(raw[decile_at])
             outcome = outcome_of(raw[outcome_at])
@@ -236,11 +230,11 @@ def load_csv(
                     pass
             if not isfinite(score):
                 cells = (raw[id_at], raw[score_at], raw[decile_at], raw[outcome_at])
-                checked = _checked_row(cells, row_number, seen, dropped)
+                checked = _checked_row(cells, row_number, dropped)
                 if checked is None:
                     continue
                 person_id, score, decile, outcome = checked
-            elif person_id in seen:
+            if person_id in seen:
                 dropped["duplicate id"] += 1
                 continue
             seen.add(person_id)
@@ -296,7 +290,6 @@ class BucketStats(NamedTuple):
 class DecileReport(NamedTuple):
     """Per-decile counts plus the low/medium/high bucket summaries."""
 
-    scale: Scale
     per_decile: tuple[DecileCount, ...]
     low: BucketStats
     medium: BucketStats
@@ -310,7 +303,7 @@ def _bucket(per_decile: tuple[DecileCount, ...], deciles: tuple[int, ...]) -> Bu
 
 
 def decile_report(rows: ScoreTable) -> DecileReport:
-    """Tally outcomes per decile and per bucket, under the table's scale.
+    """Tally outcomes per decile and per bucket.
 
     Raises ValueError for a decile outside 1..10, which only a hand-built
     table can hold.
@@ -327,7 +320,6 @@ def decile_report(rows: ScoreTable) -> DecileReport:
         DecileCount(decile=d, total=totals[d], positives=positives[d]) for d in range(1, 11)
     )
     return DecileReport(
-        scale=rows.scale,
         per_decile=per_decile,
         low=_bucket(per_decile, LOW_DECILES),
         medium=_bucket(per_decile, MEDIUM_DECILES),

@@ -9,7 +9,6 @@ translates PPV at the base-rate cut between a classifier and its reverse.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import CutOutOfRange, EmptyPositiveClass, InconsistentInput, NonIntegralHits
@@ -122,7 +121,7 @@ def expected_hits_at_k(ranking: Ranking, k: int) -> float:
     """
 
     hits_before, slots, size, group_positives = _boundary_group(ranking, k)
-    return float(hits_before + Fraction(group_positives * slots, size))
+    return (hits_before * size + group_positives * slots) / size
 
 
 def hits_range_at_k(ranking: Ranking, k: int) -> tuple[int, int]:

@@ -7,6 +7,11 @@ interval at the observed AUC. A violation is an InternalConsistencyError
 (a toolkit bug), never a data error. The report carries that hit range and
 the envelope over it as ``tie_range``.
 
+The envelope bounds and the check stay integer pair counts over k1*k2,
+against the AUC's doubled count over 2*k1*k2, and the feasible hit counts
+at the AUC come from one integer inverse. Each float field is one correctly
+rounded int/int division of an exact count.
+
 What a report says is decided once: ``_report_payload`` turns it into one
 dict with a stable field order, and the table, JSON and TSV formats each
 render that dict. Numbers carry 10 significant digits, except pair counts,
@@ -17,17 +22,10 @@ flags.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import metrics as m
-from .envelopes import (
-    ClassRatio,
-    auc_max_exact,
-    auc_min_exact,
-    ppvk_max_given_auc,
-    ppvk_min_given_auc,
-)
+from .envelopes import _envelope_pairs, _hit_bounds
 from .errors import AucppvError, InternalConsistencyError
 from .ingest import DecileReport, LoadSummary
 from .ppv import PpvResult, _boundary_group, hits_range_at_k
@@ -113,49 +111,46 @@ def build_report(
     """
 
     auc = auc_pairwise(ranking)
-    counts = m.confusion_at_cut(ranking, ranking.k1)
-    ppv = PpvResult(k=ranking.k1, hits=counts.tp)
-    ratio = ClassRatio(ranking.k1, ranking.k2)
-    lo = float(auc_min_exact(ppv.hits, ratio))
-    hi = float(auc_max_exact(ppv.hits, ratio))
-    exact_auc = Fraction(auc.doubled_u, 2 * auc.total_pairs)
-    ppv_lo = ppvk_min_given_auc(exact_auc, ratio)
-    ppv_hi = ppvk_max_given_auc(exact_auc, ratio)
+    k1, k2 = ranking.k1, ranking.k2
+    total = k1 * k2
+    counts = m.confusion_at_cut(ranking, k1)
+    ppv = PpvResult(k=k1, hits=counts.tp)
+    lo, hi = _envelope_pairs(ppv.hits, k1, k2)
+    least, most = _hit_bounds(auc.doubled_u, 2 * total, k1, k2)
     # Tied pairs get half credit, so the AUC is the mean over orderings of
     # the tie groups; the check spans every hit count the boundary group's
     # orderings allow, not only the one the tie policy picked.
-    hits_lo, hits_hi = hits_range_at_k(ranking, ranking.k1)
-    check_lo = auc_min_exact(hits_lo, ratio)
-    check_hi = auc_max_exact(hits_hi, ratio)
-    if not check_lo <= exact_auc <= check_hi:
+    hits_lo, hits_hi = hits_range_at_k(ranking, k1)
+    check_lo = _envelope_pairs(hits_lo, k1, k2)[0]
+    check_hi = _envelope_pairs(hits_hi, k1, k2)[1]
+    if not 2 * check_lo <= auc.doubled_u <= 2 * check_hi:
         raise InternalConsistencyError(
             f"sandwich violated: AUC {auc.value!r} outside "
-            f"[{float(check_lo)!r}, {float(check_hi)!r}] "
-            f"at hits {hits_lo}..{hits_hi} for ratio {ranking.k1}:{ranking.k2}"
+            f"[{check_lo / total!r}, {check_hi / total!r}] "
+            f"at hits {hits_lo}..{hits_hi} for ratio {k1}:{k2}"
         )
-    if not (hits_lo <= ppv_hi.hits and ppv_lo.hits <= hits_hi):
+    if not (hits_lo <= most and least <= hits_hi):
         raise InternalConsistencyError(
             f"sandwich violated: hits {hits_lo}..{hits_hi} outside "
-            f"[{ppv_lo.hits}, {ppv_hi.hits}] at AUC {auc.value!r} "
-            f"for ratio {ranking.k1}:{ranking.k2}"
+            f"[{least}, {most}] at AUC {auc.value!r} for ratio {k1}:{k2}"
         )
     return EvaluationReport(
         label=label,
         n=ranking.n,
-        k1=ranking.k1,
-        k2=ranking.k2,
-        base_rate=ranking.k1 / ranking.n,
+        k1=k1,
+        k2=k2,
+        base_rate=k1 / ranking.n,
         auc=auc,
         ppv=ppv,
-        ppv_min=ppv_lo,
-        ppv_max=ppv_hi,
-        auc_min=lo,
-        auc_max=hi,
-        boundary_group_size=_boundary_group(ranking, ranking.k1)[2],
+        ppv_min=PpvResult(k=k1, hits=least),
+        ppv_max=PpvResult(k=k1, hits=most),
+        auc_min=lo / total,
+        auc_max=hi / total,
+        boundary_group_size=_boundary_group(ranking, k1)[2],
         tie_hits_min=hits_lo,
         tie_hits_max=hits_hi,
-        tie_auc_min=float(check_lo),
-        tie_auc_max=float(check_hi),
+        tie_auc_min=check_lo / total,
+        tie_auc_max=check_hi / total,
         metric_table=_metric_table(counts),
         decile=decile,
         load_summary=load_summary,
@@ -327,7 +322,7 @@ def format_report(report: EvaluationReport, fmt: str = "table") -> str:
     if fmt == "table":
         return _format_table(payload)
     if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+        return json.dumps(payload, indent=2) + "\n"
     if fmt == "tsv":
         lines = [f"{key}\t{value}" for key, value in _flatten(payload)]
         return "\n".join(lines) + "\n"

@@ -185,7 +185,7 @@ def reference_load_csv(
         raise ValueError(f"outcome must be 0 or 1, got {raw!r}")
 
     path = Path(path)
-    rows = ScoreTable(scale)
+    rows = ScoreTable()
     seen: set[str] = set()
     rows_read = 0
     dropped: dict[str, int] = {}

@@ -444,10 +444,10 @@ def test_report_compas_is_byte_deterministic(capsys):
 def test_internal_consistency_failure_exits_two(tmp_path, capsys, monkeypatch):
     # A lower bound above any attainable AUC must trip the self-check.
     monkeypatch.setattr(
-        aucppv.reporting, "auc_min_exact", lambda hits, ratio: 1.5
+        aucppv.reporting, "_envelope_pairs", lambda hits, k1, k2: (2 * k1 * k2, k1 * k2)
     )
     path = write_csv(tmp_path)
     code, out, err = run(capsys, ["evaluate", "--input", path])
     assert code == 2
     assert out == ""
-    assert "internal consistency failure" in err
+    assert "internal consistency failure: sandwich violated: AUC" in err

@@ -49,7 +49,7 @@ def test_load_well_formed(tmp_path):
     assert result.summary.rows_dropped == 0
     rows = result.rows
     assert (rows.ids[0], rows.scores[0], rows.deciles[0], rows.labels[0]) == ("a", 1.25, 10, True)
-    assert rows.scale is Scale.GENERAL
+    assert result.summary.scale is Scale.GENERAL
 
 
 def test_missing_column_rejected(tmp_path):
@@ -275,7 +275,7 @@ def test_custom_columns_and_delimiter(tmp_path):
         delimiter=";",
     )
     assert result.summary.rows_kept == 2
-    assert result.rows.scale is Scale.VIOLENT
+    assert result.summary.scale is Scale.VIOLENT
 
 
 def test_to_ranking_orders_ties_by_id(tmp_path):
@@ -324,7 +324,6 @@ def test_decile_report_hand_tally(tmp_path):
         """,
     )
     report = decile_report(load_csv(path).rows)
-    assert report.scale is Scale.GENERAL
     assert report.high.total == 3
     assert report.high.positives == 2
     assert report.high.rate == pytest.approx(2 / 3)
@@ -434,17 +433,15 @@ def test_fixture_bucket_rate_exact_fraction():
 
 
 def test_score_table_is_a_mutable_column_container():
-    first, second = ScoreTable(Scale.GENERAL), ScoreTable(Scale.GENERAL)
+    first, second = ScoreTable(), ScoreTable()
     assert first.ids is not second.ids and first.labels is not second.labels
     first.ids.append("p1")
     assert (len(first), len(second)) == (1, 0)
     assert first != second
     second.ids.append("p1")
     assert first == second
-    assert first != ScoreTable(Scale.VIOLENT, ["p1"])
-    assert repr(second) == (
-        "ScoreTable(scale=<Scale.GENERAL: 'general'>, ids=['p1'], scores=[], deciles=[], labels=[])"
-    )
+    assert first != ScoreTable(["p1"], [0.5])
+    assert repr(second) == "ScoreTable(ids=['p1'], scores=[], deciles=[], labels=[])"
     with pytest.raises(TypeError):
         hash(first)
 
@@ -462,7 +459,6 @@ def test_to_ranking_rejects_bad_hand_built_rows(bad, error):
     # A hand-built table has none of the loader's checks.
     person_id, score, decile, label = bad
     table = ScoreTable(
-        Scale.GENERAL,
         ids=["p1", person_id, "p2"],
         scores=[0.7, score, 0.1],
         deciles=[8, decile, 2],
@@ -474,7 +470,6 @@ def test_to_ranking_rejects_bad_hand_built_rows(bad, error):
 
 def test_decile_report_rejects_deciles_outside_one_to_ten():
     table = ScoreTable(
-        Scale.GENERAL,
         ids=["p0", "p1", "p2"],
         scores=[0.0, 0.1, 0.2],
         deciles=[3, 11, 0],

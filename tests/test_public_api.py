@@ -130,7 +130,7 @@ def _records() -> dict[type, tuple]:
     """One valid instance of every public result record."""
 
     ranking = ranking_from_pattern(WORKED_EXAMPLE)
-    table = ScoreTable(Scale.GENERAL, ["a", "b"], [0.9, 0.1], [9, 2], [True, False])
+    table = ScoreTable(["a", "b"], [0.9, 0.1], [9, 2], [True, False])
     deciles = decile_report(table)
     stats = enumerate_arrangements(ClassRatio(2, 3))
     instances = [

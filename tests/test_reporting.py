@@ -7,23 +7,32 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aucppv.reporting
 from aucppv import (
+    ClassRatio,
     Ranking,
     Scale,
+    TiePolicy,
+    auc_max_exact,
+    auc_min_exact,
     auc_trapezoid,
     build_report,
     decile_report,
     format_number,
     format_report,
     load_csv,
+    ppvk_max_given_auc,
+    ppvk_min_given_auc,
     roc_curve,
     to_ranking,
 )
 from aucppv.cli import main
 from aucppv.data import fixture_path
 from aucppv.errors import InternalConsistencyError
+from aucppv.ppv import _boundary_group, expected_hits_at_k, hits_range_at_k
 from aucppv.roc import AucResult
 from conftest import WORKED_EXAMPLE, ranking_from_pattern
 
@@ -131,25 +140,44 @@ def test_unknown_format_rejected():
 
 
 def test_sandwich_self_check_raises_internal_error(monkeypatch):
-    # Force the lower envelope above the observed AUC: the report builder
-    # must refuse to emit and flag a toolkit bug.
+    # Force the lower envelope (all k1*k2 pairs) above the observed AUC: the
+    # report builder must refuse to emit and flag a toolkit bug.
     monkeypatch.setattr(
-        aucppv.reporting, "auc_min_exact", lambda hits, ratio: 1.0
+        aucppv.reporting, "_envelope_pairs", lambda hits, k1, k2: (k1 * k2, k1 * k2)
     )
-    with pytest.raises(InternalConsistencyError):
+    with pytest.raises(InternalConsistencyError, match="sandwich violated: AUC"):
         build_report(ranking_from_pattern(WORKED_EXAMPLE))
 
 
 def test_ppv_side_self_check_raises_internal_error(monkeypatch):
-    from aucppv.ppv import PpvResult
-
-    monkeypatch.setattr(
-        aucppv.reporting,
-        "ppvk_max_given_auc",
-        lambda auc, ratio: PpvResult(k=ratio.k1, hits=0),
-    )
-    with pytest.raises(InternalConsistencyError):
+    # No hit count feasible at the AUC reaches the observed 2 hits.
+    monkeypatch.setattr(aucppv.reporting, "_hit_bounds", lambda num, den, k1, k2: (0, 0))
+    with pytest.raises(InternalConsistencyError, match="sandwich violated: hits"):
         build_report(ranking_from_pattern(WORKED_EXAMPLE))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_report_envelopes_match_the_fraction_route(data):
+    # Random tied tables in both class orders: the integer report fields
+    # equal the public Fraction route the report builder used to take.
+    n = data.draw(st.integers(2, 60))
+    k1 = data.draw(st.integers(1, n - 1))
+    labels = data.draw(st.permutations([True] * k1 + [False] * (n - k1)))
+    scores = data.draw(st.lists(st.integers(0, 5).map(float), min_size=n, max_size=n))
+    ranking = Ranking([f"r{i}" for i in range(n)], scores, labels, TiePolicy.BY_ID_ASCENDING)
+    report = build_report(ranking)
+    ratio = ClassRatio(k1, n - k1)
+    exact = Fraction(report.auc.doubled_u, 2 * report.auc.total_pairs)
+    hits_lo, hits_hi = hits_range_at_k(ranking, k1)
+    assert report.auc_min == float(auc_min_exact(report.ppv.hits, ratio))
+    assert report.auc_max == float(auc_max_exact(report.ppv.hits, ratio))
+    assert report.tie_auc_min == float(auc_min_exact(hits_lo, ratio))
+    assert report.tie_auc_max == float(auc_max_exact(hits_hi, ratio))
+    assert report.ppv_min == ppvk_min_given_auc(exact, ratio)
+    assert report.ppv_max == ppvk_max_given_auc(exact, ratio)
+    before, slots, size, positives = _boundary_group(ranking, k1)
+    assert expected_hits_at_k(ranking, k1) == float(before + Fraction(positives * slots, size))
 
 
 def test_report_pipeline_never_puts_records_in_rank_order(monkeypatch, capsys):
