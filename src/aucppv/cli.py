@@ -42,9 +42,7 @@ def _delimiter(text: str) -> str:
     return text
 
 
-def _add_input_flags(parser: argparse.ArgumentParser, *, required_input: bool) -> None:
-    if required_input:
-        parser.add_argument("--input", required=True, help="CSV score table to read")
+def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--id-col", default="person_id", help="id column name")
     parser.add_argument("--score-col", default="raw_score", help="raw score column name")
     parser.add_argument("--decile-col", default="decile", help="decile column name")
@@ -55,7 +53,7 @@ def _add_input_flags(parser: argparse.ArgumentParser, *, required_input: bool) -
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     formats = ("table", "json", "tsv")
     parser.add_argument("--format", choices=formats, default="table", help="output format")
-    parser.add_argument("--output", default=None, help="write output here instead of stdout")
+    parser.add_argument("--output", help="write output here instead of stdout")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -202,71 +200,80 @@ def cmd_report_compas(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="aucppv", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser(
-        "evaluate", help="evaluate one CSV score table", description=cmd_evaluate.__doc__
-    )
-    _add_input_flags(p_eval, required_input=True)
-    p_eval.add_argument(
+def _evaluate_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--input", required=True, help="CSV score table to read")
+    _add_input_flags(parser)
+    parser.add_argument(
         "--scale", choices=[s.value for s in Scale], default=Scale.GENERAL.value,
         help="which risk scale the table belongs to",
     )
-    _add_output_flags(p_eval)
-    p_eval.set_defaults(handler=cmd_evaluate)
+    _add_output_flags(parser)
 
-    p_env = sub.add_parser(
-        "envelope", help="tabulate AUC/PPV envelopes for a class ratio",
-        description=cmd_envelope.__doc__,
-    )
-    p_env.add_argument("--k1", type=int, required=True, help="positive class size")
-    p_env.add_argument("--k2", type=int, required=True, help="negative class size")
-    p_env.add_argument(
+
+def _envelope_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--k1", type=int, required=True, help="positive class size")
+    parser.add_argument("--k2", type=int, required=True, help="negative class size")
+    parser.add_argument(
         "--mode", choices=["auc-given-ppv", "ppv-given-auc"], default="auc-given-ppv",
         help="which envelope direction to tabulate",
     )
-    p_env.add_argument(
+    parser.add_argument(
         "--step", type=float, default=0.01,
         help="AUC grid step for ppv-given-auc mode (must divide 1)",
     )
-    _add_output_flags(p_env)
-    p_env.set_defaults(handler=cmd_envelope)
+    _add_output_flags(parser)
 
-    p_verify = sub.add_parser(
-        "verify", help="certify envelopes by counting arrangements with Gaussian binomials",
-        description=cmd_verify.__doc__,
-    )
-    p_verify.add_argument(
+
+def _verify_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "--limit", type=int, default=12,
         help="certify every ratio with k1 + k2 up to this n (refused past 209, the work bound)",
     )
-    p_verify.add_argument("--output", default=None, help="write output here instead of stdout")
-    p_verify.set_defaults(handler=cmd_verify)
+    parser.add_argument("--output", help="write output here instead of stdout")
 
-    p_compas = sub.add_parser(
-        "report-compas", help="reproduce the two-scale COMPAS case study",
-        description=cmd_report_compas.__doc__,
-    )
-    p_compas.add_argument(
-        "--general-input", default=None,
-        help="general-scale CSV (default: bundled synthetic fixture)",
-    )
-    p_compas.add_argument(
-        "--violent-input", default=None,
-        help="violent-scale CSV (default: bundled synthetic fixture)",
-    )
-    _add_input_flags(p_compas, required_input=False)
-    _add_output_flags(p_compas)
-    p_compas.set_defaults(handler=cmd_report_compas)
 
+def _compas_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--general-input", help="general-scale CSV (default: bundled synthetic fixture)"
+    )
+    parser.add_argument(
+        "--violent-input", help="violent-scale CSV (default: bundled synthetic fixture)"
+    )
+    _add_input_flags(parser)
+    _add_output_flags(parser)
+
+
+#: Each subcommand's help line, handler (whose docstring is its description) and flags.
+_COMMANDS = {
+    "evaluate": ("evaluate one CSV score table", cmd_evaluate, _evaluate_flags),
+    "envelope": ("tabulate AUC/PPV envelopes for a class ratio", cmd_envelope, _envelope_flags),
+    "verify": (
+        "certify envelopes by counting arrangements with Gaussian binomials",
+        cmd_verify, _verify_flags,
+    ),
+    "report-compas": (
+        "reproduce the two-scale COMPAS case study", cmd_report_compas, _compas_flags
+    ),
+}
+
+
+def _build_parser(argv: list[str]) -> _Parser:
+    # The top-level parser takes no option with a value, so argparse runs the first
+    # token that names a subcommand; the rest need only names and help, not flags.
+    parser = _Parser(prog="aucppv", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    invoked = next((token for token in argv if token in _COMMANDS), None)
+    for name, (help_line, handler, add_flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line, description=handler.__doc__)
+        if name == invoked:
+            add_flags(command)
+        command.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.handler(args)
     except InternalConsistencyError as exc:

@@ -187,7 +187,8 @@ def load_csv(
 
     A row with a missing id, score, decile or outcome is dropped and a
     repeated id keeps its first row; the summary counts each drop by reason.
-    A non-missing value that cannot be parsed raises MalformedRow. ``scale``
+    A non-missing value that cannot be parsed, or a row the csv module cannot
+    read, raises MalformedRow. A leading byte order mark is ignored. ``scale``
     is recorded in the summary.
     Raises MissingColumn if the header lacks a mapped column, FileNotFoundError
     for a missing file, and EmptyAfterFilter when nothing survives.
@@ -199,49 +200,56 @@ def load_csv(
     seen: set[str] = set()
     dropped: Counter[str] = Counter()
     decile_of, outcome_of, isfinite, nan = _DECILES.get, _OUTCOMES.get, math.isfinite, math.nan
-    with open(path, newline="", encoding="utf-8") as handle:
+    # "utf-8-sig" drops a leading byte order mark, as spreadsheets write one.
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
-        header = next(reader, [])
-        for column in column_map.required():
-            if column not in header:
-                raise MissingColumn(f"column {column!r} not in header {header}")
-        # A repeated header name reads its last column, as csv.DictReader did.
-        position = {name: index for index, name in enumerate(header)}
-        id_at, score_at, decile_at, outcome_at = (position[c] for c in column_map.required())
-        width = max(id_at, score_at, decile_at, outcome_at) + 1
-        row_number = 1
-        for raw in reader:
-            if not raw:
-                continue  # blank lines are neither read nor numbered
-            row_number += 1
-            if len(raw) < width:
-                raw += [""] * (width - len(raw))  # a short row's absent cells are empty
-            # Canonical cells resolve by lookup to the values the full checks
-            # give them: float() strips what str.strip() strips, and the only
-            # missing marker it parses is nan, which fails isfinite.
-            person_id = raw[id_at].strip()
-            decile = decile_of(raw[decile_at])
-            outcome = outcome_of(raw[outcome_at])
-            score = nan
-            if decile is not None and outcome is not None and person_id:
-                try:
-                    score = float(raw[score_at])
-                except ValueError:
-                    pass
-            if not isfinite(score):
-                cells = (raw[id_at], raw[score_at], raw[decile_at], raw[outcome_at])
-                checked = _checked_row(cells, row_number, dropped)
-                if checked is None:
+        row_number = 0  # rows read so far; the header is row 1
+        try:
+            header = next(reader, [])
+            row_number = 1
+            for column in column_map.required():
+                if column not in header:
+                    raise MissingColumn(f"column {column!r} not in header {header}")
+            # A repeated header name reads its last column, as csv.DictReader did.
+            position = {name: index for index, name in enumerate(header)}
+            id_at, score_at, decile_at, outcome_at = (position[c] for c in column_map.required())
+            width = max(id_at, score_at, decile_at, outcome_at) + 1
+            for raw in reader:
+                if not raw:
+                    continue  # blank lines are neither read nor numbered
+                row_number += 1
+                if len(raw) < width:
+                    raw += [""] * (width - len(raw))  # a short row's absent cells are empty
+                # Canonical cells resolve by lookup to the values the full checks
+                # give them: float() strips what str.strip() strips, and the only
+                # missing marker it parses is nan, which fails isfinite.
+                person_id = raw[id_at].strip()
+                decile = decile_of(raw[decile_at])
+                outcome = outcome_of(raw[outcome_at])
+                score = nan
+                if decile is not None and outcome is not None and person_id:
+                    try:
+                        score = float(raw[score_at])
+                    except ValueError:
+                        pass
+                if not isfinite(score):
+                    cells = (raw[id_at], raw[score_at], raw[decile_at], raw[outcome_at])
+                    checked = _checked_row(cells, row_number, dropped)
+                    if checked is None:
+                        continue
+                    person_id, score, decile, outcome = checked
+                if person_id in seen:
+                    dropped["duplicate id"] += 1
                     continue
-                person_id, score, decile, outcome = checked
-            if person_id in seen:
-                dropped["duplicate id"] += 1
-                continue
-            seen.add(person_id)
-            ids.append(person_id)
-            scores.append(score)
-            deciles.append(decile)
-            labels.append(outcome)
+                seen.add(person_id)
+                ids.append(person_id)
+                scores.append(score)
+                deciles.append(decile)
+                labels.append(outcome)
+        except csv.Error as exc:
+            # A NUL byte (before Python 3.11) or a cell over csv.field_size_limit()
+            # stops csv inside the row after the last one read.
+            raise MalformedRow(row_number + 1, str(exc)) from exc
     if not rows:
         raise EmptyAfterFilter("no usable rows")
     summary = LoadSummary(str(path), scale, row_number - 1, len(rows), dict(dropped))

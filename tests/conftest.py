@@ -193,7 +193,7 @@ def reference_load_csv(
     def drop(reason: str) -> None:
         dropped[reason] = dropped.get(reason, 0) + 1
 
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         header = next(reader, [])
         for column in column_map.required():

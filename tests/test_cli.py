@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
+import sys
 import textwrap
 from fractions import Fraction
 from pathlib import Path
@@ -166,6 +168,16 @@ def test_load_errors_name_the_file(tmp_path, capsys, content):
     assert f"error: {bad}: " in err
 
 
+def test_unreadable_row_exits_one_naming_file_and_row(tmp_path, capsys):
+    # A cell over csv.field_size_limit() is a data error, not a traceback.
+    limit = csv.field_size_limit()
+    long_score = "1" * (limit + 1)
+    path = write_csv(tmp_path, f"person_id,raw_score,decile,outcome\na,{long_score},5,1\n")
+    code, out, err = run(capsys, ["evaluate", "--input", path])
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: row 2: field larger than field limit ({limit})\n"
+
+
 def test_empty_table_names_its_file_once(tmp_path, capsys):
     # The CLI's prefix names the file; the loader's message does not repeat it.
     path = write_csv(
@@ -222,6 +234,17 @@ def test_missing_subcommand_exits_one(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 1
+
+
+@pytest.mark.parametrize("program", ["aucppv", "verify"])
+@pytest.mark.parametrize(
+    "args", [["verify", "--limit", "3"], ["envelope", "--k1", "1", "--k2", "4", "--format", "tsv"]]
+)
+def test_console_script_reads_sys_argv(capsys, monkeypatch, program, args):
+    # The entry point calls main() with no argv: the subcommand and its
+    # flags come from sys.argv[1:], whatever the program itself is called.
+    monkeypatch.setattr(sys, "argv", [program, *args])
+    assert run(capsys, None) == (0, stdout_of(args), "")
 
 
 def test_envelope_symmetric_table(capsys):

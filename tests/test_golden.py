@@ -7,11 +7,15 @@ data directory written as ``<data>``, and of ``verify --limit 16``.
 each drop reason; its k1 cut falls inside a six-record tie group, so the id
 tie-break decides the hit count (two hits; file order would give four).
 The large ``envelope`` tables are pinned by the SHA-256 of their stdout.
+``golden_cli_usage.json`` holds the exit code, stdout and stderr of help
+requests and usage errors at 80 columns.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,3 +100,26 @@ def test_evaluate_accepts_a_cut_inside_a_tie_with_positives_first(capsys, monkey
     assert "auc                  0.6625\n" in out
     assert "  hits               4\n" in out
     assert "feasible auc over tie orderings [0.25, 0.975]\n" in out
+
+
+USAGE_CASES = json.loads((DATA / "golden_cli_usage.json").read_text(encoding="utf-8"))
+
+
+# argparse rewords its help and errors between Python versions; the
+# captures are its text on 3.10 and 3.11, the versions CI runs.
+@pytest.mark.skipif(
+    sys.version_info[:2] not in ((3, 10), (3, 11)), reason="argparse text of another Python"
+)
+@pytest.mark.parametrize(
+    "case", USAGE_CASES, ids=[" ".join(case["argv"]) or "<no arguments>" for case in USAGE_CASES]
+)
+def test_help_and_usage_output_is_unchanged(capsys, monkeypatch, case):
+    # Each subcommand's flags are built only when it is invoked; its help,
+    # usage and errors, and the top-level ones, must read as before.
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(case["argv"])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import runpy
 import sys
@@ -50,6 +51,30 @@ def test_load_well_formed(tmp_path):
     rows = result.rows
     assert (rows.ids[0], rows.scores[0], rows.deciles[0], rows.labels[0]) == ("a", 1.25, 10, True)
     assert result.summary.scale is Scale.GENERAL
+
+
+def test_leading_byte_order_mark_is_ignored(tmp_path):
+    # A spreadsheet's "CSV UTF-8" export starts with a BOM; it must not stick
+    # to the first header name.
+    text = "person_id,raw_score,decile,outcome\na,1.25,10,1\nb,-0.5,1,0\nb,2.0,3,1\nc,,4,0\n"
+    path = tmp_path / "rows.csv"
+    path.write_text(text, encoding="utf-8")
+    plain = load_csv(path)
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load_csv(path) == plain
+
+
+def test_unreadable_row_raises_with_row_number(tmp_path):
+    # The csv module refuses a cell over its field size limit; the loader
+    # reports that row as malformed instead of letting csv.Error escape.
+    limit = csv.field_size_limit()
+    long_score = "1" * (limit + 1)
+    path = write(tmp_path, f"person_id,raw_score,decile,outcome\na,1.0,5,1\n\nb,{long_score},6,0\n")
+    with pytest.raises(MalformedRow) as raised:
+        load_csv(path)
+    assert (raised.value.row_number, raised.value.reason) == (
+        3, f"field larger than field limit ({limit})"
+    )
 
 
 def test_missing_column_rejected(tmp_path):
