@@ -10,7 +10,6 @@ exactly.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -67,17 +66,18 @@ def _evaluate_one(path: str, scale: Scale, args: argparse.Namespace, label: str)
     column_map = ColumnMap(args.id_col, args.score_col, args.decile_col, args.outcome_col)
     try:
         result = load_csv(path, column_map, scale, delimiter=args.delimiter)
+        ranking = to_ranking(result.rows)
+        deciles = decile_report(result.rows)
+        return build_report(
+            ranking,
+            label=label,
+            decile=deciles,
+            load_summary=result.summary,
+        )
     except (AucppvError, UnicodeDecodeError) as exc:
-        # report-compas reads two files: say which one is bad.
+        # report-compas reads two files: say which one is bad. An
+        # InternalConsistencyError is no AucppvError and passes unchanged.
         raise AucppvError(f"{path}: {exc}") from exc
-    ranking = to_ranking(result.rows)
-    deciles = decile_report(result.rows)
-    return build_report(
-        ranking,
-        label=label,
-        decile=deciles,
-        load_summary=result.summary,
-    )
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -129,6 +129,8 @@ def cmd_envelope(args: argparse.Namespace) -> int:
             rows.append((index / steps, lo / k1, hi / k1))
         note = f"# ratio {ratio.k1}:{ratio.k2}"
     if args.format == "json":
+        import json
+
         payload = {
             "mode": args.mode,
             "k1": args.k1,

@@ -9,7 +9,6 @@ the repository regenerates them and verifies every target before writing.
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 from ..ingest import Scale
@@ -24,8 +23,9 @@ def fixture_path(scale: Scale) -> Path:
     """Filesystem path of the bundled fixture for a scale.
 
     The package is installed as plain files (it is not zip-safe), so the
-    traversable resolves to a real path directly.
+    CSVs sit next to this module: the path is the one
+    ``importlib.resources.files`` would give, without importing it.
     """
 
     name = GENERAL_FIXTURE if scale is Scale.GENERAL else VIOLENT_FIXTURE
-    return Path(str(resources.files(__package__).joinpath(name)))
+    return Path(__file__).with_name(name)

@@ -35,11 +35,13 @@ callers with an exact AUC pass a Fraction), so there is no slack.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InconsistentInput, NonIntegralHits
 from .ppv import PpvResult, hits_from_ppv
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "ClassRatio",
@@ -91,11 +93,15 @@ def _exact_pairs(hits: int, ratio: ClassRatio) -> tuple[int, int]:
 def auc_max_exact(hits: int, ratio: ClassRatio) -> Fraction:
     """Exact rational auc_max for an integer hit count; any ratio."""
 
+    from fractions import Fraction
+
     return Fraction(_exact_pairs(hits, ratio)[1], ratio.k1 * ratio.k2)
 
 
 def auc_min_exact(hits: int, ratio: ClassRatio) -> Fraction:
     """Exact rational auc_min for an integer hit count; any ratio."""
+
+    from fractions import Fraction
 
     return Fraction(_exact_pairs(hits, ratio)[0], ratio.k1 * ratio.k2)
 
@@ -103,13 +109,13 @@ def auc_min_exact(hits: int, ratio: ClassRatio) -> Fraction:
 def auc_max_given_ppvk(ppv: float, ratio: ClassRatio) -> float:
     """Largest AUC any arrangement with PPV_k = ppv can reach."""
 
-    return float(auc_max_exact(hits_from_ppv(ppv, ratio.k1), ratio))
+    return _exact_pairs(hits_from_ppv(ppv, ratio.k1), ratio)[1] / (ratio.k1 * ratio.k2)
 
 
 def auc_min_given_ppvk(ppv: float, ratio: ClassRatio) -> float:
     """Smallest AUC any arrangement with PPV_k = ppv can reach."""
 
-    return float(auc_min_exact(hits_from_ppv(ppv, ratio.k1), ratio))
+    return _exact_pairs(hits_from_ppv(ppv, ratio.k1), ratio)[0] / (ratio.k1 * ratio.k2)
 
 
 def _hit_bounds(num: int, den: int, k1: int, k2: int) -> tuple[int, int]:

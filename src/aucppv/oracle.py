@@ -31,12 +31,14 @@ mismatch.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
 from .envelopes import ClassRatio, _exact_pairs
 from .errors import AucppvError, CertificationFailure, InstanceTooLarge
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "DEFAULT_LIMIT",
@@ -72,10 +74,14 @@ class HitLevelStats(NamedTuple):
 
     @property
     def min_auc(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.min_pairs, self.total_pairs)
 
     @property
     def max_auc(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.max_pairs, self.total_pairs)
 
 
@@ -192,6 +198,8 @@ def _certify(stats: ArrangementStats) -> ArrangementStats:
     for hits, level in stats.per_hits.items():
         expected = _exact_pairs(hits, ratio)
         if (level.min_pairs, level.max_pairs) != expected:
+            from fractions import Fraction
+
             lo, hi = (Fraction(pairs, level.total_pairs) for pairs in expected)
             raise CertificationFailure(
                 f"envelope mismatch at ratio {ratio.k1}:{ratio.k2}, hits {hits}: "

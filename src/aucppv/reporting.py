@@ -21,7 +21,6 @@ flags.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from . import metrics as m
@@ -322,6 +321,8 @@ def format_report(report: EvaluationReport, fmt: str = "table") -> str:
     if fmt == "table":
         return _format_table(payload)
     if fmt == "json":
+        import json
+
         return json.dumps(payload, indent=2) + "\n"
     if fmt == "tsv":
         lines = [f"{key}\t{value}" for key, value in _flatten(payload)]

@@ -155,17 +155,29 @@ def test_evaluate_unreadable_files(tmp_path, capsys, case):
         b"person_id,raw_score,decile,outcome\na,1.0,5,1\n\xff,2.0,6,0\n",
         b"person_id,raw_score,decile,outcome\na,x,5,1\n",
         b"person_id,score,decile,outcome\na,1.0,5,1\n",
+        b"person_id,raw_score,decile,outcome\na,1.0,5,1\nb,2.0,6,1\n",
     ],
-    ids=["not-utf8", "bad-score", "missing-column"],
+    ids=["not-utf8", "bad-score", "missing-column", "all-positive"],
 )
 def test_load_errors_name_the_file(tmp_path, capsys, content):
-    # report-compas reads two tables; the message says which one is bad.
+    # report-compas reads two tables; the message says which one is bad,
+    # whether loading, ranking or reporting refused it.
     bad = tmp_path / "violent.csv"
     bad.write_bytes(content)
     code, out, err = run(capsys, ["report-compas", "--violent-input", str(bad)])
     assert code == 1
     assert out == ""
     assert f"error: {bad}: " in err
+
+
+def test_nul_byte_exits_one_naming_file_and_row(tmp_path, capsys):
+    # Python 3.10's csv module refuses the line ("line contains NUL"); 3.11
+    # reads the cell and float() refuses it. Either way it is row 2's error.
+    path = tmp_path / "scores.csv"
+    path.write_bytes(b"person_id,raw_score,decile,outcome\na,1\x00,5,1\nb,2.0,6,0\n")
+    code, out, err = run(capsys, ["evaluate", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: row 2: ")
 
 
 def test_unreadable_row_exits_one_naming_file_and_row(tmp_path, capsys):

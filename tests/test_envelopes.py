@@ -180,6 +180,17 @@ def test_given_ppvk_at_a_hundred_million():
         assert auc_max_given_ppvk(hits / k1, ratio) == float(fraction_auc_max(hits, k1, k2))
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 10**9), st.integers(1, 10**9), st.data())
+def test_given_ppvk_floats_equal_the_exact_rationals(k1, k2, data):
+    # Each float wrapper divides its integer numerator by k1*k2 once; an
+    # int/int division rounds as float(Fraction) does, bit for bit.
+    ratio = ClassRatio(k1, k2)
+    hits = data.draw(st.integers(max(0, k1 - k2), k1), label="hits")
+    assert auc_min_given_ppvk(hits / k1, ratio) == float(auc_min_exact(hits, ratio))
+    assert auc_max_given_ppvk(hits / k1, ratio) == float(auc_max_exact(hits, ratio))
+
+
 def test_envelopes_are_tight_small_ratios():
     # Brute force every arrangement for a handful of ratios and check that
     # the closed forms are attained, not just bounding.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import fractions
 import itertools
 import math
 import random
@@ -276,11 +277,12 @@ def test_certification_passes_small_ratios():
 
 def test_certification_builds_no_fraction(monkeypatch):
     # Every ratio with n <= 16: both sides of each comparison are integer
-    # pair counts, so a passing certification never builds a Fraction.
+    # pair counts, so a passing certification never builds a Fraction. The
+    # oracle imports Fraction where it builds one, so it reads this patch.
     def no_fraction(*args):
         raise AssertionError("certification built a Fraction")
 
-    monkeypatch.setattr(aucppv.oracle, "Fraction", no_fraction)
+    monkeypatch.setattr(fractions, "Fraction", no_fraction)
     for n in range(2, 17):
         for k1 in range(1, n):
             stats = certify_envelopes(ClassRatio(k1, n - k1))

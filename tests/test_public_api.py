@@ -207,11 +207,11 @@ def test_validating_records_check_positional_and_keyword_input(record_type, args
 
 def test_import_leaves_dataclasses_and_inspect_out():
     # Import time is a benchmarked cost; dataclasses pulls in inspect, ast and dis.
-    # -S keeps site hooks of the environment from importing either first.
-    code = (
-        "import sys, aucppv, aucppv.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
+    # Exact rationals (fractions, with decimal), JSON output and
+    # importlib.resources load on first use, as no default output needs them.
+    # -S keeps site hooks of the environment from importing any of them first.
+    deferred = {"dataclasses", "inspect", "fractions", "decimal", "json", "importlib.resources"}
+    code = f"import sys, aucppv, aucppv.cli; print(sorted({deferred!r} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
