@@ -9,101 +9,76 @@ case study pipeline with bundled synthetic fixtures.
 
 The names below are the entry points; result types and the error
 subclasses import from their submodules (``aucppv.roc``, ``aucppv.errors``, ...).
+Each name and each submodule loads on first use (PEP 562), so
+``import aucppv`` imports none of the submodules, and a command pays only
+for the modules it runs.
 """
 
 from __future__ import annotations
 
-from .envelopes import (
-    ClassRatio,
-    auc_max_exact,
-    auc_max_given_ppvk,
-    auc_min_exact,
-    auc_min_given_ppvk,
-    envelope_curve,
-    ppvk_max_given_auc,
-    ppvk_min_given_auc,
-)
-from .errors import AucppvError
-from .ingest import ColumnMap, Scale, decile_report, load_csv, to_ranking
-from .metrics import (
-    ConfusionCounts,
-    accuracy,
-    confusion_at_cut,
-    e_measure,
-    error_rate,
-    f1_score,
-    false_positive_rate,
-    precision,
-    prevalence,
-    recall,
-    sensitivity,
-    specificity,
-)
-from .oracle import certify_envelopes, enumerate_arrangements
-from .ppv import ppv_at_k, ppv_base_rate, ppv_swap
-from .ranking import (
-    Ranking,
-    ScoredRecord,
-    TiePolicy,
-    build_ranking,
-    reverse_classifier,
-)
-from .reporting import build_report, format_number, format_report
-from .roc import auc_pairwise, auc_trapezoid, roc_curve
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # ranking
-    "TiePolicy",
-    "ScoredRecord",
-    "Ranking",
-    "build_ranking",
-    "reverse_classifier",
-    # metrics
-    "ConfusionCounts",
-    "confusion_at_cut",
-    "accuracy",
-    "error_rate",
-    "prevalence",
-    "sensitivity",
-    "false_positive_rate",
-    "specificity",
-    "precision",
-    "recall",
-    "f1_score",
-    "e_measure",
-    # roc
-    "roc_curve",
-    "auc_trapezoid",
-    "auc_pairwise",
-    # ppv
-    "ppv_at_k",
-    "ppv_base_rate",
-    "ppv_swap",
-    # envelopes
-    "ClassRatio",
-    "auc_max_given_ppvk",
-    "auc_min_given_ppvk",
-    "auc_max_exact",
-    "auc_min_exact",
-    "ppvk_max_given_auc",
-    "ppvk_min_given_auc",
-    "envelope_curve",
-    # oracle
-    "enumerate_arrangements",
-    "certify_envelopes",
-    # ingest
-    "Scale",
-    "ColumnMap",
-    "load_csv",
-    "to_ranking",
-    "decile_report",
-    # reporting
-    "build_report",
-    "format_report",
-    "format_number",
-    # errors
-    "AucppvError",
-]
+#: Each top-level name and the submodule that defines it.
+_SOURCES = {
+    "TiePolicy": "ranking",
+    "ScoredRecord": "ranking",
+    "Ranking": "ranking",
+    "build_ranking": "ranking",
+    "reverse_classifier": "ranking",
+    "ConfusionCounts": "metrics",
+    "confusion_at_cut": "metrics",
+    "accuracy": "metrics",
+    "error_rate": "metrics",
+    "prevalence": "metrics",
+    "sensitivity": "metrics",
+    "false_positive_rate": "metrics",
+    "specificity": "metrics",
+    "precision": "metrics",
+    "recall": "metrics",
+    "f1_score": "metrics",
+    "e_measure": "metrics",
+    "roc_curve": "roc",
+    "auc_trapezoid": "roc",
+    "auc_pairwise": "roc",
+    "ppv_at_k": "ppv",
+    "ppv_base_rate": "ppv",
+    "ppv_swap": "ppv",
+    "ClassRatio": "envelopes",
+    "auc_max_given_ppvk": "envelopes",
+    "auc_min_given_ppvk": "envelopes",
+    "auc_max_exact": "envelopes",
+    "auc_min_exact": "envelopes",
+    "ppvk_max_given_auc": "envelopes",
+    "ppvk_min_given_auc": "envelopes",
+    "envelope_curve": "envelopes",
+    "enumerate_arrangements": "oracle",
+    "certify_envelopes": "oracle",
+    "Scale": "ingest",
+    "ColumnMap": "ingest",
+    "load_csv": "ingest",
+    "to_ranking": "ingest",
+    "decile_report": "ingest",
+    "build_report": "reporting",
+    "format_report": "reporting",
+    "format_number": "reporting",
+    "AucppvError": "errors",
+}
+_SUBMODULES = {*_SOURCES.values(), "cli", "data"}
+
+__all__ = ["__version__", *_SOURCES]
+
+
+def __getattr__(name: str):
+    module = _SOURCES.get(name, name)
+    if module not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Importing a submodule binds it in this namespace; an exported name is
+    # bound beside it, so either is looked up here only once.
+    __import__(f"{__name__}.{module}")
+    if name != module:
+        globals()[name] = getattr(globals()[module], name)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

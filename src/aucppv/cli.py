@@ -13,12 +13,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from .data import fixture_path
-from .envelopes import ClassRatio, _hit_bounds, envelope_curve
 from .errors import AucppvError, InstanceTooLarge, InternalConsistencyError
-from .ingest import ColumnMap, Scale, decile_report, load_csv, to_ranking
-from .oracle import certify_up_to
-from .reporting import build_report, format_number, format_report
+
+# Each handler imports the submodules it runs, so a command loads only those.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .ingest import Scale
 
 __all__ = ["main", "cmd_evaluate", "cmd_envelope", "cmd_verify", "cmd_report_compas"]
 
@@ -62,18 +62,21 @@ def _emit(text: str, output: str | None) -> None:
         Path(output).write_text(text, encoding="utf-8")
 
 
-def _evaluate_one(path: str, scale: Scale, args: argparse.Namespace, label: str):
+def _evaluate_one(
+    path: str, scale: Scale, args: argparse.Namespace, label: str, shown: str | None = None
+):
+    """One table's report; ``shown``, if given, is the path the report prints."""
+
+    from .ingest import ColumnMap, decile_report, load_csv, to_ranking
+    from .reporting import build_report
+
     column_map = ColumnMap(args.id_col, args.score_col, args.decile_col, args.outcome_col)
     try:
         result = load_csv(path, column_map, scale, delimiter=args.delimiter)
         ranking = to_ranking(result.rows)
         deciles = decile_report(result.rows)
-        return build_report(
-            ranking,
-            label=label,
-            decile=deciles,
-            load_summary=result.summary,
-        )
+        summary = result.summary if shown is None else result.summary._replace(path=shown)
+        return build_report(ranking, label=label, decile=deciles, load_summary=summary)
     except (AucppvError, UnicodeDecodeError) as exc:
         # report-compas reads two files: say which one is bad. An
         # InternalConsistencyError is no AucppvError and passes unchanged.
@@ -82,6 +85,9 @@ def _evaluate_one(path: str, scale: Scale, args: argparse.Namespace, label: str)
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     """Evaluate one score table: metrics, AUC, PPV_k, envelope context."""
+
+    from .ingest import Scale
+    from .reporting import format_report
 
     scale = Scale(args.scale)
     report = _evaluate_one(args.input, scale, args, label=f"{scale.value} ({args.input})")
@@ -98,6 +104,8 @@ def _check_rows(rows: float) -> None:
 
 def cmd_envelope(args: argparse.Namespace) -> int:
     """Tabulate envelope curves for a class ratio."""
+
+    from .envelopes import ClassRatio, _hit_bounds, envelope_curve
 
     if args.k1 < 1 or args.k2 < 1:
         raise AucppvError("class sizes k1 and k2 must be at least 1")
@@ -136,7 +144,7 @@ def cmd_envelope(args: argparse.Namespace) -> int:
             "k1": args.k1,
             "k2": args.k2,
             "rows": [
-                {name: float(format_number(value)) for name, value in zip(header_fields, row)}
+                {name: float(f"{value:.10g}") for name, value in zip(header_fields, row)}
                 for row in rows
             ],
         }
@@ -167,6 +175,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks (n <= 14) visit arrangements.
     """
 
+    from .oracle import certify_up_to
+
     lines = []
     arrangements = 0
     for report in certify_up_to(args.limit):
@@ -185,12 +195,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_report_compas(args: argparse.Namespace) -> int:
     """Evaluate both bundled scales (or user-supplied tables) side by side."""
 
+    from .data import fixture_path
+    from .ingest import Scale
+    from .reporting import format_report
+
     sections = []
-    for scale, path in (
-        (Scale.GENERAL, args.general_input or str(fixture_path(Scale.GENERAL))),
-        (Scale.VIOLENT, args.violent_input or str(fixture_path(Scale.VIOLENT))),
-    ):
-        report = _evaluate_one(path, scale, args, label=f"{scale.value} recidivism scale")
+    for scale, path in ((Scale.GENERAL, args.general_input), (Scale.VIOLENT, args.violent_input)):
+        shown = None
+        if path is None:
+            # A bundled fixture prints as its place in the package, the same
+            # bytes wherever the package is installed.
+            fixture = fixture_path(scale)
+            path, shown = str(fixture), f"aucppv/data/{fixture.name}"
+        label = f"{scale.value} recidivism scale"
+        report = _evaluate_one(path, scale, args, label=label, shown=shown)
         sections.append(format_report(report, args.format))
     if args.format == "json":
         # Keep the two documents parseable as one array.
@@ -203,6 +221,8 @@ def cmd_report_compas(args: argparse.Namespace) -> int:
 
 
 def _evaluate_flags(parser: argparse.ArgumentParser) -> None:
+    from .ingest import Scale
+
     parser.add_argument("--input", required=True, help="CSV score table to read")
     _add_input_flags(parser)
     parser.add_argument(

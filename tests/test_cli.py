@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import aucppv.cli
+import aucppv.envelopes
 import aucppv.reporting
 from aucppv.cli import main
 from aucppv.envelopes import ClassRatio, ppvk_max_given_auc, ppvk_min_given_auc
@@ -353,8 +353,9 @@ def test_envelope_refuses_oversized_tables_up_front(capsys, monkeypatch, argv):
     def build_nothing(*args):
         raise AssertionError("a row was built")
 
+    # The handler imports both when it runs, so the patch reaches it.
     for name in ("envelope_curve", "_hit_bounds"):
-        monkeypatch.setattr(aucppv.cli, name, build_nothing)
+        monkeypatch.setattr(aucppv.envelopes, name, build_nothing)
     code, out, err = run(capsys, argv)
     assert code == 1
     assert out == ""
@@ -457,6 +458,9 @@ def test_report_compas_json_array(tmp_path, capsys):
     assert payload[0]["label"] == "general recidivism scale"
     assert payload[1]["label"] == "violent recidivism scale"
     assert payload[0]["auc"] == payload[1]["auc"]
+    # A user-supplied table prints its path as given; only the bundled
+    # fixtures print as aucppv/data/<file>.csv.
+    assert [doc["load_summary"]["path"] for doc in payload] == [path, path]
 
 
 def test_report_compas_bundled_fixtures(capsys):

@@ -205,15 +205,99 @@ def test_validating_records_check_positional_and_keyword_input(record_type, args
         record_type(**args)
 
 
-def test_import_leaves_dataclasses_and_inspect_out():
-    # Import time is a benchmarked cost; dataclasses pulls in inspect, ast and dis.
-    # Exact rationals (fractions, with decimal), JSON output and
-    # importlib.resources load on first use, as no default output needs them.
-    # -S keeps site hooks of the environment from importing any of them first.
-    deferred = {"dataclasses", "inspect", "fractions", "decimal", "json", "importlib.resources"}
-    code = f"import sys, aucppv, aucppv.cli; print(sorted({deferred!r} & set(sys.modules)))"
+def _fresh(code: str) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports from src/.
+
+    -S keeps site hooks of the environment from importing modules first.
+    """
+
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout == "[]\n"
+    return result.stdout
+
+
+def test_import_leaves_dataclasses_and_inspect_out():
+    # Import time is a benchmarked cost; dataclasses pulls in inspect, ast and dis.
+    # Exact rationals (fractions, with decimal), JSON output and
+    # importlib.resources load on first use, as no default output needs them.
+    deferred = {"dataclasses", "inspect", "fractions", "decimal", "json", "importlib.resources"}
+    code = f"import sys, aucppv, aucppv.cli; print(sorted({deferred!r} & set(sys.modules)))"
+    assert _fresh(code) == "[]\n"
+
+
+LOADED = "print(' '.join(sorted(m for m in sys.modules if m.startswith('aucppv') or m == 'csv')))"
+
+
+def test_import_loads_no_submodule_the_caller_does_not_use():
+    # The package loads each submodule on first use; the CLI module needs
+    # only the error types until a subcommand runs.
+    loaded = _fresh(f"import sys, aucppv, aucppv.cli\n{LOADED}")
+    assert loaded == "aucppv aucppv.cli aucppv.errors\n"
+
+
+ENVELOPE_MODULES = "aucppv aucppv.cli aucppv.envelopes aucppv.errors aucppv.ppv aucppv.ranking"
+VERIFY_MODULES = (
+    "aucppv aucppv.cli aucppv.envelopes aucppv.errors aucppv.oracle aucppv.ppv aucppv.ranking"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["envelope", "--k1", "3", "--k2", "5"], ENVELOPE_MODULES),
+        (["envelope", "--k1", "3", "--k2", "5", "--format", "json"], ENVELOPE_MODULES),
+        (["envelope", "--k1", "5", "--k2", "3", "--mode", "ppv-given-auc", "--step", "0.25"],
+         ENVELOPE_MODULES),
+        (["envelope", "--k1", "5", "--k2", "3", "--mode", "ppv-given-auc", "--format", "json"],
+         ENVELOPE_MODULES),
+        (["verify", "--limit", "6"], VERIFY_MODULES),
+    ],
+    ids=["curve-table", "curve-json", "grid-table", "grid-json", "verify"],
+)
+def test_closed_form_commands_load_no_table_modules(argv, loaded):
+    # envelope and verify read no table: no ingest, csv or reporting, and
+    # envelope does not load the oracle.
+    code = (
+        "import contextlib, io, sys, aucppv.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert aucppv.cli.main({argv!r}) == 0\n"
+        f"{LOADED}"
+    )
+    assert _fresh(code) == loaded + "\n"
+
+
+def test_submodules_resolve_as_attributes_after_a_bare_import():
+    names = (*SUBMODULES, "errors", "data")
+    code = (
+        "import sys, aucppv\n"
+        f"print(all(getattr(aucppv, name) is sys.modules['aucppv.' + name] for name in {names!r}))"
+    )
+    assert _fresh(code) == "True\n"
+
+
+def test_star_import_binds_every_top_level_name():
+    code = (
+        "import sys, aucppv\n"
+        "namespace = {}\n"
+        "exec('from aucppv import *', namespace)\n"
+        "print(len(set(namespace) - {'__builtins__'}), set(aucppv.__all__) <= set(dir(aucppv)),\n"
+        "      all(namespace[name] is getattr(aucppv, name) for name in aucppv.__all__))"
+    )
+    assert _fresh(code) == "43 True True\n"
+
+
+def test_unknown_top_level_name_raises_attribute_error():
+    code = (
+        "import aucppv\n"
+        "try:\n"
+        "    aucppv.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+        "try:\n"
+        "    from aucppv import no_such_name\n"
+        "except ImportError as exc:\n"
+        "    print(type(exc).__name__)"
+    )
+    assert _fresh(code) == "module 'aucppv' has no attribute 'no_such_name'\nImportError\n"
