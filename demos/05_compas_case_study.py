@@ -44,10 +44,14 @@ def main() -> None:
     print(f"  {'':<24}{'general':>14}{'violent':>14}")
     rows = [
         ("n", general.n, violent.n),
-        ("base rate", general.base_rate, violent.base_rate),
+        ("base rate", general.k1 / general.n, violent.k1 / violent.n),
         ("auc", general.auc.value, violent.auc.value),
         ("ppv at base-rate cut", general.ppv.value, violent.ppv.value),
-        ("auc - ppv gap", general.gap, violent.gap),
+        (
+            "auc - ppv gap",
+            general.auc.value - general.ppv.value,
+            violent.auc.value - violent.ppv.value,
+        ),
     ]
     for name, g, v in rows:
         gs = str(g) if isinstance(g, int) else format_number(g)

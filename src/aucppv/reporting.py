@@ -9,8 +9,9 @@ the envelope over it as ``tie_range``.
 
 The envelope bounds and the check stay integer pair counts over k1*k2,
 against the AUC's doubled count over 2*k1*k2, and the feasible hit counts
-at the AUC come from one integer inverse. Each float field is one correctly
-rounded int/int division of an exact count.
+at the AUC come from one integer inverse. The report record holds no float:
+``_report_payload`` does every division, each one correctly rounded int/int
+division of an exact count.
 
 What a report says is decided once: ``_report_payload`` turns it into one
 dict with a stable field order, and the table, JSON and TSV formats each
@@ -63,26 +64,16 @@ class EvaluationReport(NamedTuple):
     n: int
     k1: int
     k2: int
-    base_rate: float
     auc: AucResult
     ppv: PpvResult
     ppv_min: PpvResult
     ppv_max: PpvResult
-    auc_min: float
-    auc_max: float
     boundary_group_size: int
     tie_hits_min: int
     tie_hits_max: int
-    tie_auc_min: float
-    tie_auc_max: float
-    metric_table: dict[str, float | None]
+    counts: m.ConfusionCounts
     decile: DecileReport | None = None
     load_summary: LoadSummary | None = None
-
-    @property
-    def gap(self) -> float:
-        """How far the AUC sits above the base-rate-cut PPV."""
-        return self.auc.value - self.ppv.value
 
 
 def _metric_table(counts: m.ConfusionCounts) -> dict[str, float | None]:
@@ -114,7 +105,6 @@ def build_report(
     total = k1 * k2
     counts = m.confusion_at_cut(ranking, k1)
     ppv = PpvResult(k=k1, hits=counts.tp)
-    lo, hi = _envelope_pairs(ppv.hits, k1, k2)
     least, most = _hit_bounds(auc.doubled_u, 2 * total, k1, k2)
     # Tied pairs get half credit, so the AUC is the mean over orderings of
     # the tie groups; the check spans every hit count the boundary group's
@@ -138,19 +128,14 @@ def build_report(
         n=ranking.n,
         k1=k1,
         k2=k2,
-        base_rate=k1 / ranking.n,
         auc=auc,
         ppv=ppv,
         ppv_min=PpvResult(k=k1, hits=least),
         ppv_max=PpvResult(k=k1, hits=most),
-        auc_min=lo / total,
-        auc_max=hi / total,
         boundary_group_size=_boundary_group(ranking, k1)[2],
         tie_hits_min=hits_lo,
         tie_hits_max=hits_hi,
-        tie_auc_min=check_lo / total,
-        tie_auc_max=check_hi / total,
-        metric_table=_metric_table(counts),
+        counts=counts,
         decile=decile,
         load_summary=load_summary,
     )
@@ -162,12 +147,17 @@ def _report_payload(report: EvaluationReport) -> dict:
     def num(value: float | None) -> float | None:
         return None if value is None else float(format_number(value))
 
+    k1, k2 = report.k1, report.k2
+    total = k1 * k2
+    lo, hi = _envelope_pairs(report.ppv.hits, k1, k2)
+    tie_lo = _envelope_pairs(report.tie_hits_min, k1, k2)[0]
+    tie_hi = _envelope_pairs(report.tie_hits_max, k1, k2)[1]
     payload: dict = {
         "label": report.label,
         "n": report.n,
         "k1": report.k1,
         "k2": report.k2,
-        "base_rate": num(report.base_rate),
+        "base_rate": num(k1 / report.n),
         "auc": {
             "value": num(report.auc.value),
             "correct_pairs": report.auc.correct_pairs,
@@ -178,7 +168,7 @@ def _report_payload(report: EvaluationReport) -> dict:
             "hits": report.ppv.hits,
             "k": report.ppv.k,
         },
-        "gap": num(report.gap),
+        "gap": num(report.auc.value - report.ppv.value),
         "envelope_at_auc": {
             "ppv_min": num(report.ppv_min.value),
             "ppv_min_hits": report.ppv_min.hits,
@@ -186,18 +176,18 @@ def _report_payload(report: EvaluationReport) -> dict:
             "ppv_max_hits": report.ppv_max.hits,
         },
         "envelope_at_ppv": {
-            "auc_min": num(report.auc_min),
-            "auc_max": num(report.auc_max),
+            "auc_min": num(lo / total),
+            "auc_max": num(hi / total),
         },
         "tie_range": {
             "boundary_group_size": report.boundary_group_size,
             "hits_min": report.tie_hits_min,
             "hits_max": report.tie_hits_max,
-            "auc_min": num(report.tie_auc_min),
-            "auc_max": num(report.tie_auc_max),
+            "auc_min": num(tie_lo / total),
+            "auc_max": num(tie_hi / total),
         },
         "metrics": {
-            name: num(value) for name, value in report.metric_table.items()
+            name: num(value) for name, value in _metric_table(report.counts).items()
         },
     }
     if report.decile is not None:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import aucppv.reporting
 from aucppv import (
     ClassRatio,
+    ConfusionCounts,
     Ranking,
     Scale,
     TiePolicy,
@@ -20,6 +21,7 @@ from aucppv import (
     auc_min_exact,
     auc_trapezoid,
     build_report,
+    confusion_at_cut,
     decile_report,
     format_number,
     format_report,
@@ -31,8 +33,10 @@ from aucppv import (
 )
 from aucppv.cli import main
 from aucppv.data import fixture_path
+from aucppv.envelopes import _envelope_pairs
 from aucppv.errors import InternalConsistencyError
 from aucppv.ppv import _boundary_group, expected_hits_at_k, hits_range_at_k
+from aucppv.reporting import _metric_table, _report_payload
 from aucppv.roc import AucResult
 from conftest import WORKED_EXAMPLE, ranking_from_pattern
 
@@ -42,24 +46,28 @@ DATA = Path(__file__).parent / "data"
 def test_build_report_worked_example():
     report = build_report(ranking_from_pattern(WORKED_EXAMPLE), label="toy")
     assert (report.n, report.k1, report.k2) == (7, 3, 4)
-    assert report.base_rate == 3 / 7
+    assert report.counts == ConfusionCounts(tp=2, fp=1, fn=1, tn=3)
     assert report.auc.value == 7 / 12
     assert report.ppv.value == 2 / 3
-    assert report.gap == 7 / 12 - 2 / 3
-    # Envelope context at the observed operating point.
-    assert report.auc_min == 0.5
-    assert report.auc_max == pytest.approx(11 / 12, abs=1e-15)
     assert report.ppv_min.hits == 0
     assert report.ppv_max.hits == 3
+    # Envelope context at the observed operating point: 6 and 11 of the 12
+    # pairs, so AUC 0.5 and 11/12.
+    assert _envelope_pairs(report.ppv.hits, report.k1, report.k2) == (6, 11)
+    payload = _report_payload(report)
+    assert payload["base_rate"] == float(format_number(3 / 7))
+    assert payload["gap"] == float(format_number(7 / 12 - 2 / 3))
+    assert payload["envelope_at_ppv"] == {"auc_min": 0.5, "auc_max": 0.9166666667}
     # The self-check passed by construction.
     exact = Fraction(report.auc.doubled_u, 2 * report.auc.total_pairs)
     assert exact == Fraction(7, 12)
-    assert Fraction(report.auc_min) <= exact <= Fraction(report.auc_max)
+    assert Fraction(6, 12) <= exact <= Fraction(11, 12)
 
 
 def test_metric_table_values():
     report = build_report(ranking_from_pattern("PPNPNNN"))
-    table = report.metric_table
+    assert report.counts == ConfusionCounts(tp=2, fp=1, fn=1, tn=3)
+    table = _metric_table(report.counts)
     assert table["accuracy"] == 5 / 7
     assert table["error_rate"] == 2 / 7
     assert table["prevalence"] == 3 / 7
@@ -69,14 +77,19 @@ def test_metric_table_values():
     assert table["precision"] == 2 / 3
     assert table["recall"] == 2 / 3
     assert table["f1"] == 2 / 3
+    metrics = _report_payload(report)["metrics"]
+    assert metrics == {name: float(format_number(value)) for name, value in table.items()}
 
 
 def test_metric_table_marks_undefined_metrics():
     # Base-rate cut of NP catches zero positives: f1 is undefined and is
     # reported as missing rather than raising.
     report = build_report(ranking_from_pattern("NP"))
-    assert report.metric_table["precision"] == 0.0
-    assert report.metric_table["f1"] is None
+    assert report.counts == ConfusionCounts(tp=0, fp=1, fn=1, tn=0)
+    table = _metric_table(report.counts)
+    assert table["precision"] == 0.0
+    assert table["f1"] is None
+    assert _report_payload(report)["metrics"]["f1"] is None
     rendered = format_report(report, "table")
     assert "f1                   n/a" in rendered
 
@@ -160,7 +173,8 @@ def test_ppv_side_self_check_raises_internal_error(monkeypatch):
 @given(st.data())
 def test_report_envelopes_match_the_fraction_route(data):
     # Random tied tables in both class orders: the integer report fields
-    # equal the public Fraction route the report builder used to take.
+    # equal the public Fraction route, and every float the payload prints is
+    # the exact rational of those integers rounded to 10 digits.
     n = data.draw(st.integers(2, 60))
     k1 = data.draw(st.integers(1, n - 1))
     labels = data.draw(st.permutations([True] * k1 + [False] * (n - k1)))
@@ -170,12 +184,37 @@ def test_report_envelopes_match_the_fraction_route(data):
     ratio = ClassRatio(k1, n - k1)
     exact = Fraction(report.auc.doubled_u, 2 * report.auc.total_pairs)
     hits_lo, hits_hi = hits_range_at_k(ranking, k1)
-    assert report.auc_min == float(auc_min_exact(report.ppv.hits, ratio))
-    assert report.auc_max == float(auc_max_exact(report.ppv.hits, ratio))
-    assert report.tie_auc_min == float(auc_min_exact(hits_lo, ratio))
-    assert report.tie_auc_max == float(auc_max_exact(hits_hi, ratio))
+    assert report.counts == confusion_at_cut(ranking, k1)
+    assert (report.tie_hits_min, report.tie_hits_max) == (hits_lo, hits_hi)
     assert report.ppv_min == ppvk_min_given_auc(exact, ratio)
     assert report.ppv_max == ppvk_max_given_auc(exact, ratio)
+
+    def shown(value: Fraction | None) -> float | None:
+        return None if value is None else float(format_number(float(value)))
+
+    tp, fp, fn, tn = report.counts
+    payload = _report_payload(report)
+    # The gap subtracts two rounded floats; at 10 digits that equals the
+    # exact difference for every table with n <= 60.
+    assert payload["base_rate"] == shown(Fraction(k1, n))
+    assert payload["gap"] == shown(exact - Fraction(report.ppv.hits, k1))
+    assert payload["envelope_at_ppv"] == {
+        "auc_min": shown(auc_min_exact(report.ppv.hits, ratio)),
+        "auc_max": shown(auc_max_exact(report.ppv.hits, ratio)),
+    }
+    assert payload["tie_range"]["auc_min"] == shown(auc_min_exact(hits_lo, ratio))
+    assert payload["tie_range"]["auc_max"] == shown(auc_max_exact(hits_hi, ratio))
+    assert payload["metrics"] == {
+        "accuracy": shown(Fraction(tp + tn, n)),
+        "error_rate": shown(Fraction(fp + fn, n)),
+        "prevalence": shown(Fraction(tp + fp, n)),
+        "sensitivity": shown(Fraction(tp, k1)),
+        "specificity": shown(Fraction(tn, n - k1)),
+        "false_positive_rate": shown(Fraction(fp, n - k1)),
+        "precision": shown(Fraction(tp, tp + fp)),
+        "recall": shown(Fraction(tp, k1)),
+        "f1": shown(Fraction(2 * tp, 2 * tp + fp + fn) if tp else None),
+    }
     before, slots, size, positives = _boundary_group(ranking, k1)
     assert expected_hits_at_k(ranking, k1) == float(before + Fraction(positives * slots, size))
 
