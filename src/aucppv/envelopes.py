@@ -12,8 +12,9 @@ over the k1*k2 pairs:
 
 These numerators, and the inverses below, hold for either class order over
 the feasible levels h >= max(0, k1 - k2); below that the top k1 would need
-more negatives than there are. Only the float forms in a = h/k1 take
-k1 <= k2:
+more negatives than there are, and ``_envelope_pairs``, the one numerator
+helper, refuses them through ``ppv._feasible_hits`` as ``ppv_swap`` does.
+Only the float forms in a = h/k1 take k1 <= k2:
 
     auc_max(a) = 1 - (k1/k2) * (1 - a)^2
     auc_min(a) = a * (1 - (k1/k2) * (1 - a))
@@ -35,10 +36,11 @@ callers with an exact AUC pass a Fraction), so there is no slack.
 from __future__ import annotations
 
 import math
+from operator import index
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import InconsistentInput, NonIntegralHits
-from .ppv import PpvResult, hits_from_ppv
+from .errors import InconsistentInput
+from .ppv import PpvResult, _feasible_hits, hits_from_ppv
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -57,11 +59,12 @@ __all__ = [
 
 
 class ClassRatio(NamedTuple("ClassRatio", [("k1", int), ("k2", int)])):
-    """Class sizes k1 (positives) and k2 (negatives), both at least 1."""
+    """Class sizes k1 (positives) and k2 (negatives), integers of at least 1."""
 
     __slots__ = ()
 
     def __init__(self, k1: int, k2: int) -> None:
+        index(k1), index(k2)  # TypeError for a float or other non-integer size
         if k1 < 1 or k2 < 1:
             raise ValueError("class sizes must be at least 1")
 
@@ -71,23 +74,10 @@ class ClassRatio(NamedTuple("ClassRatio", [("k1", int), ("k2", int)])):
 
 
 def _envelope_pairs(hits: int, k1: int, k2: int) -> tuple[int, int]:
-    """(auc_min, auc_max) numerators over k1*k2; hits >= max(0, k1 - k2)."""
+    """(auc_min, auc_max) numerators over k1*k2 for a feasible hit count."""
 
-    miss = k1 - hits
+    miss = k1 - _feasible_hits(hits, k1, k2)
     return hits * (k2 - miss), k1 * k2 - miss * miss
-
-
-def _exact_pairs(hits: int, ratio: ClassRatio) -> tuple[int, int]:
-    """(auc_min, auc_max) numerators over k1*k2 for a checked hit count."""
-
-    k1, k2 = ratio
-    if not 0 <= hits <= k1:
-        raise NonIntegralHits(f"hits {hits} outside [0, {k1}]")
-    if hits < k1 - k2:
-        raise InconsistentInput(
-            f"{hits} hits at cut {k1} fit no ranking of {k1} positives and {k2} negatives"
-        )
-    return _envelope_pairs(hits, k1, k2)
 
 
 def auc_max_exact(hits: int, ratio: ClassRatio) -> Fraction:
@@ -95,7 +85,7 @@ def auc_max_exact(hits: int, ratio: ClassRatio) -> Fraction:
 
     from fractions import Fraction
 
-    return Fraction(_exact_pairs(hits, ratio)[1], ratio.k1 * ratio.k2)
+    return Fraction(_envelope_pairs(hits, *ratio)[1], ratio.k1 * ratio.k2)
 
 
 def auc_min_exact(hits: int, ratio: ClassRatio) -> Fraction:
@@ -103,19 +93,19 @@ def auc_min_exact(hits: int, ratio: ClassRatio) -> Fraction:
 
     from fractions import Fraction
 
-    return Fraction(_exact_pairs(hits, ratio)[0], ratio.k1 * ratio.k2)
+    return Fraction(_envelope_pairs(hits, *ratio)[0], ratio.k1 * ratio.k2)
 
 
 def auc_max_given_ppvk(ppv: float, ratio: ClassRatio) -> float:
     """Largest AUC any arrangement with PPV_k = ppv can reach."""
 
-    return _exact_pairs(hits_from_ppv(ppv, ratio.k1), ratio)[1] / (ratio.k1 * ratio.k2)
+    return _envelope_pairs(hits_from_ppv(ppv, ratio.k1), *ratio)[1] / (ratio.k1 * ratio.k2)
 
 
 def auc_min_given_ppvk(ppv: float, ratio: ClassRatio) -> float:
     """Smallest AUC any arrangement with PPV_k = ppv can reach."""
 
-    return _exact_pairs(hits_from_ppv(ppv, ratio.k1), ratio)[0] / (ratio.k1 * ratio.k2)
+    return _envelope_pairs(hits_from_ppv(ppv, ratio.k1), *ratio)[0] / (ratio.k1 * ratio.k2)
 
 
 def _hit_bounds(num: int, den: int, k1: int, k2: int) -> tuple[int, int]:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from math import comb
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
-from .envelopes import ClassRatio, _exact_pairs
+from .envelopes import ClassRatio, _envelope_pairs
 from .errors import AucppvError, CertificationFailure, InstanceTooLarge
 
 if TYPE_CHECKING:
@@ -196,7 +196,7 @@ def _certify(stats: ArrangementStats) -> ArrangementStats:
 
     ratio = stats.ratio
     for hits, level in stats.per_hits.items():
-        expected = _exact_pairs(hits, ratio)
+        expected = _envelope_pairs(hits, *ratio)
         if (level.min_pairs, level.max_pairs) != expected:
             from fractions import Fraction
 

@@ -4,6 +4,8 @@ PPV_k is precision when the top k records are predicted positive. The cut of
 primary interest is k = k1 (as many predicted positives as there are actual
 positives), where PPV_k, sensitivity, and F1 all coincide. ``ppv_swap``
 translates PPV at the base-rate cut between a classifier and its reverse.
+With k2 negatives, h hits at that cut fit some ranking only when
+max(0, k1 - k2) <= h <= k1; ``_feasible_hits`` is the one check of that rule.
 """
 
 from __future__ import annotations
@@ -77,21 +79,17 @@ def hits_from_ppv(ppv: float, k: int) -> int:
     return hits
 
 
-def swap_hits(hits: int, k1: int, k2: int) -> int:
-    """Hits of the reversed classifier at its cut k2, given hits at cut k1.
+def _feasible_hits(hits: int, k1: int, k2: int) -> int:
+    """``hits`` if max(0, k1 - k2) <= hits <= k1; else NonIntegralHits outside
+    [0, k1], or InconsistentInput when the top k1 would need more negatives."""
 
-    The bottom k2 records hold k2 - (k1 - hits) negatives, so the map is
-    affine; ``swap_hits(swap_hits(h, k1, k2), k2, k1) == h``. Raises
-    InconsistentInput when the result falls outside [0, k2], that is when
-    no ranking with these class sizes has that many hits.
-    """
-
-    swapped = k2 - k1 + hits
-    if not 0 <= swapped <= k2:
+    if not 0 <= hits <= k1:
+        raise NonIntegralHits(f"hits {hits} outside [0, {k1}]")
+    if hits < k1 - k2:
         raise InconsistentInput(
             f"{hits} hits at cut {k1} fit no ranking of {k1} positives and {k2} negatives"
         )
-    return swapped
+    return hits
 
 
 def ppv_swap(ppv_k1: float, k1: int, k2: int) -> float:
@@ -106,7 +104,7 @@ def ppv_swap(ppv_k1: float, k1: int, k2: int) -> float:
 
     if k1 < 1 or k2 < 1:
         raise ValueError("class sizes must be at least 1")
-    return swap_hits(hits_from_ppv(ppv_k1, k1), k1, k2) / k2
+    return (k2 - k1 + _feasible_hits(hits_from_ppv(ppv_k1, k1), k1, k2)) / k2
 
 
 def expected_hits_at_k(ranking: Ranking, k: int) -> float:

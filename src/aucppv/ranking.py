@@ -79,11 +79,11 @@ class Ranking:
 
     ``Ranking(ids, scores, labels, tie_policy)`` is the only constructor. It
     takes parallel, sized columns in any order and raises InconsistentInput
-    for columns of different lengths, EmptyInput for empty columns or an
-    empty id, DuplicateId when two records share an id and NonFiniteScore
-    for a NaN or infinite score. Records of equal score rank by ascending id
-    under BY_ID_ASCENDING and in column order under GIVEN. A Ranking is
-    immutable.
+    for columns of different lengths or a label that is not True or False
+    (0 and 1 pass), EmptyInput for empty columns or an empty id, DuplicateId
+    when two records share an id and NonFiniteScore for a NaN or infinite
+    score. Records of equal score rank by ascending id under BY_ID_ASCENDING
+    and in column order under GIVEN. A Ranking is immutable.
     """
 
     __slots__ = (
@@ -117,6 +117,9 @@ class Ranking:
         if "" in distinct:
             raise EmptyInput("record id must be a non-empty string")
         ids, scores, labels = tuple(ids), tuple(scores), tuple(labels)
+        if not {False, True}.issuperset(labels):
+            bad = next(i for i, label in enumerate(labels) if label not in (False, True))
+            raise InconsistentInput(f"record {ids[bad]!r} has label {labels[bad]!r}, not True or False")
         positives = Counter(compress(scores, labels))
         if len(positives) < positives.total():
             # Two positives share a score: count the records at each level
@@ -228,7 +231,8 @@ class Ranking:
                 at = find(level, at + 1)
                 members.append(at)
             members.sort(key=self._tie_key)
-            hits = self._tie_hits[g] = list(accumulate(map(labels.__getitem__, members), initial=0))
+            positives = map(bool, map(labels.__getitem__, members))
+            hits = self._tie_hits[g] = list(accumulate(positives, initial=0))
         return hits
 
 

@@ -73,11 +73,61 @@ def test_normalize_rejects_infeasible_swap():
             bound(0.0, ClassRatio(4, 1))
 
 
+def test_entries_accept_exactly_the_feasible_hit_levels():
+    # A ranking of k1 positives and k2 negatives holds h hits in its top k1
+    # only when max(0, k1 - k2) <= h <= k1. The four envelope entries and
+    # ppv_swap accept exactly those levels, in either class order, and
+    # refuse every other level with one error type and message.
+    for k1 in range(1, 9):
+        for k2 in range(1, 9):
+            ratio, total = ClassRatio(k1, k2), k1 * k2
+            for hits in range(-1, k1 + 2):
+                ppv = hits / k1
+                if max(0, k1 - k2) <= hits <= k1:
+                    lo, hi = hits * (k2 - k1 + hits), total - (k1 - hits) ** 2
+                    assert auc_min_exact(hits, ratio) == Fraction(lo, total)
+                    assert auc_max_exact(hits, ratio) == Fraction(hi, total)
+                    assert auc_min_given_ppvk(ppv, ratio) == float(auc_min_exact(hits, ratio))
+                    assert auc_max_given_ppvk(ppv, ratio) == float(auc_max_exact(hits, ratio))
+                    swapped = ppv_swap(ppv, k1, k2)
+                    assert swapped == (k2 - k1 + hits) / k2
+                    for bound in (auc_min_given_ppvk, auc_max_given_ppvk):
+                        assert bound(ppv, ratio) == bound(swapped, ClassRatio(k2, k1))
+                    continue
+                if 0 <= hits <= k1:
+                    infeasible = f"{hits} hits at cut {k1} fit no ranking of {k1} positives and {k2} negatives"
+                    by_hits = by_ppv = (InconsistentInput, infeasible)
+                else:
+                    by_hits = (NonIntegralHits, f"hits {hits} outside [0, {k1}]")
+                    by_ppv = (NonIntegralHits, f"ppv {ppv!r} at cut {k1} is not h / {k1} for any h in 0..{k1}")
+                calls = [
+                    (by_hits, auc_min_exact, hits, ratio),
+                    (by_hits, auc_max_exact, hits, ratio),
+                    (by_ppv, auc_min_given_ppvk, ppv, ratio),
+                    (by_ppv, auc_max_given_ppvk, ppv, ratio),
+                    (by_ppv, ppv_swap, ppv, k1, k2),
+                ]
+                for (error, message), entry, *args in calls:
+                    with pytest.raises(InconsistentInput) as raised:
+                        entry(*args)
+                    assert type(raised.value) is error
+                    assert str(raised.value) == message
+
+
 def test_ratio_validation():
     with pytest.raises(ValueError):
         ClassRatio(0, 3)
     with pytest.raises(ValueError):
         ClassRatio(3, -1)
+
+
+def test_ratio_refuses_non_integer_sizes():
+    # A float size used to give a silent answer or a TypeError deep inside
+    # math.isqrt; it is refused when the ratio is built.
+    for k1, k2 in ((2.5, 3), (2, 3.0), (Fraction(5, 2), 3), ("2", 3)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            ClassRatio(k1, k2)
+    assert ClassRatio(True, 2) == (1, 2)
 
 
 def test_auc_max_examples():

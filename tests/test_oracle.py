@@ -299,12 +299,12 @@ def test_certification_swapped_ratio_grid():
 def test_certification_failure_reports_level(monkeypatch):
     # Sabotage the closed forms' least pair count and make sure the mismatch
     # is caught, attributed to a hit level, and carries the counted stats.
-    exact_pairs = aucppv.oracle._exact_pairs
+    envelope_pairs = aucppv.oracle._envelope_pairs
 
-    def wrong_min(hits, ratio):
-        return 0, exact_pairs(hits, ratio)[1]
+    def wrong_min(hits, k1, k2):
+        return 0, envelope_pairs(hits, k1, k2)[1]
 
-    monkeypatch.setattr(aucppv.oracle, "_exact_pairs", wrong_min)
+    monkeypatch.setattr(aucppv.oracle, "_envelope_pairs", wrong_min)
     with pytest.raises(CertificationFailure) as excinfo:
         certify_envelopes(ClassRatio(2, 2))
     failure = excinfo.value

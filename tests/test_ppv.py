@@ -20,7 +20,7 @@ from aucppv import (
     reverse_classifier,
 )
 from aucppv.errors import CutOutOfRange, EmptyPositiveClass, InconsistentInput, NonIntegralHits
-from aucppv.ppv import PpvResult, expected_hits_at_k, hits_from_ppv, hits_range_at_k, swap_hits
+from aucppv.ppv import PpvResult, expected_hits_at_k, hits_from_ppv, hits_range_at_k
 from conftest import (
     WORKED_EXAMPLE,
     all_arrangements,
@@ -140,14 +140,16 @@ def test_swap_roundtrip_exhaustive():
                 assert swapped == reversed_value
 
 
-def test_swap_hits_is_its_own_inverse_with_the_classes_exchanged():
+def test_ppv_swap_is_its_own_inverse_with_the_classes_exchanged():
+    # The reversed classifier holds k2 - (k1 - h) hits at its cut k2.
     for k1 in range(1, 8):
         for k2 in range(1, 8):
             for hits in range(max(0, k1 - k2), k1 + 1):
-                assert swap_hits(swap_hits(hits, k1, k2), k2, k1) == hits
+                assert ppv_swap(hits / k1, k1, k2) == (k2 - k1 + hits) / k2
+                assert ppv_swap(ppv_swap(hits / k1, k1, k2), k2, k1) == hits / k1
             for hits in (k1 - k2 - 1, k1 + 1):
                 with pytest.raises(InconsistentInput):
-                    swap_hits(hits, k1, k2)
+                    ppv_swap(hits / k1, k1, k2)
 
 
 def test_swap_roundtrip_random():

@@ -123,6 +123,44 @@ def test_constructor_refuses_bad_columns(ids, scores, error):
         Ranking(ids, scores, [True, False, True], TiePolicy.GIVEN)
 
 
+def test_constructor_refuses_labels_that_are_not_booleans():
+    # The string "0" is truthy, so it used to count as a positive, and a
+    # label of 2 made the tie walk count two hits for one record.
+    ids, scores = ["a", "b", "c", "d"], [0.9, 0.9, 0.7, 0.6]
+    for labels, bad in (
+        (["1", "0", "1", "0"], 0),
+        ([True, 2, False, False], 1),
+        ([1, 0, None, 0], 2),
+        ([False, True, False, 0.5], 3),
+    ):
+        for policy in TiePolicy:
+            with pytest.raises(InconsistentInput) as raised:
+                Ranking(ids, scores, labels, policy)
+            assert str(raised.value) == (
+                f"record {ids[bad]!r} has label {labels[bad]!r}, not True or False"
+            )
+
+
+def test_build_ranking_refuses_a_non_boolean_positive():
+    # ScoredRecord does not check its label; the ranking built from it does.
+    records = [ScoredRecord("a", 0.9, True), ScoredRecord("b", 0.5, "0")]
+    with pytest.raises(InconsistentInput, match="record 'b' has label '0', not True or False"):
+        build_ranking(records)
+
+
+def test_integer_labels_rank_like_booleans():
+    # 0 and 1 (and their float forms) pass, and every hit count is an int.
+    ids, scores = ["a", "b", "c", "d"], [0.9, 0.9, 0.7, 0.6]
+    as_bools = Ranking(ids, scores, [True, False, True, False], TiePolicy.BY_ID_ASCENDING)
+    for labels in ([1, 0, 1, 0], [1.0, 0.0, 1.0, 0.0]):
+        ranking = Ranking(ids, scores, labels, TiePolicy.BY_ID_ASCENDING)
+        assert (ranking.k1, ranking.k2) == (2, 2)
+        assert ranking == as_bools
+        hits = [ranking.hits_at(k) for k in range(5)]
+        assert hits == [0, 1, 1, 2, 2]
+        assert all(type(h) is int for h in hits)
+
+
 def test_tie_group_table_matches_record_walk():
     rng = random.Random(17)
     for _ in range(60):
