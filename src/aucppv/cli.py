@@ -154,7 +154,7 @@ def cmd_envelope(args: argparse.Namespace) -> int:
         # "%.10g" is format_number's format, applied to the whole row at once.
         row_format = sep.join(["%.10g"] * 3)
         lines = [note, sep.join(header_fields)]
-        lines.extend(row_format % row for row in rows)
+        lines.extend(map(row_format.__mod__, rows))
         text = "\n".join(lines) + "\n"
     _emit(text, args.output)
     return 0
@@ -279,23 +279,31 @@ _COMMANDS = {
 }
 
 
-def _build_parser(argv: list[str]) -> _Parser:
-    # The top-level parser takes no option with a value, so argparse runs the first
-    # token that names a subcommand; the rest need only names and help, not flags.
+def _build_parser() -> _Parser:
+    # Only help requests and usage errors reach this parser (see main).
     parser = _Parser(prog="aucppv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    invoked = next((token for token in argv if token in _COMMANDS), None)
     for name, (help_line, handler, add_flags) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_line, description=handler.__doc__)
-        if name == invoked:
-            add_flags(command)
+        add_flags(command)
         command.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv).parse_args(argv)
+    # A call that names its command first is parsed by that command's parser
+    # alone, the one add_parser builds; any other call, or one with arguments
+    # left over, gets its help or usage error from the full parser.
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is not None:
+        _, handler, add_flags = entry
+        parser = _Parser(prog=f"aucppv {argv[0]}", description=handler.__doc__)
+        add_flags(parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        args.command, args.handler = argv[0], handler
+    if entry is None or extras:
+        args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except InternalConsistencyError as exc:

@@ -11,10 +11,11 @@ max(0, k1 - k2) <= h <= k1; ``_feasible_hits`` is the one check of that rule.
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import index
 from typing import NamedTuple
 
 from .errors import CutOutOfRange, EmptyPositiveClass, InconsistentInput, NonIntegralHits
-from .ranking import Ranking
+from .ranking import Ranking, _integer_cut
 
 __all__ = [
     "PpvResult",
@@ -44,9 +45,9 @@ class PpvResult(NamedTuple("PpvResult", [("k", int), ("hits", int)])):
 
 
 def ppv_at_k(ranking: Ranking, k: int) -> PpvResult:
-    """Count positives among the top k records; k in 1..n."""
+    """Count positives among the top k records; k an integer in 1..n."""
 
-    if not 1 <= k <= ranking.n:
+    if not 1 <= _integer_cut(k) <= ranking.n:
         raise CutOutOfRange(f"cut {k} outside [1, {ranking.n}]")
     hits = ranking.hits_at(k)
     return PpvResult(k=k, hits=hits)
@@ -80,9 +81,14 @@ def hits_from_ppv(ppv: float, k: int) -> int:
 
 
 def _feasible_hits(hits: int, k1: int, k2: int) -> int:
-    """``hits`` if max(0, k1 - k2) <= hits <= k1; else NonIntegralHits outside
-    [0, k1], or InconsistentInput when the top k1 would need more negatives."""
+    """``hits`` if max(0, k1 - k2) <= hits <= k1; else NonIntegralHits for a
+    non-integer or outside [0, k1], or InconsistentInput when the top k1 would
+    need more negatives."""
 
+    try:
+        hits = index(hits)
+    except TypeError:  # 2.0 or 2.5: no hit count
+        raise NonIntegralHits(f"hits {hits!r} is not an integer") from None
     if not 0 <= hits <= k1:
         raise NonIntegralHits(f"hits {hits} outside [0, {k1}]")
     if hits < k1 - k2:
@@ -142,7 +148,7 @@ def _boundary_group(ranking: Ranking, k: int) -> tuple[int, int, int, int]:
     """(positives before, slots inside the cut, size, positives) of the tie
     group holding position k - 1, read from the ranking's group table."""
 
-    if not 1 <= k <= ranking.n:
+    if not 1 <= _integer_cut(k) <= ranking.n:
         raise CutOutOfRange(f"cut {k} outside [1, {ranking.n}]")
     ends, hits = ranking.group_ends, ranking.group_hits
     g = bisect_left(ends, k)

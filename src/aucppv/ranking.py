@@ -13,7 +13,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from itertools import accumulate, compress, islice, repeat
-from operator import itemgetter, ne
+from operator import index, itemgetter, ne
 from typing import Iterable, NamedTuple
 
 from .errors import CutOutOfRange, DuplicateId, EmptyInput, InconsistentInput, NonFiniteScore
@@ -117,7 +117,11 @@ class Ranking:
         if "" in distinct:
             raise EmptyInput("record id must be a non-empty string")
         ids, scores, labels = tuple(ids), tuple(scores), tuple(labels)
-        if not {False, True}.issuperset(labels):
+        try:
+            well_formed = {False, True}.issuperset(labels)
+        except TypeError:  # an unhashable label: the search below names it
+            well_formed = False
+        if not well_formed:
             bad = next(i for i, label in enumerate(labels) if label not in (False, True))
             raise InconsistentInput(f"record {ids[bad]!r} has label {labels[bad]!r}, not True or False")
         positives = Counter(compress(scores, labels))
@@ -205,9 +209,9 @@ class Ranking:
         return self._ordered
 
     def hits_at(self, k: int) -> int:
-        """Positives among the top k records; CutOutOfRange unless k is in 0..n."""
+        """Positives among the top k records; CutOutOfRange unless k is an integer in 0..n."""
 
-        if not 0 <= k <= self.n:
+        if not 0 <= _integer_cut(k) <= self.n:
             raise CutOutOfRange(f"cut {k} outside [0, {self.n}]")
         # Whole groups that end at or before the cut, then the cut's share of
         # the group it falls inside.
@@ -234,6 +238,15 @@ class Ranking:
             positives = map(bool, map(labels.__getitem__, members))
             hits = self._tie_hits[g] = list(accumulate(positives, initial=0))
         return hits
+
+
+def _integer_cut(k: int) -> int:
+    """``k`` as an int; CutOutOfRange for a cut that is not an integer (2.0, 1.5)."""
+
+    try:
+        return index(k)
+    except TypeError:
+        raise CutOutOfRange(f"cut {k!r} is not an integer") from None
 
 
 def build_ranking(

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aucppv.cli
 import aucppv.envelopes
 import aucppv.reporting
 from aucppv.cli import main
@@ -257,6 +258,66 @@ def test_console_script_reads_sys_argv(capsys, monkeypatch, program, args):
     # flags come from sys.argv[1:], whatever the program itself is called.
     monkeypatch.setattr(sys, "argv", [program, *args])
     assert run(capsys, None) == (0, stdout_of(args), "")
+
+
+def count_parsers(monkeypatch) -> list[str]:
+    """The prog of every argparse parser built from now on, in order."""
+
+    built = []
+    init = aucppv.cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(aucppv.cli._Parser, "__init__", counting_init)
+    return built
+
+
+def command_calls(tmp_path) -> dict[str, list[str]]:
+    path = write_csv(tmp_path)
+    return {
+        "evaluate": ["evaluate", "--input", path, "--format", "tsv"],
+        "envelope": ["envelope", "--k1", "1", "--k2", "4"],
+        "verify": ["verify", "--limit", "3"],
+        "report-compas": ["report-compas", "--general-input", path, "--violent-input", path],
+    }
+
+
+@pytest.mark.parametrize("name", list(aucppv.cli._COMMANDS))
+def test_a_command_named_first_builds_one_parser(tmp_path, capsys, monkeypatch, name):
+    built = count_parsers(monkeypatch)
+    assert main(command_calls(tmp_path)[name]) == 0
+    assert built == [f"aucppv {name}"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"], ["-h", "envelope"], ["bogus"], [],
+        ["envelope", "--k1", "1", "--k2", "4", "extra"], ["verify", "--limit", "3", "--bogus"],
+    ],
+)
+def test_help_and_usage_errors_build_the_full_parser(capsys, monkeypatch, argv):
+    built = count_parsers(monkeypatch)
+    with pytest.raises(SystemExit):
+        main(argv)
+    full = ["aucppv", *(f"aucppv {name}" for name in aucppv.cli._COMMANDS)]
+    # A named command with arguments left over tries its own parser first.
+    own = [f"aucppv {argv[0]}"] if argv and argv[0] in aucppv.cli._COMMANDS else []
+    assert built == own + full
+
+
+@pytest.mark.parametrize("name", list(aucppv.cli._COMMANDS))
+def test_a_command_named_first_reads_its_flags_as_the_full_parser(tmp_path, monkeypatch, name):
+    # Every flag, default, command and handler in the namespace the handler
+    # gets is what the full parser would have set.
+    seen = []
+    help_line, _, add_flags = aucppv.cli._COMMANDS[name]
+    monkeypatch.setitem(aucppv.cli._COMMANDS, name, (help_line, seen.append, add_flags))
+    argv = command_calls(tmp_path)[name]
+    main(argv)
+    assert seen == [aucppv.cli._build_parser().parse_args(argv)]
 
 
 def test_envelope_symmetric_table(capsys):

@@ -66,6 +66,17 @@ def test_normalize_rejects_non_integral_hits():
                 bound(ppv, ClassRatio(3, 4))
 
 
+def test_exact_envelopes_refuse_hit_counts_that_are_not_integers():
+    # 2.5 and 2.0 passed the hit-level check and then raised a bare
+    # TypeError from Fraction.
+    ratio = ClassRatio(3, 4)
+    for hits in (2.5, 2.0, "2", None):
+        for bound in (auc_min_exact, auc_max_exact):
+            with pytest.raises(NonIntegralHits) as raised:
+                bound(hits, ratio)
+            assert str(raised.value) == f"hits {hits!r} is not an integer"
+
+
 def test_normalize_rejects_infeasible_swap():
     # 0 hits of 4 cannot happen with a single negative.
     for bound in (auc_min_given_ppvk, auc_max_given_ppvk):

@@ -112,8 +112,9 @@ USAGE_CASES = json.loads((DATA / "golden_cli_usage.json").read_text(encoding="ut
     "case", USAGE_CASES, ids=[" ".join(case["argv"]) or "<no arguments>" for case in USAGE_CASES]
 )
 def test_help_and_usage_output_is_unchanged(capsys, monkeypatch, case):
-    # Each subcommand's flags are built only when it is invoked; its help,
-    # usage and errors, and the top-level ones, must read as before.
+    # A call that names its command first is parsed by that command's parser
+    # alone, and the full parser handles the rest; every help text, usage
+    # line and error, the command's and the top-level ones, must read as before.
     monkeypatch.setenv("COLUMNS", "80")
     try:
         code = main(case["argv"])

@@ -50,11 +50,14 @@ def test_perfect_and_antisorted_extremes():
     assert ppv_base_rate(anti).value == 0.0
 
 
-@pytest.mark.parametrize("k", [0, 8, -1])
+@pytest.mark.parametrize("k", [0, 8, -1, 2.0, 1.5, "2"])
 def test_cut_out_of_range(k):
+    # A cut that is not an integer is out of range too; ppv_at_k used to
+    # return PpvResult(k=2.0, hits=1) for 2.0.
     ranking = ranking_from_pattern(WORKED_EXAMPLE)
-    with pytest.raises(CutOutOfRange):
-        ppv_at_k(ranking, k)
+    for measure in (ppv_at_k, hits_range_at_k, expected_hits_at_k):
+        with pytest.raises(CutOutOfRange):
+            measure(ranking, k)
 
 
 def test_base_rate_needs_positives():

@@ -125,13 +125,16 @@ def test_constructor_refuses_bad_columns(ids, scores, error):
 
 def test_constructor_refuses_labels_that_are_not_booleans():
     # The string "0" is truthy, so it used to count as a positive, and a
-    # label of 2 made the tie walk count two hits for one record.
+    # label of 2 made the tie walk count two hits for one record. An
+    # unhashable label must not escape as a bare TypeError from the set check.
     ids, scores = ["a", "b", "c", "d"], [0.9, 0.9, 0.7, 0.6]
     for labels, bad in (
         (["1", "0", "1", "0"], 0),
         ([True, 2, False, False], 1),
         ([1, 0, None, 0], 2),
         ([False, True, False, 0.5], 3),
+        ([[1], 0, 1, 0], 0),
+        ([True, {}, False, False], 1),
     ):
         for policy in TiePolicy:
             with pytest.raises(InconsistentInput) as raised:
@@ -325,7 +328,8 @@ def test_non_finite_score_names_the_same_record_on_both_routes():
 def test_hits_at_rejects_cuts_outside_the_ranking():
     ranking = ranking_from_pattern("PNP", scores=[1.0, 0.5, 0.5])
     assert [ranking.hits_at(k) for k in range(4)] == [0, 1, 1, 2]
-    for k in (-1, 4):
+    # A cut that is not an integer is out of range too; 2.0 used to pass as 2.
+    for k in (-1, 4, 2.0, 1.5, "2", None):
         with pytest.raises(CutOutOfRange):
             ranking.hits_at(k)
 
