@@ -11,27 +11,24 @@ the product [k1 choose h]_q * [k2 choose k1 - h]_q (the Mann-Whitney U null
 distribution, split by hits). Summed over h this is [n choose k1]_q, the
 q-Vandermonde identity. No arrangement is visited.
 
-Each Gaussian binomial is built as one integer, the polynomial at
-q = 2**width: coefficient d sits in bits d*width .. (d+1)*width - 1. The
-rows stream past, and the table keeps three integers per entry: its count
-(its residue modulo 2**width - 1) and its lowest and highest non-zero
-degrees (from its trailing zeros and bit length). A level is read off its
-two factors, never multiplied out: its count is the product of theirs and,
-as no coefficient is negative, its extreme degrees are the sums of theirs.
-Those extremes are the level's most and least correctly ordered pairs; they
-certify the closed-form envelopes by integer equality with the closed
-forms' numerators over k1*k2. The extremes of [m choose j]_q are 0 and
-j*(m - j), so past n of about 14 this checks the Gaussian-binomial
-decomposition, not each arrangement. One table, at the slot width of
-n = L, serves every ratio with n <= L: ``certify_up_to`` builds it once per
-run, ``enumerate_arrangements`` one for its own ratio. A Fraction
-(pairs / (k1*k2)) is built only when a level's AUC is read, or to report a
-mismatch.
+The table keeps three integers per entry of each Gaussian binomial: its
+count and its lowest and highest non-zero degrees, built row by row from
+the recurrence for [m choose j]_q; no polynomial is built. A level is read
+off its two factors, never multiplied out: its count is the product of
+theirs and, as no coefficient is negative, its extreme degrees are the sums
+of theirs. Those extremes are the level's most and least correctly ordered
+pairs; they certify the closed-form envelopes by integer equality with the
+closed forms' numerators over k1*k2. The extremes of [m choose j]_q are 0
+and j*(m - j), so past n of about 14 this checks the Gaussian-binomial
+decomposition, not each arrangement. One table, with rows up to L - 1 and
+entries up to L // 2, serves every ratio with n <= L: ``certify_up_to``
+builds it once per run, ``enumerate_arrangements`` one for its own ratio.
+A Fraction (pairs / (k1*k2)) is built only when a level's AUC is read, or
+to report a mismatch.
 """
 
 from __future__ import annotations
 
-from math import comb
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
 from .envelopes import ClassRatio, _envelope_pairs
@@ -52,10 +49,10 @@ __all__ = [
 #: Largest n = k1 + k2 counted by default; C(16, 8) = 12870 arrangements.
 DEFAULT_LIMIT = 16
 
-#: Most bits the rows of one table may hold, by _table_bits; refused before
-#: any row is built. Every limit up to 209 fits, and every balanced ratio up to
-#: 137:137.
-MAX_TABLE_BITS = 2**32
+#: Most entries one table may hold, (top + 1) * (low + 1) for rows up to top
+#: and entries up to low; refused before any row is built. Every limit up to
+#: 209 fits, and every balanced ratio up to 147:147.
+MAX_TABLE_ENTRIES = 209 * 105
 
 
 class HitLevelStats(NamedTuple):
@@ -101,38 +98,26 @@ class ArrangementStats(NamedTuple):
         return max(level.max_auc for level in self.per_hits.values())
 
 
-def _table_bits(n: int, low: int, top: int) -> int:
-    """Upper bound, in O(1) integer operations, on the bits rows 0 .. top of
-    _rows(n, low, width) hold. Rows m = j .. min(top, n - j) hold entry j, of
-    j*(m - j) + 1 slots: at most j*(t + 1)**2/2 + a slots in all, t the
-    smaller of top - j and n - 2j and a = n + 1. Summed over j <= low in
-    closed form with t + 1 taken as n + 1 - 2j, or as top + 1 - j, whichever
-    total is smaller. A slot is width <= a bits, as C(n, low) < 2**n."""
-
-    a, b = n + 1, top + 1
-    sum_j = low * (low + 1) // 2
-    sum_j2 = sum_j * (2 * low + 1) // 3
-    sum_j3 = sum_j * sum_j
-    squares = min(a * a * sum_j - 4 * a * sum_j2 + 4 * sum_j3, b * b * sum_j - 2 * b * sum_j2 + sum_j3)
-    return a * (squares // 2 + (low + 1) * a)
-
-
-def _rows(n: int, low: int, width: int) -> Iterator[list[int]]:
-    """Yield, for m = 0 .. n - 1, [m choose j]_q packed for j <= min(m, low, n - m).
-
-    Coefficient d of [m choose j]_q counts the j-subsets of m positions
-    whose sum exceeds the least, 0 + 1 + ... + (j-1), by d. Positions are
-    added one at a time in front of the others: [m choose j]_q =
-    [m-1 choose j-1]_q (the new position is taken) + q^j [m-1 choose j]_q
-    (it is not, and each of the j taken positions moves down by one). With
-    q = 2**width that is one shift and one add per entry.
+def _triples(n: int, low: int) -> Iterator[list[tuple[int, int, int]]]:
+    """Yield, for m = 0 .. n - 1, (count, lowest degree, highest degree) of
+    [m choose j]_q for j <= min(m, low, n - m), by [m choose j]_q =
+    [m-1 choose j-1]_q + q^j [m-1 choose j]_q: a position added in front of
+    the others is taken, or it is not and the j taken ones each move down by
+    one. The counts add; as no coefficient is negative, the lowest degree is
+    the lesser of the terms' and the highest the greater. The second term is
+    zero at j = m, past the end of row m - 1.
     """
 
-    row = [1]
+    row = [(1, 0, 0)]
     yield row
     for size in range(1, n):
-        prev = row + [0]
-        row = [1] + [prev[j - 1] + (prev[j] << j * width) for j in range(1, min(size, low, n - size) + 1)]
+        prev = row + [None]
+        row = [(1, 0, 0)]
+        for j in range(1, min(size, low, n - size) + 1):
+            taken, skipped = prev[j - 1], prev[j]
+            if skipped is not None:
+                taken = (taken[0] + skipped[0], min(taken[1], skipped[1] + j), max(taken[2], skipped[2] + j))
+            row.append(taken)
         yield row
 
 
@@ -141,27 +126,16 @@ def _table(n: int, low: int, sizes: Sequence[int]) -> dict[int, list[tuple[int, 
     (ascending); no row past the last is built.
 
     It holds rows k1 and k2 of every ratio with k1 + k2 <= n and
-    min(k1, k2) <= low. A coefficient is at most its entry's count
-    C(m, j) <= C(n, low) < 2**(width - 1), so no slot carries into the next
-    and the count is the entry's residue modulo 2**width - 1.
+    min(k1, k2) <= low.
     """
 
     top = sizes[-1]
-    if _table_bits(n, low, top) > MAX_TABLE_BITS:
+    if (top + 1) * (low + 1) > MAX_TABLE_ENTRIES:
         raise InstanceTooLarge(
             f"n = {n} exceeds the work bound: its Gaussian-binomial table "
-            f"may pass {MAX_TABLE_BITS} bits"
+            f"may hold more than {MAX_TABLE_ENTRIES} entries"
         )
-    width = comb(n, low).bit_length() + 1
-    modulus = (1 << width) - 1
-    return {
-        size: [
-            (packed % modulus, ((packed & -packed).bit_length() - 1) // width, (packed.bit_length() - 1) // width)
-            for packed in row
-        ]
-        for size, row in zip(range(top + 1), _rows(n, low, width))
-        if size in sizes
-    }
+    return {size: row for size, row in zip(range(top + 1), _triples(n, low)) if size in sizes}
 
 
 def _read_levels(ratio: ClassRatio, table: dict[int, list[tuple[int, int, int]]]) -> ArrangementStats:
@@ -216,9 +190,9 @@ def enumerate_arrangements(ratio: ClassRatio, limit: int = DEFAULT_LIMIT) -> Arr
     """Count every placement of the positives by hit level and pair count.
 
     Each feasible hit level is read off its two Gaussian-binomial factors
-    (see the module docstring) in a table built for this ratio alone, at
-    its own slot width comb(n, k1).bit_length() + 1. Raises
-    InstanceTooLarge when n exceeds ``limit`` or the work bound.
+    (see the module docstring) in a table built for this ratio alone, with
+    rows up to its larger class. Raises InstanceTooLarge when n exceeds
+    ``limit`` or the work bound.
     """
 
     k1, k2 = ratio

@@ -79,11 +79,12 @@ class Ranking:
 
     ``Ranking(ids, scores, labels, tie_policy)`` is the only constructor. It
     takes parallel, sized columns in any order and raises InconsistentInput
-    for columns of different lengths or a label that is not True or False
-    (0 and 1 pass), EmptyInput for empty columns or an empty id, DuplicateId
-    when two records share an id and NonFiniteScore for a NaN or infinite
-    score. Records of equal score rank by ascending id under BY_ID_ASCENDING
-    and in column order under GIVEN. A Ranking is immutable.
+    for columns of different lengths, an unhashable id or a label that is
+    not True or False (0 and 1 pass), EmptyInput for empty columns or an
+    empty id, DuplicateId when two records share an id and NonFiniteScore
+    for a score that is NaN, infinite or not a real number. Records of
+    equal score rank by ascending id under BY_ID_ASCENDING and in column
+    order under GIVEN. A Ranking is immutable.
     """
 
     __slots__ = (
@@ -107,7 +108,10 @@ class Ranking:
                 f"columns differ in length: {n} ids, {len(scores)} scores, {len(labels)} labels"
             )
         # Checking the ids before the copy to tuples is the faster order.
-        distinct = set(ids)
+        try:
+            distinct = set(ids)
+        except TypeError:  # an unhashable id: name it
+            raise InconsistentInput(f"record id {tuple(ids)[_first_type_error(hash, ids)]!r} is unhashable") from None
         if len(distinct) != n:
             seen: set[str] = set()
             for rec_id in ids:
@@ -124,22 +128,16 @@ class Ranking:
         if not well_formed:
             bad = next(i for i, label in enumerate(labels) if label not in (False, True))
             raise InconsistentInput(f"record {ids[bad]!r} has label {labels[bad]!r}, not True or False")
-        positives = Counter(compress(scores, labels))
-        if len(positives) < positives.total():
-            # Two positives share a score: count the records at each level
-            # and sort only the distinct levels.
-            sizes = Counter(scores)
-            levels = tuple(sorted(sizes, reverse=True))
-            ends = list(accumulate(map(sizes.__getitem__, levels)))
-        else:
-            ordered = sorted(scores, reverse=True)
-            # Offsets where the sorted score changes, then n: the end of
-            # every tie group; a group's level is the score at its start.
-            ends = list(compress(range(1, n), map(ne, ordered, islice(ordered, 1, None))))
-            levels = tuple(map(ordered.__getitem__, [0, *ends]))
-            ends.append(n)
-        # Every score is one of the levels, so checking them checks every record.
-        if not all(map(math.isfinite, levels)):
+        try:
+            positives, levels, ends = _tie_groups(scores, labels)
+            # Every score is one of the levels, so checking them checks every record.
+            finite = all(map(math.isfinite, levels))
+        except TypeError:  # a score that is not a real number: name it
+            bad = _first_type_error(math.isfinite, scores)
+            if bad is None:
+                raise
+            raise NonFiniteScore(f"record {ids[bad]!r} has score {scores[bad]!r}, not a real number") from None
+        if not finite:
             bad = next(i for i, score in enumerate(scores) if not math.isfinite(score))
             raise NonFiniteScore(f"record {ids[bad]!r} has non-finite score {scores[bad]!r}")
         hits = tuple(accumulate(map(positives.get, levels, repeat(0))))
@@ -238,6 +236,40 @@ class Ranking:
             positives = map(bool, map(labels.__getitem__, members))
             hits = self._tie_hits[g] = list(accumulate(positives, initial=0))
         return hits
+
+
+def _tie_groups(scores: tuple, labels: tuple) -> tuple[Counter, tuple, list[int]]:
+    """The tie groups of the columns (see Ranking): the positives at each
+    score, the distinct scores in descending order and each group's end
+    offset in rank order."""
+
+    n = len(scores)
+    positives = Counter(compress(scores, labels))
+    if len(positives) < positives.total():
+        # Two positives share a score: count the records at each level and
+        # sort only the distinct levels.
+        sizes = Counter(scores)
+        levels = tuple(sorted(sizes, reverse=True))
+        ends = list(accumulate(map(sizes.__getitem__, levels)))
+    else:
+        ordered = sorted(scores, reverse=True)
+        # Offsets where the sorted score changes, then n: the end of every
+        # tie group; a group's level is the score at its start.
+        ends = list(compress(range(1, n), map(ne, ordered, islice(ordered, 1, None))))
+        levels = tuple(map(ordered.__getitem__, [0, *ends]))
+        ends.append(n)
+    return positives, levels, ends
+
+
+def _first_type_error(check, values) -> int | None:
+    """Offset of the first of ``values`` that ``check`` raises TypeError on."""
+
+    for offset, value in enumerate(values):
+        try:
+            check(value)
+        except TypeError:
+            return offset
+    return None
 
 
 def _integer_cut(k: int) -> int:

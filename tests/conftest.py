@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import functools
 import itertools
 import math
 import random
@@ -129,11 +130,20 @@ def enumerate_by_combinations(k1: int, k2: int) -> dict[int, dict[int, int]]:
     return levels
 
 
-def unpack_slots(packed: int, width: int) -> list[int]:
-    """Coefficients of a polynomial packed ``width`` bits per coefficient,
-    lowest degree first: coefficient d is (packed >> d*width) & mask."""
-    mask = (1 << width) - 1
-    return [(packed >> d * width) & mask for d in range((packed.bit_length() + width - 1) // width)]
+@functools.cache
+def gaussian_binomial(m: int, j: int) -> tuple[int, ...]:
+    """Coefficients of [m choose j]_q, lowest degree first: coefficient d
+    counts the j-subsets of m positions whose sum exceeds the least by d.
+
+    By [m choose j]_q = [m-1 choose j-1]_q + q^j [m-1 choose j]_q, added
+    coefficient by coefficient, for 0 <= j <= m."""
+    if j in (0, m):
+        return (1,)
+    taken, skipped = gaussian_binomial(m - 1, j - 1), gaussian_binomial(m - 1, j)
+    coefficients = list(taken) + [0] * (j + len(skipped) - len(taken))
+    for degree, count in enumerate(skipped):
+        coefficients[degree + j] += count
+    return tuple(coefficients)
 
 
 def ppvk_hits_by_bisection(auc, ratio) -> tuple[int, int]:

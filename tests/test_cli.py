@@ -471,10 +471,12 @@ def test_verify_limit_sixty(capsys):
 
 
 def test_verify_limit_too_large(capsys):
-    code, out, err = run(capsys, ["verify", "--limit", "1000000000"])
-    assert code == 1
-    assert out == ""
-    assert "exceeds the work bound" in err
+    # 210 is the first limit past the work bound.
+    for limit in ("1000000000", "210"):
+        code, out, err = run(capsys, ["verify", "--limit", limit])
+        assert code == 1
+        assert out == ""
+        assert "exceeds the work bound" in err
 
 
 def test_verify_limit_too_small(capsys):

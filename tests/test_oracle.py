@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import fractions
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -22,9 +21,9 @@ import aucppv.oracle
 from conftest import (
     enumerate_by_combinations,
     exact_auc,
+    gaussian_binomial,
     pairwise_per_hits,
     ranking_from_pattern,
-    unpack_slots,
 )
 
 
@@ -111,9 +110,9 @@ def test_enumeration_matches_pairwise_reference_up_to_ten():
 
 
 def _level_distributions(k1: int, k2: int) -> dict[int, dict[int, int]]:
-    """hits -> {correctly ordered pairs: arrangements}, unpacked from the
-    product of each level's two packed Gaussian-binomial factors, taken from
-    the counting oracle's rows: [k1 choose k1 - h]_q * [k2 choose k1 - h]_q.
+    """hits -> {correctly ordered pairs: arrangements}, multiplied out from
+    each level's two Gaussian-binomial factors, [k1 choose k1 - h]_q *
+    [k2 choose k1 - h]_q, as coefficient lists.
 
     Degree d of a level's product counts its arrangements whose positive
     position sum exceeds the least by d. The positive at 0-based position p
@@ -122,19 +121,17 @@ def _level_distributions(k1: int, k2: int) -> dict[int, dict[int, int]]:
     k1*(n-1) - k1*(k1-1)/2 - sum(p) correctly ordered pairs; the least sum
     puts the hits at 0..h-1 and the misses at k1..2*k1-h-1."""
     n = k1 + k2
-    width = math.comb(n, k1).bit_length() + 1
-    rows = list(aucppv.oracle._rows(n, min(k1, k2), width))
     base = k1 * (n - 1) - k1 * (k1 - 1) // 2
     distributions = {}
     for hits in range(max(0, k1 - k2), k1 + 1):
         misses = k1 - hits
         least_sum = hits * (hits - 1) // 2 + misses * k1 + misses * (misses - 1) // 2
-        packed = rows[k1][misses] * rows[k2][misses]
-        distributions[hits] = {
-            base - least_sum - degree: count
-            for degree, count in enumerate(unpack_slots(packed, width))
-            if count
-        }
+        top, bottom = gaussian_binomial(k1, misses), gaussian_binomial(k2, misses)
+        product = [0] * (len(top) + len(bottom) - 1)
+        for d, a in enumerate(top):
+            for e, b in enumerate(bottom):
+                product[d + e] += a * b
+        distributions[hits] = {base - least_sum - degree: count for degree, count in enumerate(product) if count}
     return distributions
 
 
@@ -227,34 +224,63 @@ def test_work_bound_refuses_before_building(monkeypatch):
     def no_rows(*args):
         raise AssertionError("a row was built")
 
-    monkeypatch.setattr(aucppv.oracle, "_rows", no_rows)
+    monkeypatch.setattr(aucppv.oracle, "_triples", no_rows)
     with pytest.raises(InstanceTooLarge, match="work bound"):
         enumerate_arrangements(ClassRatio(150, 150), limit=300)
     with pytest.raises(InstanceTooLarge, match="work bound"):
         enumerate_arrangements(ClassRatio(10**9, 10**9), limit=10**10)
     with pytest.raises(InstanceTooLarge, match="work bound"):
         certify_up_to(10**9)
-    # The README's figure: limits up to 209 fit the bound. A single ratio
-    # builds rows only up to its larger class: 137:137 fits, 150:150 not.
-    bits, most = aucppv.oracle._table_bits, aucppv.oracle.MAX_TABLE_BITS
-    assert bits(209, 104, 208) <= most < bits(210, 105, 209)
-    assert bits(274, 137, 137) <= most < bits(300, 150, 150)
+    # The README's figures: limits up to 209 fit the bound, and 210 does not.
+    # A single ratio builds rows only up to its larger class: 147:147 fits
+    # and 148:148 not, so 137:137 fits and 150:150 not.
+    table = aucppv.oracle._table
+    with pytest.raises(InstanceTooLarge, match="work bound"):
+        certify_up_to(210)
+    for k in (148, 150):
+        with pytest.raises(InstanceTooLarge, match="work bound"):
+            table(2 * k, k, (k, k))
+    monkeypatch.undo()
+    assert len(table(209, 104, range(1, 209))) == 208
+    for k in (137, 147):
+        assert len(table(2 * k, k, (k, k))) == 1
 
 
-def test_work_bound_covers_every_row_built():
+def test_work_bound_covers_every_row_built(monkeypatch):
     # For every ratio with n <= 40, on its own table (rows up to its larger
     # class) and on the shared table of a run (every row), the bound never
-    # reads below the bits of the rows built, nor below their slots at the
-    # widest slot of n + 1 bits.
+    # reads below the entries of the rows built: with the most entries a
+    # table may hold set one below that count, the table is refused.
     for n in range(2, 41):
         for low in range(1, n // 2 + 1):
-            width = math.comb(n, low).bit_length() + 1
             for top in (n - low, n - 1):
-                built = list(itertools.islice(aucppv.oracle._rows(n, low, width), top + 1))
-                bits = sum(entry.bit_length() for row in built for entry in row)
-                slots = sum((entry.bit_length() - 1) // width + 1 for row in built for entry in row)
-                bound = aucppv.oracle._table_bits(n, low, top)
-                assert bits <= bound and slots * (n + 1) <= bound
+                built = sum(map(len, aucppv.oracle._table(n, low, range(top + 1)).values()))
+                monkeypatch.setattr(aucppv.oracle, "MAX_TABLE_ENTRIES", built - 1)
+                with pytest.raises(InstanceTooLarge, match="work bound"):
+                    aucppv.oracle._table(n, low, range(top + 1))
+                monkeypatch.undo()
+
+
+def _extremes(coefficients):
+    """(coefficient sum, first non-zero degree, last non-zero degree)."""
+    degrees = [d for d, count in enumerate(coefficients) if count]
+    return sum(coefficients), degrees[0], degrees[-1]
+
+
+def test_triple_table_matches_coefficient_lists():
+    # Every entry of a run's shared table up to 60, and of a few single-ratio
+    # tables, holds the count and extreme degrees of [m choose j]_q as read
+    # off its whole coefficient list.
+    table = aucppv.oracle._table
+    cases = [(60, 30, range(1, 60))] + [
+        (k1 + k2, min(k1, k2), sorted((k1, k2))) for k1, k2 in ((1, 1), (3, 4), (7, 2), (12, 29), (30, 30))
+    ]
+    for n, low, sizes in cases:
+        rows = table(n, low, sizes)
+        assert set(rows) == set(sizes)
+        for m, row in rows.items():
+            assert len(row) == min(m, low, n - m) + 1
+            assert row == [_extremes(gaussian_binomial(m, j)) for j in range(len(row))]
 
 
 def test_shared_table_matches_per_ratio_certification():

@@ -325,6 +325,34 @@ def test_non_finite_score_names_the_same_record_on_both_routes():
             assert str(raised.value) == f"record 'b' has non-finite score {bad!r}"
 
 
+def test_score_that_is_not_a_real_number_names_its_record():
+    # A string or None used to escape as a bare TypeError from the sort, an
+    # all-string column from the finiteness check and an unhashable score
+    # from the level count. Each route names the first such record.
+    ids = ["a", "b", "c", "d"]
+    for scores, bad in (
+        ([0.9, "x", 0.5, 0.1], 1),
+        ([None, 0.9, 0.5, 0.1], 0),
+        (["0.9", "0.7", "0.5", "0.1"], 0),
+        ([0.9, 0.5, [0.5], 0.1], 2),
+        ([[0.9], [0.5], [0.5], [0.1]], 0),
+        ([0.9, 0.5, 1j, 0.1], 2),
+    ):
+        for labels in ([True, False, True, False], [True] * 4, [False] * 4):
+            for policy in TiePolicy:
+                with pytest.raises(NonFiniteScore) as raised:
+                    Ranking(ids, scores, labels, policy)
+                assert str(raised.value) == f"record {ids[bad]!r} has score {scores[bad]!r}, not a real number"
+
+
+def test_unhashable_id_names_itself():
+    # It used to escape as a bare TypeError from the duplicate check.
+    for ids, bad in (([["a"], "b"], 0), (["a", {"b": 1}], 1)):
+        with pytest.raises(InconsistentInput) as raised:
+            Ranking(ids, [0.5, 0.4], [True, False], TiePolicy.BY_ID_ASCENDING)
+        assert str(raised.value) == f"record id {ids[bad]!r} is unhashable"
+
+
 def test_hits_at_rejects_cuts_outside_the_ranking():
     ranking = ranking_from_pattern("PNP", scores=[1.0, 0.5, 0.5])
     assert [ranking.hits_at(k) for k in range(4)] == [0, 1, 1, 2]
