@@ -6,11 +6,11 @@ positives), where PPV_k, sensitivity, and F1 all coincide. ``ppv_swap``
 translates PPV at the base-rate cut between a classifier and its reverse.
 With k2 negatives, h hits at that cut fit some ranking only when
 max(0, k1 - k2) <= h <= k1; ``_feasible_hits`` is the one check of that rule.
+``expected_hits_at_k`` and ``hits_range_at_k`` read ``Ranking``'s one cut lookup.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from operator import index
 from typing import NamedTuple
 
@@ -124,8 +124,8 @@ def expected_hits_at_k(ranking: Ranking, k: int) -> float:
     straddling tie it equals the deterministic hit count.
     """
 
-    hits_before, slots, size, group_positives = _boundary_group(ranking, k)
-    return (hits_before * size + group_positives * slots) / size
+    g, hits_before, slots, size = ranking._cut_group(k)
+    return (hits_before * size + (ranking.group_hits[g] - hits_before) * slots) / size
 
 
 def hits_range_at_k(ranking: Ranking, k: int) -> tuple[int, int]:
@@ -137,20 +137,9 @@ def hits_range_at_k(ranking: Ranking, k: int) -> tuple[int, int]:
     the deterministic hit count.
     """
 
-    hits_before, slots, size, group_positives = _boundary_group(ranking, k)
+    g, hits_before, slots, size = ranking._cut_group(k)
+    group_positives = ranking.group_hits[g] - hits_before
     return (
         hits_before + max(0, slots - (size - group_positives)),
         hits_before + min(group_positives, slots),
     )
-
-
-def _boundary_group(ranking: Ranking, k: int) -> tuple[int, int, int, int]:
-    """(positives before, slots inside the cut, size, positives) of the tie
-    group holding position k - 1, read from the ranking's group table."""
-
-    if not 1 <= _integer_cut(k) <= ranking.n:
-        raise CutOutOfRange(f"cut {k} outside [1, {ranking.n}]")
-    ends, hits = ranking.group_ends, ranking.group_hits
-    g = bisect_left(ends, k)
-    start, hits_before = (ends[g - 1], hits[g - 1]) if g else (0, 0)
-    return hits_before, k - start, ends[g] - start, hits[g] - hits_before

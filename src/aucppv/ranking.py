@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from collections import Counter
+from functools import cmp_to_key
 from itertools import accumulate, compress, islice, repeat
 from operator import index, itemgetter, ne
 from typing import Iterable, NamedTuple
@@ -46,15 +47,25 @@ class ScoredRecord(
     """One record: unique id, finite real score, binary label.
 
     ``positive`` is True for the positive class (the outcome the classifier
-    tries to place on top, e.g. reoffended within two years).
+    tries to place on top, e.g. reoffended within two years). An unhashable
+    id, an empty id and a score that is NaN, infinite or not a real number
+    raise what Ranking raises for them, with the same text.
     """
 
     __slots__ = ()
 
     def __init__(self, id: str, score: float, positive: bool) -> None:
+        try:
+            hash(id)
+        except TypeError:
+            raise InconsistentInput(f"record id {id!r} is unhashable") from None
         if not id:
             raise EmptyInput("record id must be a non-empty string")
-        if not math.isfinite(score):
+        try:
+            finite = math.isfinite(score)
+        except TypeError:
+            raise NonFiniteScore(f"record {id!r} has score {score!r}, not a real number") from None
+        if not finite:
             raise NonFiniteScore(f"record {id!r} has non-finite score {score!r}")
 
 
@@ -71,11 +82,11 @@ class Ranking:
     scores, O(n + d log d) for d of them. Otherwise it sorts the bare
     scores, which is faster when most of them are distinct. Either way a
     group's level is its first score in column order, so 0.0 and -0.0 share
-    a group. ``hits_at`` puts only the members of the tie group a cut falls
-    inside in tie order, once per group. ``ids``, ``scores`` and ``labels``
-    (parallel tuples in rank order, ``labels[i]`` True for a positive) are
-    built on first access, and so are ``items``, ``==`` and ``hash``, which
-    read them.
+    a group. ``hits_at``, ``ppv`` and ``reporting`` find the tie group a cut
+    falls in by one lookup, and ``hits_at`` puts only its members in tie
+    order, once per group. ``ids``, ``scores`` and ``labels`` (parallel
+    tuples in rank order, ``labels[i]`` True for a positive) are built on
+    first access, and so are ``items``, ``==`` and ``hash``, which read them.
 
     ``Ranking(ids, scores, labels, tie_policy)`` is the only constructor. It
     takes parallel, sized columns in any order and raises InconsistentInput
@@ -84,7 +95,10 @@ class Ranking:
     empty id, DuplicateId when two records share an id and NonFiniteScore
     for a score that is NaN, infinite or not a real number. Records of
     equal score rank by ascending id under BY_ID_ASCENDING and in column
-    order under GIVEN. A Ranking is immutable.
+    order under GIVEN. Under BY_ID_ASCENDING, two ids that ``<`` cannot
+    order raise InconsistentInput from the first sort by id that meets them:
+    ``hits_at`` sorts the ids of one tie group, the columns sort them all.
+    A Ranking is immutable.
     """
 
     __slots__ = (
@@ -199,8 +213,7 @@ class Ranking:
 
         if self._ordered is None:
             ids, scores, labels = self._columns
-            order = list(range(self.n))
-            order.sort(key=self._tie_key)
+            order = self._tie_sorted(range(self.n))
             order.sort(key=scores.__getitem__, reverse=True)
             pick = itemgetter(*order) if self.n > 1 else lambda column: (column[0],)
             object.__setattr__(self, "_ordered", (pick(ids), pick(scores), pick(labels)))
@@ -211,31 +224,57 @@ class Ranking:
 
         if not 0 <= _integer_cut(k) <= self.n:
             raise CutOutOfRange(f"cut {k} outside [0, {self.n}]")
-        # Whole groups that end at or before the cut, then the cut's share of
-        # the group it falls inside.
-        g = bisect_right(self.group_ends, k)
-        start, before = (self.group_ends[g - 1], self.group_hits[g - 1]) if g else (0, 0)
-        if k == start:
-            return before
-        return before + self._hits_in_tie_order(g)[k - start]
+        if k == 0:
+            return 0
+        g, before, taken, size = self._cut_group(k)
+        if taken == size:
+            return self.group_hits[g]
+        return before + self._hits_in_tie_order(g, size)[taken]
 
-    def _hits_in_tie_order(self, g: int) -> list[int]:
+    def _cut_group(self, k: int) -> tuple[int, int, int, int]:
+        """(g, positives before it, members the cut takes, size) of the tie
+        group g holding position k - 1; CutOutOfRange unless k is in 1..n."""
+
+        if not 1 <= _integer_cut(k) <= self.n:
+            raise CutOutOfRange(f"cut {k} outside [1, {self.n}]")
+        ends = self.group_ends
+        g = bisect_left(ends, k)
+        start, before = (ends[g - 1], self.group_hits[g - 1]) if g else (0, 0)
+        return g, before, k - start, ends[g] - start
+
+    def _hits_in_tie_order(self, g: int, size: int) -> list[int]:
         """Positives among the first j members of tie group g, j = 0..size,
         with the members in tie order; built once per group."""
 
         hits = self._tie_hits.get(g)
         if hits is None:
             _, scores, labels = self._columns
-            size = self.group_ends[g] - (self.group_ends[g - 1] if g else 0)
             find, level, at = scores.index, self._levels[g], -1
             members = []
             for _ in range(size):
                 at = find(level, at + 1)
                 members.append(at)
-            members.sort(key=self._tie_key)
+            members = self._tie_sorted(members)
             positives = map(bool, map(labels.__getitem__, members))
             hits = self._tie_hits[g] = list(accumulate(positives, initial=0))
         return hits
+
+    def _tie_sorted(self, positions: Iterable[int]) -> list[int]:
+        """The positions sorted by the tie key. When ``<`` fails on two ids, a
+        second sort, by a comparator, names them in InconsistentInput."""
+
+        try:
+            return sorted(positions, key=self._tie_key)
+        except TypeError:
+
+            def compare(a, b) -> int:
+                try:
+                    return (b < a) - (a < b)
+                except TypeError:
+                    raise InconsistentInput(f"record ids {a!r} and {b!r} cannot be ordered") from None
+
+            sorted(map(self._columns[0].__getitem__, positions), key=cmp_to_key(compare))
+            raise
 
 
 def _tie_groups(scores: tuple, labels: tuple) -> tuple[Counter, tuple, list[int]]:

@@ -28,7 +28,7 @@ from . import metrics as m
 from .envelopes import _envelope_pairs, _hit_bounds
 from .errors import AucppvError, InternalConsistencyError
 from .ingest import DecileReport, LoadSummary
-from .ppv import PpvResult, _boundary_group, hits_range_at_k
+from .ppv import PpvResult, hits_range_at_k
 from .ranking import Ranking
 from .roc import AucResult, auc_pairwise
 
@@ -132,7 +132,7 @@ def build_report(
         ppv=ppv,
         ppv_min=PpvResult(k=k1, hits=least),
         ppv_max=PpvResult(k=k1, hits=most),
-        boundary_group_size=_boundary_group(ranking, k1)[2],
+        boundary_group_size=ranking._cut_group(k1)[3],
         tie_hits_min=hits_lo,
         tie_hits_max=hits_hi,
         counts=counts,

@@ -126,6 +126,7 @@ def test_entries_accept_exactly_the_feasible_hit_levels():
 
 
 def test_ratio_validation():
+    assert ClassRatio(2, 3).n == 5
     with pytest.raises(ValueError):
         ClassRatio(0, 3)
     with pytest.raises(ValueError):

@@ -282,6 +282,8 @@ def test_empty_after_filter(tmp_path):
     )
     with pytest.raises(EmptyAfterFilter):
         load_csv(path)
+    with pytest.raises(EmptyAfterFilter, match="decile report needs at least one row"):
+        decile_report(ScoreTable())
 
 
 def test_custom_columns_and_delimiter(tmp_path):
@@ -466,6 +468,8 @@ def test_score_table_is_a_mutable_column_container():
     second.ids.append("p1")
     assert first == second
     assert first != ScoreTable(["p1"], [0.5])
+    # Against a non-table, == falls back to identity.
+    assert first != (["p1"], [], [], []) and not first == first.ids
     assert repr(second) == "ScoreTable(ids=['p1'], scores=[], deciles=[], labels=[])"
     with pytest.raises(TypeError):
         hash(first)

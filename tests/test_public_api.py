@@ -16,7 +16,7 @@ import pytest
 import aucppv
 import aucppv.errors
 from aucppv.envelopes import ClassRatio, EnvelopeCurve, envelope_curve
-from aucppv.errors import EmptyInput, NonFiniteScore
+from aucppv.errors import EmptyInput, InconsistentInput, NonFiniteScore
 from aucppv.ingest import (
     BucketStats,
     ColumnMap,
@@ -196,6 +196,8 @@ def test_records_are_immutable(record_type):
         (ScoredRecord, {"id": "", "score": 0.5, "positive": True}, EmptyInput),
         (ScoredRecord, {"id": "a", "score": math.nan, "positive": True}, NonFiniteScore),
         (ScoredRecord, {"id": "a", "score": -math.inf, "positive": False}, NonFiniteScore),
+        (ScoredRecord, {"id": "a", "score": "x", "positive": True}, NonFiniteScore),
+        (ScoredRecord, {"id": ["a"], "score": 0.5, "positive": True}, InconsistentInput),
     ],
 )
 def test_validating_records_check_positional_and_keyword_input(record_type, args, error):

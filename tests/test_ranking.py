@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -228,6 +229,7 @@ def _tie_group_reads(ranking: Ranking) -> dict:
         "ppv": [ppv_at_k(ranking, k) for k in cuts],
         "range": [hits_range_at_k(ranking, k) for k in cuts],
         "expected": [expected_hits_at_k(ranking, k) for k in cuts],
+        "cut_group": [ranking._cut_group(k) for k in cuts],
     }
 
 
@@ -237,7 +239,7 @@ def _walked_reads(ids, scores, labels) -> dict:
     n, k1 = len(ids), sum(labels)
     hits = [sum(labels[:k]) for k in range(n + 1)]
     ends = [i for i in range(1, n) if scores[i] != scores[i - 1]] + [n]
-    ranges, expected = [], []
+    ranges, expected, cut_groups = [], [], []
     for k in range(1, n + 1):
         group = [i for i in range(n) if scores[i] == scores[k - 1]]
         slots = k - group[0]
@@ -245,6 +247,9 @@ def _walked_reads(ids, scores, labels) -> dict:
         before = hits[group[0]]
         ranges.append((before + max(0, slots - (len(group) - inside)), before + min(inside, slots)))
         expected.append(float(before + Fraction(inside * slots, len(group))))
+        # The group's index, the positives before it, its members inside
+        # the cut and its size: the boundary group size build_report prints.
+        cut_groups.append((ends.index(group[-1] + 1), before, slots, len(group)))
     return {
         "groups": (tuple(ends), tuple(hits[end] for end in ends)),
         "hits": hits,
@@ -255,6 +260,7 @@ def _walked_reads(ids, scores, labels) -> dict:
         "ppv": [PpvResult(k=k, hits=hits[k]) for k in range(1, n + 1)],
         "range": ranges,
         "expected": expected,
+        "cut_group": cut_groups,
     }
 
 
@@ -343,6 +349,10 @@ def test_score_that_is_not_a_real_number_names_its_record():
                 with pytest.raises(NonFiniteScore) as raised:
                     Ranking(ids, scores, labels, policy)
                 assert str(raised.value) == f"record {ids[bad]!r} has score {scores[bad]!r}, not a real number"
+        # ScoredRecord used to raise a bare TypeError from math.isfinite.
+        with pytest.raises(NonFiniteScore) as raised:
+            ScoredRecord(ids[bad], scores[bad], True)
+        assert str(raised.value) == f"record {ids[bad]!r} has score {scores[bad]!r}, not a real number"
 
 
 def test_unhashable_id_names_itself():
@@ -351,6 +361,10 @@ def test_unhashable_id_names_itself():
         with pytest.raises(InconsistentInput) as raised:
             Ranking(ids, [0.5, 0.4], [True, False], TiePolicy.BY_ID_ASCENDING)
         assert str(raised.value) == f"record id {ids[bad]!r} is unhashable"
+    # ScoredRecord used to accept it, failing only in the Ranking built from it.
+    with pytest.raises(InconsistentInput) as raised:
+        ScoredRecord(["a"], 0.5, True)
+    assert str(raised.value) == "record id ['a'] is unhashable"
 
 
 def test_hits_at_rejects_cuts_outside_the_ranking():
@@ -360,6 +374,45 @@ def test_hits_at_rejects_cuts_outside_the_ranking():
     for k in (-1, 4, 2.0, 1.5, "2", None):
         with pytest.raises(CutOutOfRange):
             ranking.hits_at(k)
+    # The cut lookup behind hits_at and the boundary-group reads takes 1..n.
+    for k in (0, 4):
+        with pytest.raises(CutOutOfRange, match=rf"cut {k} outside \[1, 3\]"):
+            ranking._cut_group(k)
+
+
+def test_ids_that_cannot_be_ordered_name_two_of_them():
+    # Both sorts by id, the one tie group hits_at orders and the full rank
+    # order the columns read, used to raise a bare TypeError from the sort.
+    tied = (["b", 1, "a", 2], [0.5, 0.5, 0.5, 0.1], [True, False, True, False])
+    mixed = {
+        f"record ids {a!r} and {b!r} cannot be ordered"
+        for a, b in permutations(tied[0], 2)
+        if type(a) is not type(b)
+    }
+    for read in (lambda ranking: ranking.hits_at(1), lambda ranking: ranking.ids):
+        ranking = Ranking(*tied, TiePolicy.BY_ID_ASCENDING)
+        with pytest.raises(InconsistentInput) as raised:
+            read(ranking)
+        assert str(raised.value) in mixed
+    # The rank order sorts every id, so a mixed column fails there even
+    # when no tie group mixes them; a cut in the tie-free group does not sort.
+    ranking = Ranking([1, "a"], [0.9, 0.5], [True, False], TiePolicy.BY_ID_ASCENDING)
+    assert [ranking.hits_at(k) for k in range(3)] == [0, 1, 1]
+    with pytest.raises(InconsistentInput, match="cannot be ordered"):
+        ranking.ids
+    # GIVEN never compares ids.
+    ranking = Ranking(*tied, TiePolicy.GIVEN)
+    assert (ranking.hits_at(1), ranking.ids) == (1, ("b", 1, "a", 2))
+
+
+def test_ranking_is_immutable_and_shows_its_sizes():
+    ranking = ranking_from_pattern("PPNPNNN")
+    with pytest.raises(AttributeError, match="Ranking is immutable"):
+        ranking.k1 = 4
+    with pytest.raises(AttributeError):
+        ranking.note = "x"
+    assert ranking.k1 == 3
+    assert repr(ranking) == "Ranking(n=7, k1=3, k2=4, tie_policy=TiePolicy.BY_ID_ASCENDING)"
 
 
 def test_reverse_flips_order_and_roles():

@@ -35,7 +35,7 @@ from aucppv.cli import main
 from aucppv.data import fixture_path
 from aucppv.envelopes import _envelope_pairs
 from aucppv.errors import InternalConsistencyError
-from aucppv.ppv import _boundary_group, expected_hits_at_k, hits_range_at_k
+from aucppv.ppv import expected_hits_at_k, hits_range_at_k
 from aucppv.reporting import _metric_table, _report_payload
 from aucppv.roc import AucResult
 from conftest import WORKED_EXAMPLE, ranking_from_pattern
@@ -215,7 +215,9 @@ def test_report_envelopes_match_the_fraction_route(data):
         "recall": shown(Fraction(tp, k1)),
         "f1": shown(Fraction(2 * tp, 2 * tp + fp + fn) if tp else None),
     }
-    before, slots, size, positives = _boundary_group(ranking, k1)
+    g, before, slots, size = ranking._cut_group(k1)
+    assert report.boundary_group_size == size
+    positives = ranking.group_hits[g] - before
     assert expected_hits_at_k(ranking, k1) == float(before + Fraction(positives * slots, size))
 
 
