@@ -5,7 +5,7 @@ h = PPV_k * k1. Over all arrangements with exactly h positives in the top k1,
 the largest AUC is attained by packing the remaining positives directly below
 the cut and the misplaced negatives directly above the bottom, and the
 smallest by the mirror arrangement. Both extremes are integer pair counts
-over the k1*k2 pairs:
+over the k1*k2 pairs (the two blocks the cut makes, counted in ``oracle``):
 
     auc_max = (k1*k2 - (k1 - h)^2) / (k1*k2)
     auc_min = h * (k2 - k1 + h) / (k1*k2)
@@ -27,10 +27,11 @@ The inverse direction solves the envelopes for h: given an observed AUC
 value b, the feasible hit counts are bracketed by the smallest h whose
 auc_min reaches b and the largest h whose auc_max stays at or below b, the
 outer grid neighbours of the continuous roots, so the reported interval
-always contains every PPV_k attainable at AUC = b. Each root is read from
-``math.isqrt`` and settled by an exact integer correction step, with b taken
-as the exact rational it is (a float converts to its binary fraction, and
-callers with an exact AUC pass a Fraction), so there is no slack.
+always contains every PPV_k attainable at AUC = b. Both are one quadratic,
+x * (x + d) reaching a target, solved by ``_least_root`` from ``math.isqrt``
+and settled by an exact integer correction step, with b taken as the exact
+rational it is (a float converts to its binary fraction, and callers with an
+exact AUC pass a Fraction), so there is no slack.
 """
 
 from __future__ import annotations
@@ -108,29 +109,33 @@ def auc_min_given_ppvk(ppv: float, ratio: ClassRatio) -> float:
     return _envelope_pairs(hits_from_ppv(ppv, ratio.k1), *ratio)[0] / (ratio.k1 * ratio.k2)
 
 
+def _least_root(d: int, den: int, target: int) -> int:
+    """Least integer x >= max(0, -d) with x * (x + d) * den >= target >= 0.
+
+    The start, read from isqrt of a floored integer, is at least max(0, -d)
+    and never above the continuous root, past which x * (x + d) increases,
+    so the exact steps up cannot overshoot; the start falls at most two
+    levels short.
+    """
+
+    x = (math.isqrt((d * d * den + 4 * target) // den) - d) // 2
+    while x * (x + d) * den < target:
+        x += 1
+    return x
+
+
 def _hit_bounds(num: int, den: int, k1: int, k2: int) -> tuple[int, int]:
     """(least, most) hits at the cut k1 for an AUC of num / den in [0, 1].
 
-    Each bound is the outer grid neighbour of a continuous root, read from
-    isqrt of a floored integer and stepped up by exact integer tests. The
-    start is never above the true root, so it cannot overshoot and falls at
-    most about three levels short.
+    The most is the least h whose auc_min, h * (h + k2 - k1), reaches the
+    AUC; h = k1 always does. The least is k1 - m for the least miss count m
+    whose auc_max, k1*k2 - m * m, stays at or below it, or the least
+    feasible level, max(0, k1 - k2), if that is higher.
     """
 
-    p = num * k1 * k2
-    # Least miss count m with m^2 * den >= r: k1 - m is the largest level
-    # whose auc_max stays at or below the AUC, if it is feasible.
-    r = (den - num) * k1 * k2
-    miss = math.isqrt(r // den)
-    while miss * miss * den < r:
-        miss += 1
-    # Least h with h * (d + h) * den >= p. For d < 0 the start is at least
-    # -d = k1 - k2, the least feasible level; h = k1 always passes.
-    d = k2 - k1
-    most = (math.isqrt((d * d * den + 4 * p) // den) - d) // 2
-    while most * (d + most) * den < p:
-        most += 1
-    return max(0, -d, k1 - miss), most
+    total = k1 * k2
+    most = _least_root(k2 - k1, den, num * total)
+    return max(0, k1 - k2, k1 - _least_root(0, den, (den - num) * total)), most
 
 
 def _hits_given_auc(auc: float | Fraction, ratio: ClassRatio) -> tuple[int, int]:

@@ -1,30 +1,37 @@
 """Counting arrangement oracle and envelope certification.
 
-An arrangement places k1 positives among n = k1 + k2 ranked positions. Its
-integer count of correctly ordered positive/negative pairs falls by one for
-each step its positives' position sum grows. With h hits (positives in the
-top k1), h positives fill the top block of k1 positions and k1 - h fill the
-bottom block of k2. The Gaussian binomial [m choose j]_q counts the
-j-subsets of m consecutive positions by how far their position sum exceeds
-the least one, so a hit level's arrangements are counted by pair count with
-the product [k1 choose h]_q * [k2 choose k1 - h]_q (the Mann-Whitney U null
-distribution, split by hits). Summed over h this is [n choose k1]_q, the
-q-Vandermonde identity. No arrangement is visited.
+An arrangement places k1 positives among n = k1 + k2 ranked positions. The
+base-rate cut with h hits (positives in the top k1) splits it into two
+blocks: the top k1 positions hold h positives and k1 - h negatives, the
+bottom k2 hold k1 - h positives and k2 - k1 + h negatives. Every pair of a
+top positive and a bottom negative is correctly ordered,
+B = h * (k2 - k1 + h) of them, and no pair of a bottom positive and a top
+negative is; the pairs inside the blocks can be any number from none to
+all. Inside a block of m positions holding j records of one class, the
+Gaussian binomial [m choose j]_q counts the arrangements by their
+correctly ordered pairs: it counts the j-subsets of m consecutive
+positions by how far their position sum exceeds the least one, and it
+reads the same at j and m - j. So a hit level's arrangements are counted
+by pair count with q^B * [k1 choose k1 - h]_q * [k2 choose k1 - h]_q (the
+Mann-Whitney U null distribution, split by block). Summed over h this is
+[n choose k1]_q, the q-Vandermonde identity. No arrangement is visited.
 
 The table keeps three integers per entry of each Gaussian binomial: its
 count and its lowest and highest non-zero degrees, built row by row from
 the recurrence for [m choose j]_q; no polynomial is built. A level is read
 off its two factors, never multiplied out: its count is the product of
 theirs and, as no coefficient is negative, its extreme degrees are the sums
-of theirs. Those extremes are the level's most and least correctly ordered
-pairs; they certify the closed-form envelopes by integer equality with the
-closed forms' numerators over k1*k2. The extremes of [m choose j]_q are 0
-and j*(m - j), so past n of about 14 this checks the Gaussian-binomial
-decomposition, not each arrangement. One table, with rows up to L - 1 and
-entries up to L // 2, serves every ratio with n <= L: ``certify_up_to``
-builds it once per run, ``enumerate_arrangements`` one for its own ratio.
-A Fraction (pairs / (k1*k2)) is built only when a level's AUC is read, or
-to report a mismatch.
+of theirs. B plus those sums are the level's least and most correctly
+ordered pairs; they certify the closed-form envelopes by integer equality
+with the closed forms' numerators over k1*k2. One table, with rows up to
+L - 1 and entries up to L // 2, serves every ratio with n <= L:
+``certify_up_to`` builds it once per run, ``enumerate_arrangements`` one
+for its own ratio. The extremes of [m choose j]_q are 0 and j*(m - j), so
+past n of about 14 certification assumes the Gaussian-binomial
+decomposition rather than checking it; only the test suite checks it,
+against every arrangement and by the q-Vandermonde identity. A Fraction
+(pairs / (k1*k2)) is built only when a level's AUC is read, or to report a
+mismatch.
 """
 
 from __future__ import annotations
@@ -141,10 +148,9 @@ def _table(n: int, low: int, sizes: Sequence[int]) -> dict[int, list[tuple[int, 
 def _read_levels(ratio: ClassRatio, table: dict[int, list[tuple[int, int, int]]]) -> ArrangementStats:
     """Every feasible hit level of ``ratio``, read off its two factors.
 
-    Level h is [k1 choose k1 - h]_q * [k2 choose k1 - h]_q: k1 - h negatives
-    in the top block and k1 - h positives in the bottom one. Degree 0 puts
-    the hits on top and those positives right below the cut, each under each
-    of those negatives: k1*k2 - (k1 - h)**2 pairs, and degree d has d fewer.
+    Level h is q^B * [k1 choose k1 - h]_q * [k2 choose k1 - h]_q: k1 - h
+    negatives in the top block, k1 - h positives in the bottom one, and the
+    B = h * (k2 - k1 + h) pairs of a hit and a bottom negative.
     """
 
     k1, k2 = ratio
@@ -152,14 +158,14 @@ def _read_levels(ratio: ClassRatio, table: dict[int, list[tuple[int, int, int]]]
     per_hits = {}
     for hits in range(max(0, k1 - k2), k1 + 1):
         misses = k1 - hits
-        most = total - misses * misses
+        cross = hits * (k2 - misses)
         top_count, top_lowest, top_highest = table[k1][misses]
         bottom_count, bottom_lowest, bottom_highest = table[k2][misses]
         per_hits[hits] = HitLevelStats(
             hits,
             top_count * bottom_count,
-            most - top_highest - bottom_highest,
-            most - top_lowest - bottom_lowest,
+            cross + top_lowest + bottom_lowest,
+            cross + top_highest + bottom_highest,
             total,
         )
     return ArrangementStats(ratio, per_hits, sum(level.count for level in per_hits.values()))

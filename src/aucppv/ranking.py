@@ -48,8 +48,9 @@ class ScoredRecord(
 
     ``positive`` is True for the positive class (the outcome the classifier
     tries to place on top, e.g. reoffended within two years). An unhashable
-    id, an empty id and a score that is NaN, infinite or not a real number
-    raise what Ranking raises for them, with the same text.
+    id, an empty id and a score that is NaN, infinite, too large for a float
+    or not a real number raise what Ranking raises for them, with the same
+    text.
     """
 
     __slots__ = ()
@@ -61,12 +62,7 @@ class ScoredRecord(
             raise InconsistentInput(f"record id {id!r} is unhashable") from None
         if not id:
             raise EmptyInput("record id must be a non-empty string")
-        try:
-            finite = math.isfinite(score)
-        except TypeError:
-            raise NonFiniteScore(f"record {id!r} has score {score!r}, not a real number") from None
-        if not finite:
-            raise NonFiniteScore(f"record {id!r} has non-finite score {score!r}")
+        _check_score(id, score)
 
 
 class Ranking:
@@ -93,11 +89,13 @@ class Ranking:
     for columns of different lengths, an unhashable id or a label that is
     not True or False (0 and 1 pass), EmptyInput for empty columns or an
     empty id, DuplicateId when two records share an id and NonFiniteScore
-    for a score that is NaN, infinite or not a real number. Records of
-    equal score rank by ascending id under BY_ID_ASCENDING and in column
-    order under GIVEN. Under BY_ID_ASCENDING, two ids that ``<`` cannot
-    order raise InconsistentInput from the first sort by id that meets them:
-    ``hits_at`` sorts the ids of one tie group, the columns sort them all.
+    for a score that is NaN, infinite, too large for a float or not a real
+    number. Records of equal score rank by ascending id under
+    BY_ID_ASCENDING and in column order under GIVEN. Under BY_ID_ASCENDING,
+    two ids of one tie group that ``<`` cannot order raise InconsistentInput
+    from the first sort by id that meets them: ``hits_at`` sorts the ids of
+    the group a cut splits, the columns those of every group; ids of
+    different groups are never compared.
     A Ranking is immutable.
     """
 
@@ -146,14 +144,13 @@ class Ranking:
             positives, levels, ends = _tie_groups(scores, labels)
             # Every score is one of the levels, so checking them checks every record.
             finite = all(map(math.isfinite, levels))
-        except TypeError:  # a score that is not a real number: name it
-            bad = _first_type_error(math.isfinite, scores)
-            if bad is None:
-                raise
-            raise NonFiniteScore(f"record {ids[bad]!r} has score {scores[bad]!r}, not a real number") from None
+        except (TypeError, OverflowError):  # a score a float cannot hold: name it
+            for rec_id, score in zip(ids, scores):
+                _check_score(rec_id, score)
+            raise
         if not finite:
-            bad = next(i for i, score in enumerate(scores) if not math.isfinite(score))
-            raise NonFiniteScore(f"record {ids[bad]!r} has non-finite score {scores[bad]!r}")
+            for rec_id, score in zip(ids, scores):
+                _check_score(rec_id, score)
         hits = tuple(accumulate(map(positives.get, levels, repeat(0))))
         assign = object.__setattr__
         assign(self, "n", n)
@@ -209,12 +206,18 @@ class Ranking:
 
     def _rank_order(self) -> tuple[tuple, tuple, tuple]:
         """The columns in rank order, built on the first call: positions
-        sorted by the tie key, then stably by descending score."""
+        sorted stably by descending score, then each tie group's members by
+        the tie key, so ids are compared only inside a tie group."""
 
         if self._ordered is None:
             ids, scores, labels = self._columns
-            order = self._tie_sorted(range(self.n))
-            order.sort(key=scores.__getitem__, reverse=True)
+            order = sorted(range(self.n), key=scores.__getitem__, reverse=True)
+            if self._tie_key is not None:
+                start = 0
+                for end in self.group_ends:
+                    if end - start > 1:
+                        order[start:end] = self._tie_sorted(order[start:end])
+                    start = end
             pick = itemgetter(*order) if self.n > 1 else lambda column: (column[0],)
             object.__setattr__(self, "_ordered", (pick(ids), pick(scores), pick(labels)))
         return self._ordered
@@ -309,6 +312,20 @@ def _first_type_error(check, values) -> int | None:
         except TypeError:
             return offset
     return None
+
+
+def _check_score(rec_id, score) -> None:
+    """NonFiniteScore naming the record unless ``score`` is a finite real
+    number that a float can hold."""
+
+    try:
+        finite = math.isfinite(score)
+    except TypeError:
+        raise NonFiniteScore(f"record {rec_id!r} has score {score!r}, not a real number") from None
+    except OverflowError:  # an int or Fraction past the float range; its repr may be huge
+        raise NonFiniteScore(f"record {rec_id!r} has a score too large for a float") from None
+    if not finite:
+        raise NonFiniteScore(f"record {rec_id!r} has non-finite score {score!r}")
 
 
 def _integer_cut(k: int) -> int:

@@ -355,6 +355,39 @@ def test_score_that_is_not_a_real_number_names_its_record():
         assert str(raised.value) == f"record {ids[bad]!r} has score {scores[bad]!r}, not a real number"
 
 
+def test_score_too_large_for_a_float_names_its_record():
+    # An int or Fraction past the float range used to escape as a bare
+    # OverflowError from math.isfinite. The text leaves the score out: the
+    # repr of 10**5000 is itself refused.
+    message = "record 'b' has a score too large for a float"
+    for huge in (10**400, -(10**400), 10**5000, Fraction(10**400, 3)):
+        for policy in TiePolicy:
+            with pytest.raises(NonFiniteScore) as raised:
+                Ranking(["a", "b", "c"], [0.5, huge, 0.1], [True, False, True], policy)
+            assert str(raised.value) == message
+        with pytest.raises(NonFiniteScore) as raised:
+            ScoredRecord("b", huge, True)
+        assert str(raised.value) == message
+    with pytest.raises(NonFiniteScore, match="record 'a' has a score too large"):
+        Ranking(["a"], [10**400], [True], TiePolicy.GIVEN)
+    # An int a float can hold ranks as the number it is.
+    ranking = Ranking(["a", "b"], [1, 10**300], [False, True], TiePolicy.GIVEN)
+    assert (ranking.hits_at(1), ranking.ids) == (1, ("b", "a"))
+
+
+def test_ids_of_different_tie_groups_are_never_compared():
+    # Each tie group's ids share a type, but the column mixes them: the rank
+    # order sorts each group by id and compares no id across groups.
+    ids, scores = [3, "b", 2, "a", 1], [0.1, 0.5, 0.9, 0.5, 0.9]
+    labels = [True, False, True, True, False]
+    ranking = Ranking(ids, scores, labels, TiePolicy.BY_ID_ASCENDING)
+    assert ranking.ids == (1, 2, "a", "b", 3)
+    assert ranking.labels == (False, True, True, False, True)
+    assert [ranking.hits_at(k) for k in range(6)] == [0, 0, 1, 2, 2, 3]
+    assert ranking == Ranking(ids[::-1], scores[::-1], labels[::-1], TiePolicy.BY_ID_ASCENDING)
+    assert reverse_classifier(reverse_classifier(ranking)).ids == ranking.ids
+
+
 def test_unhashable_id_names_itself():
     # It used to escape as a bare TypeError from the duplicate check.
     for ids, bad in (([["a"], "b"], 0), (["a", {"b": 1}], 1)):
@@ -394,12 +427,11 @@ def test_ids_that_cannot_be_ordered_name_two_of_them():
         with pytest.raises(InconsistentInput) as raised:
             read(ranking)
         assert str(raised.value) in mixed
-    # The rank order sorts every id, so a mixed column fails there even
-    # when no tie group mixes them; a cut in the tie-free group does not sort.
+    # Ids of different tie groups are never compared, so a mixed column
+    # whose ties do not mix types reads at every cut and in rank order.
     ranking = Ranking([1, "a"], [0.9, 0.5], [True, False], TiePolicy.BY_ID_ASCENDING)
     assert [ranking.hits_at(k) for k in range(3)] == [0, 1, 1]
-    with pytest.raises(InconsistentInput, match="cannot be ordered"):
-        ranking.ids
+    assert ranking.ids == (1, "a")
     # GIVEN never compares ids.
     ranking = Ranking(*tied, TiePolicy.GIVEN)
     assert (ranking.hits_at(1), ranking.ids) == (1, ("b", 1, "a", 2))
