@@ -144,7 +144,7 @@ class Ranking:
             positives, levels, ends = _tie_groups(scores, labels)
             # Every score is one of the levels, so checking them checks every record.
             finite = all(map(math.isfinite, levels))
-        except (TypeError, OverflowError):  # a score a float cannot hold: name it
+        except (TypeError, ValueError, ArithmeticError):  # a score no float holds: name it
             for rec_id, score in zip(ids, scores):
                 _check_score(rec_id, score)
             raise
@@ -324,6 +324,8 @@ def _check_score(rec_id, score) -> None:
         raise NonFiniteScore(f"record {rec_id!r} has score {score!r}, not a real number") from None
     except OverflowError:  # an int or Fraction past the float range; its repr may be huge
         raise NonFiniteScore(f"record {rec_id!r} has a score too large for a float") from None
+    except ValueError:  # a signalling NaN, which no float holds
+        finite = False
     if not finite:
         raise NonFiniteScore(f"record {rec_id!r} has non-finite score {score!r}")
 

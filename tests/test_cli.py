@@ -6,8 +6,12 @@ import contextlib
 import csv
 import io
 import json
+import os
+import signal
+import subprocess
 import sys
 import textwrap
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,6 +45,18 @@ def run(capsys, argv: list[str]) -> tuple[int, str, str]:
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def golden_compas(fmt: str) -> str:
+    path = Path(__file__).parent / "data" / f"golden_report_compas_{fmt}.txt"
+    return path.read_text(encoding="utf-8")
+
+
+def assert_no_child() -> None:
+    """No child process is left behind, running or unreaped."""
+
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def stdout_of(argv: list[str]) -> str:
@@ -169,6 +185,7 @@ def test_load_errors_name_the_file(tmp_path, capsys, content):
     assert code == 1
     assert out == ""
     assert f"error: {bad}: " in err
+    assert_no_child()
 
 
 def test_nul_byte_exits_one_naming_file_and_row(tmp_path, capsys):
@@ -541,6 +558,128 @@ def test_report_compas_is_byte_deterministic(capsys):
     first = run(capsys, ["report-compas", "--format", "tsv"])
     second = run(capsys, ["report-compas", "--format", "tsv"])
     assert first == second
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "tsv"])
+def test_report_compas_without_fork_prints_the_golden(capsys, monkeypatch, fmt):
+    # Where os.fork is missing the two scales render one after the other.
+    monkeypatch.delattr(os, "fork")
+    assert run(capsys, ["report-compas", "--format", fmt]) == (0, golden_compas(fmt), "")
+    assert_no_child()
+
+
+def test_report_compas_does_not_fork_beside_another_thread(capsys, monkeypatch):
+    # A fork copies only the calling thread: with a second thread alive the
+    # scales render one after the other, so os.fork must not be reached.
+    def no_fork():
+        raise AssertionError("forked beside another thread")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        code, out, err = run(capsys, ["report-compas", "--format", "json"])
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert (code, out, err) == (0, golden_compas("json"), "")
+    assert_no_child()
+
+
+def test_report_compas_renders_the_violent_table_in_a_child(capsys, monkeypatch):
+    # Where forking is safe the parent renders only the general table and
+    # takes the violent one from the child.
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if not hasattr(os, "fork") or cpus < 2 or threading.active_count() > 1:
+        pytest.skip("report-compas runs sequentially here")
+    rendered = []
+    evaluate_one = aucppv.cli._evaluate_one
+
+    def counted(path, scale, *args, **kwargs):
+        rendered.append(scale.value)
+        return evaluate_one(path, scale, *args, **kwargs)
+
+    monkeypatch.setattr(aucppv.cli, "_evaluate_one", counted)
+    assert run(capsys, ["report-compas", "--format", "tsv"]) == (0, golden_compas("tsv"), "")
+    assert rendered == ["general"]
+    assert_no_child()
+
+
+def test_report_compas_bad_general_input_names_it(tmp_path, capsys):
+    # The parent's own table fails while the child renders the other: the
+    # child is killed and reaped, and the error is the sequential run's.
+    bad = tmp_path / "general.csv"
+    bad.write_bytes(b"person_id,raw_score,decile,outcome\na,x,5,1\n")
+    code, out, err = run(capsys, ["report-compas", "--general-input", str(bad)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {bad}: ")
+    assert_no_child()
+
+
+def test_report_compas_interrupted_reaps_its_child(capsys, monkeypatch):
+    evaluate_one = aucppv.cli._evaluate_one
+
+    def interrupted(path, scale, *args, **kwargs):
+        if scale.value == "general":
+            raise KeyboardInterrupt
+        return evaluate_one(path, scale, *args, **kwargs)
+
+    monkeypatch.setattr(aucppv.cli, "_evaluate_one", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["report-compas"])
+    assert capsys.readouterr().out == ""
+    assert_no_child()
+
+
+def test_report_compas_writes_output_file(tmp_path, capsys):
+    out_file = tmp_path / "report.json"
+    code, out, err = run(capsys, ["report-compas", "--format", "json", "--output", str(out_file)])
+    assert (code, out, err) == (0, "", "")
+    assert out_file.read_bytes() == golden_compas("json").encode("utf-8")
+    assert_no_child()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_report_compas_bad_violent_fifo_errs_as_the_sequential_run(tmp_path, capsys, monkeypatch):
+    # A FIFO can be read only once, so a child that drained it and failed
+    # could not hand the table back: such an input runs sequentially. A
+    # writer process, not a thread, feeds the FIFO, so the run could fork.
+    fifo = tmp_path / "violent.csv"
+    os.mkfifo(fifo)
+    table = "person_id,raw_score,decile,outcome\na,x,5,1\n"
+    writer_code = "import sys; open(sys.argv[1], 'w').write(sys.argv[2])"
+
+    def timed_out(signum, frame):
+        raise AssertionError("report-compas waited on a drained FIFO")
+
+    def report_from_fifo():
+        writer = subprocess.Popen([sys.executable, "-c", writer_code, str(fifo), table])
+        try:
+            return run(capsys, ["report-compas", "--violent-input", str(fifo)])
+        finally:
+            writer.kill()
+            writer.wait()
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(30)
+    try:
+        result = report_from_fifo()
+        assert_no_child()
+        monkeypatch.delattr(os, "fork")
+        sequential = report_from_fifo()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert result == sequential
+    code, out, err = result
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {fifo}: ") and "row 2" in err
+    assert_no_child()
 
 
 def test_internal_consistency_failure_exits_two(tmp_path, capsys, monkeypatch):

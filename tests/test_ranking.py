@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations
 
@@ -88,7 +89,7 @@ def test_duplicate_id_rejected():
         build_ranking(records)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, Decimal("sNaN")])
 def test_non_finite_scores_rejected(bad):
     with pytest.raises(NonFiniteScore):
         ScoredRecord("a", bad, True)
@@ -329,6 +330,14 @@ def test_non_finite_score_names_the_same_record_on_both_routes():
             with pytest.raises(NonFiniteScore) as raised:
                 Ranking(ids, scores, labels, TiePolicy.BY_ID_ASCENDING)
             assert str(raised.value) == f"record 'b' has non-finite score {bad!r}"
+    # A signalling NaN cannot be hashed, compared or converted to a float;
+    # whichever of those fails first, the record is named.
+    snan = Decimal("sNaN")
+    for scores, bad in (([snan, 0.5], 0), ([0.5, snan], 1), ([snan], 0)):
+        for policy in TiePolicy:
+            with pytest.raises(NonFiniteScore) as raised:
+                Ranking(ids[:len(scores)], scores, [True, False][:len(scores)], policy)
+            assert str(raised.value) == f"record {ids[bad]!r} has non-finite score {snan!r}"
 
 
 def test_score_that_is_not_a_real_number_names_its_record():
