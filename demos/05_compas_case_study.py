@@ -30,6 +30,13 @@ def evaluate(scale: Scale, label: str):
     return build_report(ranking, label=label, decile=deciles)
 
 
+def gap(report) -> float:
+    """AUC - PPV_k at the base-rate cut as one division of exact counts."""
+
+    k1, k2 = report.k1, report.k2
+    return (report.auc.doubled_u - 2 * k2 * report.ppv.hits) / (2 * k1 * k2)
+
+
 def main() -> None:
     general = evaluate(Scale.GENERAL, "general recidivism scale")
     violent = evaluate(Scale.VIOLENT, "violent recidivism scale")
@@ -47,11 +54,7 @@ def main() -> None:
         ("base rate", general.k1 / general.n, violent.k1 / violent.n),
         ("auc", general.auc.value, violent.auc.value),
         ("ppv at base-rate cut", general.ppv.value, violent.ppv.value),
-        (
-            "auc - ppv gap",
-            general.auc.value - general.ppv.value,
-            violent.auc.value - violent.ppv.value,
-        ),
+        ("auc - ppv gap", gap(general), gap(violent)),
     ]
     for name, g, v in rows:
         gs = str(g) if isinstance(g, int) else format_number(g)

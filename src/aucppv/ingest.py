@@ -130,8 +130,9 @@ class LoadResult(NamedTuple):
     summary: LoadSummary
 
 
+_DECILE_SCALE = range(1, 11)
 #: Canonical decile and outcome cells, resolved by one lookup each.
-_DECILES = {str(d): d for d in range(1, 11)}
+_DECILES = {str(d): d for d in _DECILE_SCALE}
 _OUTCOMES = {"0": False, "1": True}
 
 
@@ -166,7 +167,7 @@ def _checked_row(
         if not math.isfinite(score):
             raise ValueError(f"score {score_text!r} is not finite")
         decile = int(decile_text)
-        if not 1 <= decile <= 10:
+        if decile not in _DECILE_SCALE:
             raise ValueError(f"decile {decile_text!r} outside [1, 10]")
         outcome = _OUTCOMES.get(outcome_text)
         if outcome is None:
@@ -321,11 +322,11 @@ def decile_report(rows: ScoreTable) -> DecileReport:
         raise EmptyAfterFilter("decile report needs at least one row")
     totals = Counter(rows.deciles)
     for decile in totals:
-        if decile not in range(1, 11):
+        if decile not in _DECILE_SCALE:
             raise ValueError(f"decile {decile!r} outside [1, 10]")
     positives = Counter(compress(rows.deciles, rows.labels))
     per_decile = tuple(
-        DecileCount(decile=d, total=totals[d], positives=positives[d]) for d in range(1, 11)
+        DecileCount(decile=d, total=totals[d], positives=positives[d]) for d in _DECILE_SCALE
     )
     return DecileReport(
         per_decile=per_decile,

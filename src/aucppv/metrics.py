@@ -7,6 +7,7 @@ Undefined cases raise typed errors instead of returning NaN.
 
 from __future__ import annotations
 
+from operator import index
 from typing import NamedTuple
 
 from .errors import (
@@ -38,13 +39,13 @@ __all__ = [
 class ConfusionCounts(
     NamedTuple("ConfusionCounts", [("tp", int), ("fp", int), ("fn", int), ("tn", int)])
 ):
-    """tp/fp/fn/tn at a positional cut; all counts non-negative."""
+    """tp/fp/fn/tn at a positional cut; all counts non-negative integers."""
 
     __slots__ = ()
 
     def __init__(self, tp: int, fp: int, fn: int, tn: int) -> None:
         for name, count in zip(self._fields, self):
-            if count < 0:
+            if index(count) < 0:  # TypeError for a non-integer count
                 raise ValueError(f"{name} must be non-negative")
 
     @property

@@ -14,8 +14,8 @@ from __future__ import annotations
 from operator import index
 from typing import NamedTuple
 
-from .errors import CutOutOfRange, EmptyPositiveClass, InconsistentInput, NonIntegralHits
-from .ranking import Ranking, _integer_cut
+from .errors import EmptyPositiveClass, InconsistentInput, NonIntegralHits
+from .ranking import Ranking
 
 __all__ = [
     "PpvResult",
@@ -34,6 +34,7 @@ class PpvResult(NamedTuple("PpvResult", [("k", int), ("hits", int)])):
     __slots__ = ()
 
     def __init__(self, k: int, hits: int) -> None:
+        index(k), index(hits)  # TypeError for a float or other non-integer count
         if k < 1:
             raise ValueError("cut k must be at least 1")
         if not 0 <= hits <= k:
@@ -47,10 +48,8 @@ class PpvResult(NamedTuple("PpvResult", [("k", int), ("hits", int)])):
 def ppv_at_k(ranking: Ranking, k: int) -> PpvResult:
     """Count positives among the top k records; k an integer in 1..n."""
 
-    if not 1 <= _integer_cut(k) <= ranking.n:
-        raise CutOutOfRange(f"cut {k} outside [1, {ranking.n}]")
-    hits = ranking.hits_at(k)
-    return PpvResult(k=k, hits=hits)
+    ranking._cut_group(k)  # CutOutOfRange unless k is an integer in 1..n
+    return PpvResult(k=k, hits=ranking.hits_at(k))
 
 
 def ppv_base_rate(ranking: Ranking) -> PpvResult:
@@ -69,7 +68,7 @@ def hits_from_ppv(ppv: float, k: int) -> int:
     lies near a hit count (``0.1 + 0.2`` at k = 10) raises NonIntegralHits.
     """
 
-    if k < 1:
+    if index(k) < 1:  # TypeError for a float or other non-integer cut
         raise ValueError("cut k must be at least 1")
     try:
         hits = round(ppv * k)
@@ -105,11 +104,12 @@ def ppv_swap(ppv_k1: float, k1: int, k2: int) -> float:
     negatives, so PPV_k2 = 1 - (k1/k2) * (1 - PPV_k1). Computed in integer
     arithmetic with one final division; raises InconsistentInput when the
     inputs cannot describe any ranking (non-integral hits or a result outside
-    [0, 1]).
+    [0, 1]), and ClassRatio's errors for bad class sizes.
     """
 
-    if k1 < 1 or k2 < 1:
-        raise ValueError("class sizes must be at least 1")
+    from .envelopes import ClassRatio  # envelopes imports this module first
+
+    ClassRatio(k1, k2)
     return (k2 - k1 + _feasible_hits(hits_from_ppv(ppv_k1, k1), k1, k2)) / k2
 
 

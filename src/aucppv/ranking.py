@@ -48,20 +48,15 @@ class ScoredRecord(
 
     ``positive`` is True for the positive class (the outcome the classifier
     tries to place on top, e.g. reoffended within two years). An unhashable
-    id, an empty id and a score that is NaN, infinite, too large for a float
-    or not a real number raise what Ranking raises for them, with the same
-    text.
+    id, an id equal to ``""`` and a score that is NaN, infinite, too large
+    for a float or not a real number raise what Ranking raises for them, with
+    the same text; any other hashable id, 0 included, is accepted.
     """
 
     __slots__ = ()
 
     def __init__(self, id: str, score: float, positive: bool) -> None:
-        try:
-            hash(id)
-        except TypeError:
-            raise InconsistentInput(f"record id {id!r} is unhashable") from None
-        if not id:
-            raise EmptyInput("record id must be a non-empty string")
+        _check_id(id)
         _check_score(id, score)
 
 
@@ -87,16 +82,16 @@ class Ranking:
     ``Ranking(ids, scores, labels, tie_policy)`` is the only constructor. It
     takes parallel, sized columns in any order and raises InconsistentInput
     for columns of different lengths, an unhashable id or a label that is
-    not True or False (0 and 1 pass), EmptyInput for empty columns or an
-    empty id, DuplicateId when two records share an id and NonFiniteScore
-    for a score that is NaN, infinite, too large for a float or not a real
-    number. Records of equal score rank by ascending id under
-    BY_ID_ASCENDING and in column order under GIVEN. Under BY_ID_ASCENDING,
-    two ids of one tie group that ``<`` cannot order raise InconsistentInput
-    from the first sort by id that meets them: ``hits_at`` sorts the ids of
-    the group a cut splits, the columns those of every group; ids of
-    different groups are never compared.
-    A Ranking is immutable.
+    not True or False (0 and 1 pass), EmptyInput for empty columns or an id
+    equal to ``""``, DuplicateId when two records share an id (of several
+    bad ids, the first in column order is named) and NonFiniteScore for a
+    score that is NaN, infinite, too large for a float or not a real number.
+    Records of equal score rank by ascending id under BY_ID_ASCENDING and
+    in column order under GIVEN. Under BY_ID_ASCENDING, two ids of one tie
+    group that ``<`` cannot order raise InconsistentInput from the first
+    sort by id that meets them: ``hits_at`` sorts the ids of the group a cut
+    splits, the columns those of every group; ids of different groups are
+    never compared. A Ranking is immutable.
     """
 
     __slots__ = (
@@ -122,16 +117,16 @@ class Ranking:
         # Checking the ids before the copy to tuples is the faster order.
         try:
             distinct = set(ids)
-        except TypeError:  # an unhashable id: name it
-            raise InconsistentInput(f"record id {tuple(ids)[_first_type_error(hash, ids)]!r} is unhashable") from None
-        if len(distinct) != n:
+        except TypeError:  # an unhashable id: the walk below names it
+            distinct = ()
+        if len(distinct) != n or "" in distinct:
+            # A bad id: name the first in column order.
             seen: set[str] = set()
             for rec_id in ids:
+                _check_id(rec_id)
                 if rec_id in seen:
                     raise DuplicateId(f"duplicate record id {rec_id!r}")
                 seen.add(rec_id)
-        if "" in distinct:
-            raise EmptyInput("record id must be a non-empty string")
         ids, scores, labels = tuple(ids), tuple(scores), tuple(labels)
         try:
             well_formed = {False, True}.issuperset(labels)
@@ -303,15 +298,16 @@ def _tie_groups(scores: tuple, labels: tuple) -> tuple[Counter, tuple, list[int]
     return positives, levels, ends
 
 
-def _first_type_error(check, values) -> int | None:
-    """Offset of the first of ``values`` that ``check`` raises TypeError on."""
+def _check_id(rec_id) -> None:
+    """InconsistentInput for an unhashable record id, EmptyInput for one
+    equal to ``""``; any other hashable id, 0 included, passes."""
 
-    for offset, value in enumerate(values):
-        try:
-            check(value)
-        except TypeError:
-            return offset
-    return None
+    try:
+        hash(rec_id)
+    except TypeError:
+        raise InconsistentInput(f"record id {rec_id!r} is unhashable") from None
+    if rec_id == "":
+        raise EmptyInput("record id must be a non-empty string")
 
 
 def _check_score(rec_id, score) -> None:

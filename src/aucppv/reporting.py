@@ -168,7 +168,7 @@ def _report_payload(report: EvaluationReport) -> dict:
             "hits": report.ppv.hits,
             "k": report.ppv.k,
         },
-        "gap": num(report.auc.value - report.ppv.value),
+        "gap": num((report.auc.doubled_u - 2 * k2 * report.ppv.hits) / (2 * total)),
         "envelope_at_auc": {
             "ppv_min": num(report.ppv_min.value),
             "ppv_min_hits": report.ppv_min.hits,

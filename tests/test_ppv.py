@@ -76,6 +76,9 @@ def test_hits_from_ppv_roundtrip_and_rejection():
         hits_from_ppv(1.5, 2)
     with pytest.raises(ValueError):
         hits_from_ppv(0.5, 0)
+    # A cut that is not an integer: 0.4 = 1 / 2.5 used to give 1 hit.
+    with pytest.raises(TypeError):
+        hits_from_ppv(0.4, 2.5)
     # NaN, an infinity, or a product ppv * k that overflows to one: the hit
     # count is not rounded from them, and every caller sees the typed error.
     for ppv, k in [(math.nan, 5), (math.inf, 5), (-math.inf, 5), (1e308, 10**10)]:
@@ -129,6 +132,9 @@ def test_swap_rejects_impossible_inputs():
         ppv_swap(0.0, 4, 1)
     with pytest.raises(ValueError):
         ppv_swap(0.5, 0, 2)
+    # Class sizes follow ClassRatio's rule; 2.5 positives used to give 0.5.
+    with pytest.raises(TypeError):
+        ppv_swap(0.4, 2.5, 3)
 
 
 def test_swap_roundtrip_exhaustive():

@@ -198,6 +198,9 @@ def test_records_are_immutable(record_type):
         (ScoredRecord, {"id": "a", "score": -math.inf, "positive": False}, NonFiniteScore),
         (ScoredRecord, {"id": "a", "score": "x", "positive": True}, NonFiniteScore),
         (ScoredRecord, {"id": ["a"], "score": 0.5, "positive": True}, InconsistentInput),
+        (PpvResult, {"k": 2.5, "hits": 1}, TypeError),
+        (PpvResult, {"k": 3, "hits": 1.5}, TypeError),
+        (ConfusionCounts, {"tp": 1.5, "fp": 0.5, "fn": 1, "tn": 1}, TypeError),
     ],
 )
 def test_validating_records_check_positional_and_keyword_input(record_type, args, error):

@@ -98,6 +98,15 @@ def test_non_finite_scores_rejected(bad):
 def test_blank_id_rejected():
     with pytest.raises(EmptyInput):
         ScoredRecord("", 1.0, True)
+    # Only an id equal to "" is empty: 0 is an id like any other.
+    assert ScoredRecord(0, 0.5, True).id == 0
+
+
+@pytest.mark.parametrize("policy", list(TiePolicy))
+def test_integer_ids_round_trip_through_records(policy):
+    # Ranking accepted id 0, but its records used to refuse it.
+    ranking = Ranking(list(range(4)), [0.5, 0.9, 0.5, 0.1], [True, False, False, True], policy)
+    assert build_ranking(ranking.items, ranking.tie_policy) == ranking
 
 
 def test_constructor_ranks_ties_by_id_in_any_column_order():
@@ -118,6 +127,10 @@ def test_constructor_ranks_ties_by_id_in_any_column_order():
         (["a", "", "c"], [1.0, 0.5, 0.5], EmptyInput),
         (["a", "b", "c"], [1.0, 0.5], InconsistentInput),
         (["a", "b"], [1.0, 0.5, 0.5], InconsistentInput),
+        # Of several bad ids, the first in column order is named.
+        (["a", "", ["b"]], [1.0, 0.5, 0.5], EmptyInput),
+        (["a", "a", ["b"]], [1.0, 0.5, 0.5], DuplicateId),
+        (["", "a", "a"], [1.0, 0.5, 0.5], EmptyInput),
     ],
 )
 def test_constructor_refuses_bad_columns(ids, scores, error):

@@ -169,6 +169,19 @@ def test_ppv_side_self_check_raises_internal_error(monkeypatch):
         build_report(ranking_from_pattern(WORKED_EXAMPLE))
 
 
+def test_gap_is_one_division_of_counts():
+    # 4000:4000 in rank order P*2000 N*2000 N*1999 P N P*1999: doubled U
+    # 16,000,002 and 2000 hits, so the gap is exactly 1 / 16,000,000. The
+    # difference of the two rounded quotients used to print 6.249999995e-08.
+    labels = [True] * 2000 + [False] * 3999 + [True, False] + [True] * 1999
+    n = len(labels)
+    scores = [float(n - i) for i in range(n)]
+    report = build_report(Ranking([f"r{i}" for i in range(n)], scores, labels, TiePolicy.GIVEN))
+    assert (report.auc.doubled_u, report.ppv.hits) == (16_000_002, 2000)
+    assert "auc - ppv_k gap      6.25e-08\n" in format_report(report, "table")
+    assert '"gap": 6.25e-08,' in format_report(report, "json")
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_report_envelopes_match_the_fraction_route(data):
@@ -194,8 +207,8 @@ def test_report_envelopes_match_the_fraction_route(data):
 
     tp, fp, fn, tn = report.counts
     payload = _report_payload(report)
-    # The gap subtracts two rounded floats; at 10 digits that equals the
-    # exact difference for every table with n <= 60.
+    # Every printed quotient, the gap included, is one int/int division of
+    # exact counts, so it is the exact rational rounded to 10 digits.
     assert payload["base_rate"] == shown(Fraction(k1, n))
     assert payload["gap"] == shown(exact - Fraction(report.ppv.hits, k1))
     assert payload["envelope_at_ppv"] == {
