@@ -37,11 +37,11 @@ exact AUC pass a Fraction), so there is no slack.
 from __future__ import annotations
 
 import math
-from operator import index
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InconsistentInput
 from .ppv import PpvResult, _feasible_hits, hits_from_ppv
+from .ranking import _integer
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -60,12 +60,13 @@ __all__ = [
 
 
 class ClassRatio(NamedTuple("ClassRatio", [("k1", int), ("k2", int)])):
-    """Class sizes k1 (positives) and k2 (negatives), integers of at least 1."""
+    """Class sizes k1 (positives) and k2 (negatives), integers of at least 1.
+    A float, a bool or other non-integer size raises TypeError."""
 
     __slots__ = ()
 
     def __init__(self, k1: int, k2: int) -> None:
-        index(k1), index(k2)  # TypeError for a float or other non-integer size
+        _integer(k1), _integer(k2)
         if k1 < 1 or k2 < 1:
             raise ValueError("class sizes must be at least 1")
 

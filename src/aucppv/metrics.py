@@ -7,7 +7,6 @@ Undefined cases raise typed errors instead of returning NaN.
 
 from __future__ import annotations
 
-from operator import index
 from typing import NamedTuple
 
 from .errors import (
@@ -18,7 +17,7 @@ from .errors import (
     UndefinedEMeasure,
     UndefinedF1,
 )
-from .ranking import Ranking
+from .ranking import Ranking, _integer
 
 __all__ = [
     "ConfusionCounts",
@@ -39,13 +38,14 @@ __all__ = [
 class ConfusionCounts(
     NamedTuple("ConfusionCounts", [("tp", int), ("fp", int), ("fn", int), ("tn", int)])
 ):
-    """tp/fp/fn/tn at a positional cut; all counts non-negative integers."""
+    """tp/fp/fn/tn at a positional cut; all counts non-negative integers.
+    A float, a bool or other non-integer count raises TypeError."""
 
     __slots__ = ()
 
     def __init__(self, tp: int, fp: int, fn: int, tn: int) -> None:
         for name, count in zip(self._fields, self):
-            if index(count) < 0:  # TypeError for a non-integer count
+            if _integer(count) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
     @property

@@ -11,11 +11,10 @@ max(0, k1 - k2) <= h <= k1; ``_feasible_hits`` is the one check of that rule.
 
 from __future__ import annotations
 
-from operator import index
 from typing import NamedTuple
 
 from .errors import EmptyPositiveClass, InconsistentInput, NonIntegralHits
-from .ranking import Ranking
+from .ranking import Ranking, _integer
 
 __all__ = [
     "PpvResult",
@@ -29,12 +28,13 @@ __all__ = [
 
 
 class PpvResult(NamedTuple("PpvResult", [("k", int), ("hits", int)])):
-    """PPV at cut k: ``hits`` positives among the top k, value = hits / k."""
+    """PPV at cut k: ``hits`` positives among the top k, value = hits / k.
+    A float, a bool or other non-integer k or hits raises TypeError."""
 
     __slots__ = ()
 
     def __init__(self, k: int, hits: int) -> None:
-        index(k), index(hits)  # TypeError for a float or other non-integer count
+        _integer(k), _integer(hits)
         if k < 1:
             raise ValueError("cut k must be at least 1")
         if not 0 <= hits <= k:
@@ -48,8 +48,7 @@ class PpvResult(NamedTuple("PpvResult", [("k", int), ("hits", int)])):
 def ppv_at_k(ranking: Ranking, k: int) -> PpvResult:
     """Count positives among the top k records; k an integer in 1..n."""
 
-    ranking._cut_group(k)  # CutOutOfRange unless k is an integer in 1..n
-    return PpvResult(k=k, hits=ranking.hits_at(k))
+    return PpvResult(k=k, hits=ranking._cut_hits(k))
 
 
 def ppv_base_rate(ranking: Ranking) -> PpvResult:
@@ -68,7 +67,7 @@ def hits_from_ppv(ppv: float, k: int) -> int:
     lies near a hit count (``0.1 + 0.2`` at k = 10) raises NonIntegralHits.
     """
 
-    if index(k) < 1:  # TypeError for a float or other non-integer cut
+    if _integer(k) < 1:  # TypeError for a float, a bool or other non-integer cut
         raise ValueError("cut k must be at least 1")
     try:
         hits = round(ppv * k)
@@ -85,8 +84,8 @@ def _feasible_hits(hits: int, k1: int, k2: int) -> int:
     need more negatives."""
 
     try:
-        hits = index(hits)
-    except TypeError:  # 2.0 or 2.5: no hit count
+        hits = _integer(hits)
+    except TypeError:  # 2.0, 2.5 or True: no hit count
         raise NonIntegralHits(f"hits {hits!r} is not an integer") from None
     if not 0 <= hits <= k1:
         raise NonIntegralHits(f"hits {hits} outside [0, {k1}]")

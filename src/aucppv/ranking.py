@@ -68,16 +68,17 @@ class Ranking:
     the records in order: ``group_ends[g]`` is the end offset of the g-th run
     of equal scores in rank order and ``group_hits[g]`` the positives before
     that offset, so the sweeps read O(groups) entries instead of walking
-    records. When two positives share a score, the scores are tied: the
-    table counts the records at each score and sorts only the distinct
-    scores, O(n + d log d) for d of them. Otherwise it sorts the bare
-    scores, which is faster when most of them are distinct. Either way a
-    group's level is its first score in column order, so 0.0 and -0.0 share
-    a group. ``hits_at``, ``ppv`` and ``reporting`` find the tie group a cut
-    falls in by one lookup, and ``hits_at`` puts only its members in tie
-    order, once per group. ``ids``, ``scores`` and ``labels`` (parallel
-    tuples in rank order, ``labels[i]`` True for a positive) are built on
-    first access, and so are ``items``, ``==`` and ``hash``, which read them.
+    records. When two positives share a score, the scores are tied: the table
+    counts the records at each score and sorts only the distinct scores,
+    O(n + d log d) for d of them. Otherwise it sorts the bare scores, which
+    is faster when most of them are distinct. Either way a group's level is
+    its first score in column order, so 0.0 and -0.0 share a group.
+    ``hits_at``, ``ppv`` and ``reporting`` find the tie group a cut falls in
+    by one lookup, which checks the cut once (0 is a legal cut only for
+    ``hits_at``), and ``hits_at`` puts only its members in tie order, once
+    per group. ``ids``, ``scores`` and ``labels`` (parallel tuples in rank
+    order, ``labels[i]`` True for a positive) are built on first access, and
+    so are ``items``, ``==`` and ``hash``, which read them.
 
     ``Ranking(ids, scores, labels, tie_policy)`` is the only constructor. It
     takes parallel, sized columns in any order and raises InconsistentInput
@@ -220,21 +221,26 @@ class Ranking:
     def hits_at(self, k: int) -> int:
         """Positives among the top k records; CutOutOfRange unless k is an integer in 0..n."""
 
-        if not 0 <= _integer_cut(k) <= self.n:
-            raise CutOutOfRange(f"cut {k} outside [0, {self.n}]")
-        if k == 0:
-            return 0
-        g, before, taken, size = self._cut_group(k)
-        if taken == size:
-            return self.group_hits[g]
-        return before + self._hits_in_tie_order(g, size)[taken]
+        return self._cut_hits(k, 0)
 
-    def _cut_group(self, k: int) -> tuple[int, int, int, int]:
-        """(g, positives before it, members the cut takes, size) of the tie
-        group g holding position k - 1; CutOutOfRange unless k is in 1..n."""
+    def _cut_hits(self, k: int, least: int = 1) -> int:
+        """Positives among the top k off one cut lookup; CutOutOfRange unless k is in least..n."""
 
-        if not 1 <= _integer_cut(k) <= self.n:
-            raise CutOutOfRange(f"cut {k} outside [1, {self.n}]")
+        g, before, taken, size = self._cut_group(k, least)
+        if 0 < taken < size:
+            return before + self._hits_in_tie_order(g, size)[taken]
+        return self.group_hits[g] if taken else before
+
+    def _cut_group(self, k: int, least: int = 1) -> tuple[int, int, int, int]:
+        """(g, positives before it, members the cut takes, size) of the tie group g
+        holding position k - 1 (group 0 at k = 0); CutOutOfRange unless k is in least..n."""
+
+        try:
+            cut = _integer(k)
+        except TypeError:
+            raise CutOutOfRange(f"cut {k!r} is not an integer") from None
+        if not least <= cut <= self.n:
+            raise CutOutOfRange(f"cut {k} outside [{least}, {self.n}]")
         ends = self.group_ends
         g = bisect_left(ends, k)
         start, before = (ends[g - 1], self.group_hits[g - 1]) if g else (0, 0)
@@ -326,13 +332,13 @@ def _check_score(rec_id, score) -> None:
         raise NonFiniteScore(f"record {rec_id!r} has non-finite score {score!r}")
 
 
-def _integer_cut(k: int) -> int:
-    """``k`` as an int; CutOutOfRange for a cut that is not an integer (2.0, 1.5)."""
+def _integer(value) -> int:
+    """``value`` as an int, the one rule for counts, cuts and class sizes: TypeError
+    for what ``operator.index`` refuses (2.0, "2") and for a bool, a label here."""
 
-    try:
-        return index(k)
-    except TypeError:
-        raise CutOutOfRange(f"cut {k!r} is not an integer") from None
+    if value.__class__ is bool:
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return index(value)
 
 
 def build_ranking(

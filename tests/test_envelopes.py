@@ -68,9 +68,9 @@ def test_normalize_rejects_non_integral_hits():
 
 def test_exact_envelopes_refuse_hit_counts_that_are_not_integers():
     # 2.5 and 2.0 passed the hit-level check and then raised a bare
-    # TypeError from Fraction.
+    # TypeError from Fraction; True passed as 1 hit.
     ratio = ClassRatio(3, 4)
-    for hits in (2.5, 2.0, "2", None):
+    for hits in (2.5, 2.0, "2", None, True):
         for bound in (auc_min_exact, auc_max_exact):
             with pytest.raises(NonIntegralHits) as raised:
                 bound(hits, ratio)
@@ -136,10 +136,10 @@ def test_ratio_validation():
 def test_ratio_refuses_non_integer_sizes():
     # A float size used to give a silent answer or a TypeError deep inside
     # math.isqrt; it is refused when the ratio is built.
-    for k1, k2 in ((2.5, 3), (2, 3.0), (Fraction(5, 2), 3), ("2", 3)):
+    # A bool is a label, not a size; it used to pass as 1 and be stored as True.
+    for k1, k2 in ((2.5, 3), (2, 3.0), (Fraction(5, 2), 3), ("2", 3), (True, 2), (2, False)):
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             ClassRatio(k1, k2)
-    assert ClassRatio(True, 2) == (1, 2)
 
 
 def test_auc_max_examples():

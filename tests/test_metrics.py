@@ -56,7 +56,7 @@ def test_confusion_at_cut_zero_and_n():
     assert confusion_at_cut(ranking, 7) == ConfusionCounts(3, 4, 0, 0)
 
 
-@pytest.mark.parametrize("cut", [-1, 8])
+@pytest.mark.parametrize("cut", [-1, 8, True])
 def test_confusion_cut_out_of_range(cut):
     ranking = ranking_from_pattern("PPNPNNN")
     with pytest.raises(CutOutOfRange):

@@ -50,10 +50,11 @@ def test_perfect_and_antisorted_extremes():
     assert ppv_base_rate(anti).value == 0.0
 
 
-@pytest.mark.parametrize("k", [0, 8, -1, 2.0, 1.5, "2"])
+@pytest.mark.parametrize("k", [0, 8, -1, 2.0, 1.5, "2", True])
 def test_cut_out_of_range(k):
     # A cut that is not an integer is out of range too; ppv_at_k used to
-    # return PpvResult(k=2.0, hits=1) for 2.0.
+    # return PpvResult(k=2.0, hits=1) for 2.0 and PpvResult(k=True, hits=1)
+    # for True.
     ranking = ranking_from_pattern(WORKED_EXAMPLE)
     for measure in (ppv_at_k, hits_range_at_k, expected_hits_at_k):
         with pytest.raises(CutOutOfRange):
@@ -79,6 +80,11 @@ def test_hits_from_ppv_roundtrip_and_rejection():
     # A cut that is not an integer: 0.4 = 1 / 2.5 used to give 1 hit.
     with pytest.raises(TypeError):
         hits_from_ppv(0.4, 2.5)
+    # A bool is not a cut or a class size: both used to pass as 1.
+    with pytest.raises(TypeError):
+        hits_from_ppv(1.0, True)
+    with pytest.raises(TypeError):
+        ppv_swap(1.0, True, 3)
     # NaN, an infinity, or a product ppv * k that overflows to one: the hit
     # count is not rounded from them, and every caller sees the typed error.
     for ppv, k in [(math.nan, 5), (math.inf, 5), (-math.inf, 5), (1e308, 10**10)]:

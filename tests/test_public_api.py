@@ -201,6 +201,10 @@ def test_records_are_immutable(record_type):
         (PpvResult, {"k": 2.5, "hits": 1}, TypeError),
         (PpvResult, {"k": 3, "hits": 1.5}, TypeError),
         (ConfusionCounts, {"tp": 1.5, "fp": 0.5, "fn": 1, "tn": 1}, TypeError),
+        (ClassRatio, {"k1": True, "k2": 3}, TypeError),
+        (PpvResult, {"k": True, "hits": 1}, TypeError),
+        (PpvResult, {"k": 2, "hits": False}, TypeError),
+        (ConfusionCounts, {"tp": True, "fp": False, "fn": 0, "tn": 1}, TypeError),
     ],
 )
 def test_validating_records_check_positional_and_keyword_input(record_type, args, error):

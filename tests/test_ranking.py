@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aucppv.ranking
 from aucppv import (
     ConfusionCounts,
     Ranking,
@@ -425,14 +426,41 @@ def test_unhashable_id_names_itself():
 def test_hits_at_rejects_cuts_outside_the_ranking():
     ranking = ranking_from_pattern("PNP", scores=[1.0, 0.5, 0.5])
     assert [ranking.hits_at(k) for k in range(4)] == [0, 1, 1, 2]
-    # A cut that is not an integer is out of range too; 2.0 used to pass as 2.
-    for k in (-1, 4, 2.0, 1.5, "2", None):
+    # A cut that is not an integer is out of range too; 2.0 used to pass as
+    # 2, True as 1 and False as 0.
+    for k in (-1, 4, 2.0, 1.5, "2", None, True, False):
         with pytest.raises(CutOutOfRange):
             ranking.hits_at(k)
     # The cut lookup behind hits_at and the boundary-group reads takes 1..n.
     for k in (0, 4):
         with pytest.raises(CutOutOfRange, match=rf"cut {k} outside \[1, 3\]"):
             ranking._cut_group(k)
+
+
+@pytest.mark.parametrize("k", [3, 4], ids=["inside-a-tie-group", "on-a-group-boundary"])
+def test_each_cut_reader_checks_and_searches_its_cut_once(monkeypatch, k):
+    # ppv_at_k used to check its cut three times and search group_ends twice,
+    # hits_at to check its cut twice. The records' own integer checks
+    # (PpvResult, ConfusionCounts) bind the rule in their modules and are
+    # not counted here.
+    calls = {"integer": 0, "bisect_left": 0}
+
+    def counted(name, real):
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return count
+
+    monkeypatch.setattr(aucppv.ranking, "_integer", counted("integer", aucppv.ranking._integer))
+    monkeypatch.setattr(aucppv.ranking, "bisect_left", counted("bisect_left", aucppv.ranking.bisect_left))
+    # Tie groups end at 1, 4, 5 and 6: cut 3 splits the second, cut 4 ends it.
+    ranking = ranking_from_pattern("PNPNNP", scores=[0.9, 0.5, 0.5, 0.5, 0.2, 0.1])
+    readers = (Ranking.hits_at, ppv_at_k, confusion_at_cut, hits_range_at_k, expected_hits_at_k)
+    for read in readers:
+        calls.update(integer=0, bisect_left=0)
+        read(ranking, k)
+        assert calls == {"integer": 1, "bisect_left": 1}, read.__name__
 
 
 def test_ids_that_cannot_be_ordered_name_two_of_them():
