@@ -43,7 +43,7 @@ _SOURCES = {
     "ppv_at_k": "ppv",
     "ppv_base_rate": "ppv",
     "ppv_swap": "ppv",
-    "ClassRatio": "envelopes",
+    "ClassRatio": "ppv",
     "auc_max_given_ppvk": "envelopes",
     "auc_min_given_ppvk": "envelopes",
     "auc_max_exact": "envelopes",

@@ -1,6 +1,7 @@
 """Extremal envelopes relating AUC and PPV at the base-rate cut.
 
-Fix the class sizes k1 (positives) and k2 (negatives) and the hit count
+Fix the class sizes k1 (positives) and k2 (negatives), a ``ClassRatio``
+imported from ``ppv`` beside the hit-level check, and the hit count
 h = PPV_k * k1. Over all arrangements with exactly h positives in the top k1,
 the largest AUC is attained by packing the remaining positives directly below
 the cut and the misplaced negatives directly above the bottom, and the
@@ -40,8 +41,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InconsistentInput
-from .ppv import PpvResult, _feasible_hits, hits_from_ppv
-from .ranking import _integer
+from .ppv import ClassRatio, PpvResult, _feasible_hits, hits_from_ppv
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -57,22 +57,6 @@ __all__ = [
     "ppvk_min_given_auc",
     "envelope_curve",
 ]
-
-
-class ClassRatio(NamedTuple("ClassRatio", [("k1", int), ("k2", int)])):
-    """Class sizes k1 (positives) and k2 (negatives), integers of at least 1.
-    A float, a bool or other non-integer size raises TypeError."""
-
-    __slots__ = ()
-
-    def __init__(self, k1: int, k2: int) -> None:
-        _integer(k1), _integer(k2)
-        if k1 < 1 or k2 < 1:
-            raise ValueError("class sizes must be at least 1")
-
-    @property
-    def n(self) -> int:
-        return self.k1 + self.k2
 
 
 def _envelope_pairs(hits: int, k1: int, k2: int) -> tuple[int, int]:

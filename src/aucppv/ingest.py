@@ -267,6 +267,12 @@ def to_ranking(rows: ScoreTable) -> Ranking:
     return Ranking(rows.ids, rows.scores, rows.labels, TiePolicy.BY_ID_ASCENDING)
 
 
+def _rate(counts: DecileCount | BucketStats) -> float | None:
+    """Positive share of a decile or bucket; None when it is empty."""
+
+    return None if counts.total == 0 else counts.positives / counts.total
+
+
 class DecileCount(NamedTuple):
     """One decile's totals; rate is None for an empty decile."""
 
@@ -274,12 +280,7 @@ class DecileCount(NamedTuple):
     total: int
     positives: int
 
-    @property
-    def rate(self) -> float | None:
-        """Positive share in this decile; None when the decile is empty."""
-        if self.total == 0:
-            return None
-        return self.positives / self.total
+    rate = property(_rate)
 
 
 class BucketStats(NamedTuple):
@@ -289,11 +290,7 @@ class BucketStats(NamedTuple):
     total: int
     positives: int
 
-    @property
-    def rate(self) -> float | None:
-        if self.total == 0:
-            return None
-        return self.positives / self.total
+    rate = property(_rate)
 
 
 class DecileReport(NamedTuple):

@@ -5,7 +5,8 @@ primary interest is k = k1 (as many predicted positives as there are actual
 positives), where PPV_k, sensitivity, and F1 all coincide. ``ppv_swap``
 translates PPV at the base-rate cut between a classifier and its reverse.
 With k2 negatives, h hits at that cut fit some ranking only when
-max(0, k1 - k2) <= h <= k1; ``_feasible_hits`` is the one check of that rule.
+max(0, k1 - k2) <= h <= k1; ``ClassRatio`` holds the class sizes k1:k2 and
+``_feasible_hits`` is the one check of that rule.
 ``expected_hits_at_k`` and ``hits_range_at_k`` read ``Ranking``'s one cut lookup.
 """
 
@@ -17,6 +18,7 @@ from .errors import EmptyPositiveClass, InconsistentInput, NonIntegralHits
 from .ranking import Ranking, _integer
 
 __all__ = [
+    "ClassRatio",
     "PpvResult",
     "ppv_at_k",
     "ppv_base_rate",
@@ -67,8 +69,7 @@ def hits_from_ppv(ppv: float, k: int) -> int:
     lies near a hit count (``0.1 + 0.2`` at k = 10) raises NonIntegralHits.
     """
 
-    if _integer(k) < 1:  # TypeError for a float, a bool or other non-integer cut
-        raise ValueError("cut k must be at least 1")
+    PpvResult(k, 0)  # the cut rule: TypeError for a non-integer k, ValueError below 1
     try:
         hits = round(ppv * k)
     except (ValueError, OverflowError):  # ppv * k is NaN or infinite
@@ -76,6 +77,22 @@ def hits_from_ppv(ppv: float, k: int) -> int:
     if hits / k != ppv or not 0 <= hits <= k:
         raise NonIntegralHits(f"ppv {ppv!r} at cut {k} is not h / {k} for any h in 0..{k}")
     return hits
+
+
+class ClassRatio(NamedTuple("ClassRatio", [("k1", int), ("k2", int)])):
+    """Class sizes k1 (positives) and k2 (negatives), integers of at least 1.
+    A float, a bool or other non-integer size raises TypeError."""
+
+    __slots__ = ()
+
+    def __init__(self, k1: int, k2: int) -> None:
+        _integer(k1), _integer(k2)
+        if k1 < 1 or k2 < 1:
+            raise ValueError("class sizes must be at least 1")
+
+    @property
+    def n(self) -> int:
+        return self.k1 + self.k2
 
 
 def _feasible_hits(hits: int, k1: int, k2: int) -> int:
@@ -105,8 +122,6 @@ def ppv_swap(ppv_k1: float, k1: int, k2: int) -> float:
     inputs cannot describe any ranking (non-integral hits or a result outside
     [0, 1]), and ClassRatio's errors for bad class sizes.
     """
-
-    from .envelopes import ClassRatio  # envelopes imports this module first
 
     ClassRatio(k1, k2)
     return (k2 - k1 + _feasible_hits(hits_from_ppv(ppv_k1, k1), k1, k2)) / k2

@@ -47,10 +47,6 @@ _METRICS = (
     ("f1", m.f1_score),
 )
 
-#: Decile buckets, in emission order, each read off the DecileReport by name.
-_BUCKETS = ("low", "medium", "high")
-
-
 def format_number(value: float) -> str:
     """Fixed formatting for report output: 10 significant digits."""
 
@@ -191,34 +187,22 @@ def _report_payload(report: EvaluationReport) -> dict:
         },
     }
     if report.decile is not None:
-        buckets = ((name, getattr(report.decile, name)) for name in _BUCKETS)
+        buckets = report.decile._asdict()
         payload["deciles"] = {
             "per_decile": [
-                {
-                    "decile": row.decile,
-                    "total": row.total,
-                    "positives": row.positives,
-                    "rate": num(row.rate),
-                }
-                for row in report.decile.per_decile
+                {**row._asdict(), "rate": num(row.rate)} for row in buckets.pop("per_decile")
             ],
             "buckets": {
-                name: {
-                    "deciles": list(bucket.deciles),
-                    "total": bucket.total,
-                    "positives": bucket.positives,
-                    "rate": num(bucket.rate),
-                }
-                for name, bucket in buckets
+                name: {**bucket._asdict(), "deciles": list(bucket.deciles), "rate": num(bucket.rate)}
+                for name, bucket in buckets.items()
             },
         }
     if report.load_summary is not None:
+        summary = report.load_summary
         payload["load_summary"] = {
-            "path": report.load_summary.path,
-            "scale": report.load_summary.scale.value,
-            "rows_read": report.load_summary.rows_read,
-            "rows_kept": report.load_summary.rows_kept,
-            "dropped": dict(sorted(report.load_summary.dropped.items())),
+            **summary._asdict(),
+            "scale": summary.scale.value,
+            "dropped": dict(sorted(summary.dropped.items())),
         }
     return payload
 

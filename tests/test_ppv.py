@@ -75,7 +75,7 @@ def test_hits_from_ppv_roundtrip_and_rejection():
         hits_from_ppv(0.5, 3)
     with pytest.raises(InconsistentInput):
         hits_from_ppv(1.5, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cut k must be at least 1"):
         hits_from_ppv(0.5, 0)
     # A cut that is not an integer: 0.4 = 1 / 2.5 used to give 1 hit.
     with pytest.raises(TypeError):

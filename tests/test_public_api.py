@@ -277,6 +277,22 @@ def test_closed_form_commands_load_no_table_modules(argv, loaded):
     assert _fresh(code) == loaded + "\n"
 
 
+def test_class_ratio_is_one_class_owned_by_ppv():
+    assert aucppv.ClassRatio is aucppv.envelopes.ClassRatio is aucppv.ppv.ClassRatio
+
+
+def test_class_ratio_and_ppv_swap_load_no_envelopes():
+    # ClassRatio sits beside the hit-level check in ppv, so neither the
+    # top-level name nor ppv_swap's class-size check loads envelopes.
+    code = (
+        "import sys, aucppv\n"
+        "aucppv.ClassRatio(2, 3)\n"
+        "assert aucppv.ppv.ppv_swap(0.5, 2, 2) == 0.5\n"
+        f"{LOADED}"
+    )
+    assert _fresh(code) == "aucppv aucppv.errors aucppv.ppv aucppv.ranking\n"
+
+
 def test_submodules_resolve_as_attributes_after_a_bare_import():
     names = (*SUBMODULES, "errors", "data")
     code = (
