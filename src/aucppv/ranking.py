@@ -47,17 +47,16 @@ class ScoredRecord(
     """One record: unique id, finite real score, binary label.
 
     ``positive`` is True for the positive class (the outcome the classifier
-    tries to place on top, e.g. reoffended within two years). An unhashable
-    id, an id equal to ``""`` and a score that is NaN, infinite, too large
-    for a float or not a real number raise what Ranking raises for them, with
-    the same text; any other hashable id, 0 included, is accepted.
+    tries to place on top, e.g. reoffended within two years). A record passes
+    the one rule Ranking applies to each of its records: a bad id, label or
+    score raises what Ranking raises for it, with the same text, and any
+    other hashable id, 0 included, is accepted.
     """
 
     __slots__ = ()
 
     def __init__(self, id: str, score: float, positive: bool) -> None:
-        _check_id(id)
-        _check_score(id, score)
+        _check_record(id, score, positive)
 
 
 class Ranking:
@@ -82,17 +81,15 @@ class Ranking:
 
     ``Ranking(ids, scores, labels, tie_policy)`` is the only constructor. It
     takes parallel, sized columns in any order and raises InconsistentInput
-    for columns of different lengths, an unhashable id or a label that is
-    not True or False (0 and 1 pass), EmptyInput for empty columns or an id
-    equal to ``""``, DuplicateId when two records share an id (of several
-    bad ids, the first in column order is named) and NonFiniteScore for a
-    score that is NaN, infinite, too large for a float or not a real number.
-    Records of equal score rank by ascending id under BY_ID_ASCENDING and
-    in column order under GIVEN. Under BY_ID_ASCENDING, two ids of one tie
-    group that ``<`` cannot order raise InconsistentInput from the first
-    sort by id that meets them: ``hits_at`` sorts the ids of the group a cut
-    splits, the columns those of every group; ids of different groups are
-    never compared. A Ranking is immutable.
+    for columns of different lengths, EmptyInput for empty columns, what
+    ScoredRecord raises for a bad record and DuplicateId for an id that an
+    earlier record holds; of several bad records, the first in column order
+    is named. Records of equal score rank by ascending id under
+    BY_ID_ASCENDING and in column order under GIVEN. Under BY_ID_ASCENDING,
+    two ids of one tie group that ``<`` cannot order raise InconsistentInput
+    from the first sort by id that meets them: ``hits_at`` sorts the ids of
+    the group a cut splits, the columns those of every group; ids of
+    different groups are never compared. A Ranking is immutable.
     """
 
     __slots__ = (
@@ -115,38 +112,20 @@ class Ranking:
             raise InconsistentInput(
                 f"columns differ in length: {n} ids, {len(scores)} scores, {len(labels)} labels"
             )
-        # Checking the ids before the copy to tuples is the faster order.
+        # Bulk checks at C speed; when one fails, the walk names the first bad record.
         try:
-            distinct = set(ids)
-        except TypeError:  # an unhashable id: the walk below names it
-            distinct = ()
-        if len(distinct) != n or "" in distinct:
-            # A bad id: name the first in column order.
-            seen: set[str] = set()
-            for rec_id in ids:
-                _check_id(rec_id)
-                if rec_id in seen:
-                    raise DuplicateId(f"duplicate record id {rec_id!r}")
-                seen.add(rec_id)
-        ids, scores, labels = tuple(ids), tuple(scores), tuple(labels)
-        try:
-            well_formed = {False, True}.issuperset(labels)
-        except TypeError:  # an unhashable label: the search below names it
-            well_formed = False
-        if not well_formed:
-            bad = next(i for i, label in enumerate(labels) if label not in (False, True))
-            raise InconsistentInput(f"record {ids[bad]!r} has label {labels[bad]!r}, not True or False")
-        try:
-            positives, levels, ends = _tie_groups(scores, labels)
-            # Every score is one of the levels, so checking them checks every record.
-            finite = all(map(math.isfinite, levels))
-        except (TypeError, ValueError, ArithmeticError):  # a score no float holds: name it
-            for rec_id, score in zip(ids, scores):
-                _check_score(rec_id, score)
+            distinct = set(ids)  # before the copy to tuples: the faster order
+            ids, scores, labels = tuple(ids), tuple(scores), tuple(labels)
+            sound = len(distinct) == n and "" not in distinct and {False, True}.issuperset(labels)
+            if sound:
+                positives, levels, ends = _tie_groups(scores, labels)
+                # Every score is one of the levels, so checking them checks every record.
+                sound = all(map(math.isfinite, levels))
+        except (TypeError, ValueError, ArithmeticError):
+            _name_bad_record(ids, scores, labels)
             raise
-        if not finite:
-            for rec_id, score in zip(ids, scores):
-                _check_score(rec_id, score)
+        if not sound:
+            _name_bad_record(ids, scores, labels)
         hits = tuple(accumulate(map(positives.get, levels, repeat(0))))
         assign = object.__setattr__
         assign(self, "n", n)
@@ -304,9 +283,11 @@ def _tie_groups(scores: tuple, labels: tuple) -> tuple[Counter, tuple, list[int]
     return positives, levels, ends
 
 
-def _check_id(rec_id) -> None:
-    """InconsistentInput for an unhashable record id, EmptyInput for one
-    equal to ``""``; any other hashable id, 0 included, passes."""
+def _check_record(rec_id, score, label) -> None:
+    """The one record rule, in this order: InconsistentInput for an unhashable
+    id, EmptyInput for one equal to ``""``, InconsistentInput for a label that
+    is not True or False (0 and 1 pass) and NonFiniteScore unless the score is
+    a finite real number that a float can hold."""
 
     try:
         hash(rec_id)
@@ -314,12 +295,8 @@ def _check_id(rec_id) -> None:
         raise InconsistentInput(f"record id {rec_id!r} is unhashable") from None
     if rec_id == "":
         raise EmptyInput("record id must be a non-empty string")
-
-
-def _check_score(rec_id, score) -> None:
-    """NonFiniteScore naming the record unless ``score`` is a finite real
-    number that a float can hold."""
-
+    if label not in (False, True):
+        raise InconsistentInput(f"record {rec_id!r} has label {label!r}, not True or False")
     try:
         finite = math.isfinite(score)
     except TypeError:
@@ -330,6 +307,18 @@ def _check_score(rec_id, score) -> None:
         finite = False
     if not finite:
         raise NonFiniteScore(f"record {rec_id!r} has non-finite score {score!r}")
+
+
+def _name_bad_record(ids, scores, labels) -> None:
+    """Raise for the first bad record in column order: the record rule, then
+    an id that an earlier record holds."""
+
+    seen = set()
+    for rec_id, score, label in zip(ids, scores, labels):
+        _check_record(rec_id, score, label)
+        if rec_id in seen:
+            raise DuplicateId(f"duplicate record id {rec_id!r}")
+        seen.add(rec_id)
 
 
 def _integer(value) -> int:

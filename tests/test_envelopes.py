@@ -464,6 +464,56 @@ def test_symmetric_gap_formula():
             assert hi - lo == pytest.approx(2 * a - 2 * a * a, abs=1e-12)
 
 
+def _largest_gaps(ratio: ClassRatio) -> tuple[Fraction, list[int], Fraction, list[int]]:
+    """The largest auc_max(h) - h/k1 and the largest h/k1 - auc_min(h) over
+    the hit levels 0..k1 (k1 <= k2), each with the levels that reach it."""
+
+    above = [auc_max_exact(h, ratio) - Fraction(h, ratio.k1) for h in range(ratio.k1 + 1)]
+    below = [Fraction(h, ratio.k1) - auc_min_exact(h, ratio) for h in range(ratio.k1 + 1)]
+    top, bottom = max(above), max(below)
+    return (
+        top,
+        [h for h, gap in enumerate(above) if gap == top],
+        bottom,
+        [h for h, gap in enumerate(below) if gap == bottom],
+    )
+
+
+def test_largest_gap_has_a_closed_form():
+    # For k1 <= k2, AUC exceeds PPV_k by at most 1 - k1/k2, at h = 0, when
+    # k2 >= 2*k1, and otherwise by (k2^2 - k2 mod 2) / (4*k1*k2), at
+    # h = k1 - k2/2 (the two nearest levels tie when k2 is odd). PPV_k
+    # exceeds AUC by at most floor(k1^2/4) / (k1*k2), at h = floor(k1/2)
+    # (and at ceil(k1/2), which ties when k1 is odd).
+    for k1 in range(1, 40):
+        for k2 in range(k1, 80):
+            top, top_hits, bottom, bottom_hits = _largest_gaps(ClassRatio(k1, k2))
+            if k2 >= 2 * k1:
+                assert (top, top_hits) == (1 - Fraction(k1, k2), [0])
+            else:
+                assert top == Fraction(k2 * k2 - k2 % 2, 4 * k1 * k2)
+                assert top_hits == sorted({k1 - k2 // 2, k1 - (k2 + 1) // 2})
+            assert bottom == Fraction(k1 * k1 // 4, k1 * k2)
+            assert bottom_hits == sorted({k1 // 2, (k1 + 1) // 2})
+
+
+@pytest.mark.parametrize(
+    "k1, k2, top, top_hits, bottom, bottom_hits",
+    [
+        # The abstract's 0.75 is the gap at a 20% base rate.
+        (1, 4, 0.75, [0], 0.0, [0, 1]),
+        (1000, 4000, 0.75, [0], 0.0625, [500]),
+        # The bundled general and violent scales.
+        (4262, 7515, 0.4408, [504, 505], 0.1418, [2131]),
+        (1085, 11441, 0.9052, [0], 0.0237, [542, 543]),
+    ],
+)
+def test_largest_gap_at_named_ratios(k1, k2, top, top_hits, bottom, bottom_hits):
+    gaps = _largest_gaps(ClassRatio(k1, k2))
+    assert (round(float(gaps[0]), 4), gaps[1]) == (top, top_hits)
+    assert (round(float(gaps[2]), 4), gaps[3]) == (bottom, bottom_hits)
+
+
 def _assert_sandwiched(ranking, ratio):
     # Exact: the pair count lies between the envelopes at the hit count.
     # Float: correct rounding is monotone, so the floats keep that order.

@@ -161,10 +161,45 @@ def test_constructor_refuses_labels_that_are_not_booleans():
 
 
 def test_build_ranking_refuses_a_non_boolean_positive():
-    # ScoredRecord does not check its label; the ranking built from it does.
-    records = [ScoredRecord("a", 0.9, True), ScoredRecord("b", 0.5, "0")]
+    # ScoredRecord checks its label by the rule the ranking applies, so the
+    # record is refused before any ranking is built.
     with pytest.raises(InconsistentInput, match="record 'b' has label '0', not True or False"):
+        records = [ScoredRecord("a", 0.9, True), ScoredRecord("b", 0.5, "0")]
         build_ranking(records)
+
+
+@pytest.mark.parametrize("label", ["0", 2, None, 0.5, [1], {}])
+def test_scored_record_refuses_a_label_with_rankings_text(label):
+    with pytest.raises(InconsistentInput) as from_ranking:
+        Ranking(["a"], [0.5], [label], TiePolicy.GIVEN)
+    with pytest.raises(InconsistentInput) as from_record:
+        ScoredRecord("a", 0.5, label)
+    assert str(from_record.value) == str(from_ranking.value)
+    assert str(from_record.value) == f"record 'a' has label {label!r}, not True or False"
+
+
+@pytest.mark.parametrize(
+    "ids, scores, labels, error, text",
+    [
+        # Several faults in different columns: the first bad record in
+        # column order is named, whichever column its fault is in.
+        (["a", "a"], [math.nan, 1.0], [True, False], NonFiniteScore, "record 'a' has non-finite score nan"),
+        (
+            ["a", "b", "b"],
+            [1.0, 0.5, 0.5],
+            [True, "x", False],
+            InconsistentInput,
+            "record 'b' has label 'x', not True or False",
+        ),
+        (["a", ""], [math.inf, 1.0], [True, False], NonFiniteScore, "record 'a' has non-finite score inf"),
+    ],
+    ids=["score-before-repeated-id", "label-before-repeated-id", "score-before-empty-id"],
+)
+def test_first_bad_record_in_column_order_is_named(ids, scores, labels, error, text):
+    for policy in TiePolicy:
+        with pytest.raises(error) as raised:
+            Ranking(ids, scores, labels, policy)
+        assert str(raised.value) == text
 
 
 def test_integer_labels_rank_like_booleans():
