@@ -42,10 +42,13 @@ def _delimiter(text: str) -> str:
 
 
 def _add_input_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--id-col", default="person_id", help="id column name")
-    parser.add_argument("--score-col", default="raw_score", help="raw score column name")
-    parser.add_argument("--decile-col", default="decile", help="decile column name")
-    parser.add_argument("--outcome-col", default="outcome", help="outcome column name")
+    from .ingest import ColumnMap
+
+    columns = ColumnMap()
+    parser.add_argument("--id-col", default=columns.id, help="id column name")
+    parser.add_argument("--score-col", default=columns.score, help="raw score column name")
+    parser.add_argument("--decile-col", default=columns.decile, help="decile column name")
+    parser.add_argument("--outcome-col", default=columns.outcome, help="outcome column name")
     parser.add_argument("--delimiter", type=_delimiter, default=",", help="CSV field delimiter")
 
 
@@ -107,9 +110,10 @@ def cmd_envelope(args: argparse.Namespace) -> int:
 
     from .envelopes import ClassRatio, _hit_bounds, envelope_curve
 
-    if args.k1 < 1 or args.k2 < 1:
-        raise AucppvError("class sizes k1 and k2 must be at least 1")
-    ratio = ClassRatio(args.k1, args.k2)
+    try:
+        ratio = ClassRatio(args.k1, args.k2)
+    except ValueError as exc:  # a class size below 1: a usage error
+        raise AucppvError(str(exc)) from exc
     # Both modes build (x, low, high) float triples, formatted once at the end.
     if args.mode == "auc-given-ppv":
         _check_rows(min(args.k1, args.k2) + 1)

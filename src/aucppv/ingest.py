@@ -20,7 +20,7 @@ import math
 from collections import Counter
 from itertools import compress
 from pathlib import Path
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 from typing import Mapping, NamedTuple
 
 from .errors import EmptyAfterFilter, MalformedRow, MissingColumn
@@ -71,14 +71,13 @@ class ColumnMap(NamedTuple):
         return (self.id, self.score, self.decile, self.outcome)
 
 
-class ScoreTable:
+class ScoreTable(SimpleNamespace):
     """Score-table rows, held as parallel columns; the load summary names their scale.
 
     The loader appends to the lists, so this is the one mutable record, and
-    not a tuple: ``len`` counts its rows.
+    not a tuple: ``len`` counts its rows, and ``SimpleNamespace`` supplies
+    the field-by-field ``==`` and the repr.
     """
-
-    __slots__ = ("ids", "scores", "deciles", "labels")
 
     def __init__(
         self,
@@ -94,15 +93,6 @@ class ScoreTable:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
 
 
 class LoadSummary(NamedTuple):

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -24,6 +26,8 @@ import aucppv.envelopes
 import aucppv.reporting
 from aucppv.cli import main
 from aucppv.envelopes import ClassRatio, ppvk_max_given_auc, ppvk_min_given_auc
+from aucppv.errors import InstanceTooLarge
+from aucppv.oracle import certify_up_to
 from aucppv.reporting import format_number
 
 PERFECT_CSV = """
@@ -411,6 +415,14 @@ def test_envelope_rejects_bad_flags(capsys, argv):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("k1, k2", [("0", "3"), ("3", "-1"), ("0", "0")])
+def test_envelope_class_size_below_one_prints_class_ratios_text(capsys, k1, k2):
+    # ClassRatio owns the class-size rule; the CLI prints its text as a usage error.
+    assert run(capsys, ["envelope", "--k1", k1, "--k2", k2]) == (
+        1, "", "error: class sizes must be at least 1\n"
+    )
+
+
 @pytest.mark.parametrize("step, rows", [("0.001", 1001), ("0.01", 101), ("0.05", 21), ("0.25", 5)])
 def test_envelope_accepts_exact_unit_fractions(capsys, step, rows):
     code, out, _ = run(
@@ -494,6 +506,22 @@ def test_verify_limit_too_large(capsys):
         assert code == 1
         assert out == ""
         assert "exceeds the work bound" in err
+
+
+def test_verify_help_names_the_largest_limit_within_the_work_bound(capsys):
+    # The help text's limit is a literal in cli.py on purpose: reading it
+    # from oracle would make `aucppv --help` import oracle, envelopes and
+    # ppv, about 2.9 ms of imports without bytecode on a 2-core x86-64 host.
+    # This pins it instead to the largest limit whose table fits
+    # oracle.MAX_TABLE_ENTRIES.
+    with pytest.raises(SystemExit) as exited:
+        main(["verify", "--help"])
+    assert exited.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    limit = int(re.search(r"refused past (\d+)", help_text).group(1))
+    certify_up_to(limit)  # builds its table, certifies nothing yet
+    with pytest.raises(InstanceTooLarge):
+        certify_up_to(limit + 1)
 
 
 def test_verify_limit_too_small(capsys):
@@ -585,6 +613,86 @@ def test_report_compas_does_not_fork_beside_another_thread(capsys, monkeypatch):
         other.join(timeout=10)
     assert not other.is_alive()
     assert (code, out, err) == (0, golden_compas("json"), "")
+    assert_no_child()
+
+
+def failed_fork():
+    raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+def test_report_compas_fork_failure_closes_its_pipe(capsys, monkeypatch):
+    # Out of processes or memory, os.fork raises: both pipe ends are closed,
+    # no child is left and the scales render one after the other.
+    if threading.active_count() > 1:
+        pytest.skip("report-compas does not fork beside another thread")
+    opened, closed = [], []
+    pipe, close = os.pipe, os.close
+
+    def recorded_pipe():
+        ends = pipe()
+        opened.extend(ends)
+        return ends
+
+    def recorded_close(fd):
+        closed.append(fd)
+        close(fd)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(os, "close", recorded_close)
+    monkeypatch.setattr(os, "fork", failed_fork, raising=False)
+    assert run(capsys, ["report-compas", "--format", "json"]) == (0, golden_compas("json"), "")
+    assert len(opened) == 2 and set(opened) <= set(closed)
+    assert_no_child()
+
+
+def test_report_compas_unstatable_violent_input_runs_sequentially(tmp_path, capsys, monkeypatch):
+    # An input that cannot be checked for a regular file may not be
+    # rereadable, so the run does not fork and prints the sequential bytes.
+    violent = write_csv(tmp_path, name="violent.csv")
+    argv = ["report-compas", "--violent-input", violent, "--format", "tsv"]
+    monkeypatch.delattr(os, "fork", raising=False)
+    sequential = run(capsys, argv)
+    assert sequential[0] == 0
+    is_file = Path.is_file
+
+    def unstatable(self):
+        if str(self) == violent:
+            raise PermissionError(errno.EACCES, "Permission denied", violent)
+        return is_file(self)
+
+    def no_fork():
+        raise AssertionError("forked on an input it could not check")
+
+    monkeypatch.setattr(Path, "is_file", unstatable)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert run(capsys, argv) == sequential
+    assert_no_child()
+
+
+@pytest.mark.parametrize("count, forks", [(1, 0), (None, 0), (2, 1)])
+def test_report_compas_without_sched_getaffinity_reads_cpu_count(capsys, monkeypatch, count, forks):
+    # Where os.sched_getaffinity is missing the gate counts os.cpu_count(),
+    # None as 1: with one CPU it does not fork. With two it reaches os.fork,
+    # which fails here, so the run falls back to the sequential one.
+    if forks and threading.active_count() > 1:
+        pytest.skip("report-compas does not fork beside another thread")
+    counted, forked = [], []
+
+    def cpu_count():
+        counted.append(count)
+        return count
+
+    def fork():
+        forked.append(True)
+        failed_fork()
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", cpu_count)
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    assert run(capsys, ["report-compas"]) == (0, golden_compas("table"), "")
+    assert (counted, len(forked)) == ([count], forks)
     assert_no_child()
 
 

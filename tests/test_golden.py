@@ -104,7 +104,7 @@ USAGE_CASES = json.loads((DATA / "golden_cli_usage.json").read_text(encoding="ut
 
 
 # argparse rewords its help and errors between Python versions; the
-# captures are its text on 3.10 and 3.11, the versions CI runs.
+# captures are its text on 3.10 and 3.11, so CI's 3.12 and 3.13 jobs skip them.
 @pytest.mark.skipif(
     sys.version_info[:2] not in ((3, 10), (3, 11)), reason="argparse text of another Python"
 )

@@ -64,6 +64,19 @@ def test_leading_byte_order_mark_is_ignored(tmp_path):
     assert load_csv(path) == plain
 
 
+def test_crlf_and_bare_cr_line_endings_load_as_lf(tmp_path):
+    # Windows exports end lines with CRLF and classic Mac ones with a bare
+    # CR: both must give the LF table's rows and summary, drops included.
+    text = 'person_id,raw_score,decile,outcome\na,1.25,10,1\n"b",-0.5,1,0\nb,2.0,3,1\nc,,4,0\nd,0.75,6,0\n'
+    path = tmp_path / "rows.csv"
+    path.write_bytes(text.encode("utf-8"))
+    plain = load_csv(path)
+    assert (plain.summary.rows_read, plain.summary.rows_kept, len(plain.rows)) == (5, 3, 3)
+    for ending in ("\r\n", "\r"):
+        path.write_bytes(text.replace("\n", ending).encode("utf-8"))
+        assert load_csv(path) == plain
+
+
 def test_unreadable_row_raises_with_row_number(tmp_path):
     # The csv module refuses a cell over its field size limit; the loader
     # reports that row as malformed instead of letting csv.Error escape.

@@ -413,6 +413,28 @@ def test_score_that_is_not_a_real_number_names_its_record():
         assert str(raised.value) == f"record {ids[bad]!r} has score {scores[bad]!r}, not a real number"
 
 
+def test_bulk_check_type_error_no_record_names_is_re_raised():
+    # A score with __float__ and __eq__ but no hash passes the record rule,
+    # yet the level count cannot hash it: the walk names no record, so the
+    # bulk check's own TypeError comes out unchanged.
+    class Unhashable:
+        def __init__(self, value):
+            self.value = value
+
+        def __float__(self):
+            return self.value
+
+        def __eq__(self, other):
+            return isinstance(other, Unhashable) and self.value == other.value
+
+    scores = [Unhashable(0.9), Unhashable(0.1)]
+    ScoredRecord("a", scores[0], True)
+    for policy in TiePolicy:
+        with pytest.raises(TypeError, match="unhashable type: 'Unhashable'") as raised:
+            Ranking(["a", "b"], scores, [True, False], policy)
+        assert type(raised.value) is TypeError
+
+
 def test_score_too_large_for_a_float_names_its_record():
     # An int or Fraction past the float range used to escape as a bare
     # OverflowError from math.isfinite. The text leaves the score out: the
