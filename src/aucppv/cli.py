@@ -199,23 +199,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _render_pair(render, first, second, rereadable: bool) -> list[str]:
     """``[render(first), render(second)]``, ``second`` in a forked child where safe.
 
-    Safe means: os.fork exists; at least two CPUs are usable (pinned to one
-    CPU, forking made report-compas about 13 ms or 23% slower); no other
+    Safe means: os.fork exists; os.sched_setaffinity exists and at least two
+    CPUs are usable, the first half then running the parent and the second
+    the child (a just-forked child starts on the parent's CPU); no other
     Python thread runs, since a fork copies only the calling thread; and
     ``second`` is ``rereadable``, since the parent renders it again whenever
     the child fails, which keeps the sequential run's output and errors. The
-    child exits 0 only after it has written all of its UTF-8 bytes.
+    child exits 0 only after writing all its UTF-8 bytes; the parent gets its
+    CPUs back however its table ends, and a refused placement is skipped.
     """
 
+    import contextlib
     import os
 
     threading = sys.modules.get("threading")
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     pid = None
-    if rereadable and hasattr(os, "fork") and cpus >= 2 and (threading is None or threading.active_count() == 1):
+    if rereadable and hasattr(os, "fork") and len(cpus) >= 2 and (threading is None or threading.active_count() == 1):
         read_end, write_end = os.pipe()
         try:
             pid = os.fork()
@@ -227,6 +227,8 @@ def _render_pair(render, first, second, rereadable: bool) -> list[str]:
     if pid == 0:
         status = 1
         try:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, cpus[len(cpus) // 2:])
             os.close(read_end)
             with open(write_end, "wb") as pipe:
                 pipe.write(render(second).encode("utf-8"))
@@ -237,12 +239,15 @@ def _render_pair(render, first, second, rereadable: bool) -> list[str]:
     status = None
     with open(read_end, "rb") as pipe:
         try:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, cpus[: len(cpus) // 2])
             section = render(first)
             child_bytes = pipe.read()
             status = os.waitpid(pid, 0)[1]
         finally:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, cpus)
             if status is None:  # the parent's table raised, or an interrupt came
-                import contextlib
                 import signal
 
                 # The child may have been reaped just before the interrupt.

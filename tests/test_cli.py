@@ -63,6 +63,19 @@ def assert_no_child() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
+def cpu_mask() -> set[int] | None:
+    """The CPUs this process may run on, or None where the OS cannot say."""
+
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+def forks_here() -> bool:
+    """Whether report-compas renders its violent table in a child here."""
+
+    placeable = hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) >= 2
+    return hasattr(os, "fork") and placeable and threading.active_count() == 1
+
+
 def stdout_of(argv: list[str]) -> str:
     """Stdout of a successful run, without capsys (which hypothesis cannot share)."""
 
@@ -638,6 +651,7 @@ def test_report_compas_fork_failure_closes_its_pipe(capsys, monkeypatch):
         close(fd)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
     monkeypatch.setattr(os, "pipe", recorded_pipe)
     monkeypatch.setattr(os, "close", recorded_close)
     monkeypatch.setattr(os, "fork", failed_fork, raising=False)
@@ -667,43 +681,68 @@ def test_report_compas_unstatable_violent_input_runs_sequentially(tmp_path, caps
     monkeypatch.setattr(Path, "is_file", unstatable)
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
     assert run(capsys, argv) == sequential
     assert_no_child()
 
 
-@pytest.mark.parametrize("count, forks", [(1, 0), (None, 0), (2, 1)])
-def test_report_compas_without_sched_getaffinity_reads_cpu_count(capsys, monkeypatch, count, forks):
-    # Where os.sched_getaffinity is missing the gate counts os.cpu_count(),
-    # None as 1: with one CPU it does not fork. With two it reaches os.fork,
-    # which fails here, so the run falls back to the sequential one.
-    if forks and threading.active_count() > 1:
-        pytest.skip("report-compas does not fork beside another thread")
-    counted, forked = [], []
+def test_report_compas_without_sched_setaffinity_runs_sequentially(capsys, monkeypatch):
+    # Where the child cannot be placed on CPUs of its own (macOS has no
+    # os.sched_setaffinity), the kernel may start it on the parent's CPU,
+    # so the two scales render one after the other and os.fork is not reached.
+    def no_fork():
+        raise AssertionError("forked without a way to place the child")
 
-    def cpu_count():
-        counted.append(count)
-        return count
-
-    def fork():
-        forked.append(True)
-        failed_fork()
-
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", cpu_count)
-    monkeypatch.setattr(os, "fork", fork, raising=False)
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
     assert run(capsys, ["report-compas"]) == (0, golden_compas("table"), "")
-    assert (counted, len(forked)) == ([count], forks)
+    assert_no_child()
+
+
+def test_render_pair_splits_the_cpus_between_parent_and_child():
+    # The parent renders on the first half of its CPUs and the child on the
+    # second half, so the two never queue for one CPU; afterwards the
+    # parent may run where it ran before.
+    if not forks_here():
+        pytest.skip("report-compas runs sequentially here")
+    before = sorted(os.sched_getaffinity(0))
+
+    def render(_):
+        return " ".join(str(cpu) for cpu in sorted(os.sched_getaffinity(0)))
+
+    sections = aucppv.cli._render_pair(render, "general", "violent", True)
+    parent, child = ([int(cpu) for cpu in section.split()] for section in sections)
+    assert parent == before[: len(before) // 2]
+    assert child == before[len(before) // 2 :]
+    assert sorted(os.sched_getaffinity(0)) == before
+    assert_no_child()
+
+
+def test_report_compas_refused_placement_prints_the_golden(capsys, monkeypatch):
+    # Where the OS refuses to place a render (a CPU taken offline, say),
+    # that render runs where it is: the bytes are the sequential run's.
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        pytest.skip("report-compas does not fork here")
+    placements = []
+
+    def refused(pid, cpus):
+        placements.append(sorted(cpus))
+        raise OSError(errno.EINVAL, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", refused, raising=False)
+    assert run(capsys, ["report-compas", "--format", "tsv"]) == (0, golden_compas("tsv"), "")
+    # The parent's own calls, its half and then its whole mask back; the
+    # child's call happened in the child.
+    assert placements == [[0], [0, 1]]
     assert_no_child()
 
 
 def test_report_compas_renders_the_violent_table_in_a_child(capsys, monkeypatch):
     # Where forking is safe the parent renders only the general table and
     # takes the violent one from the child.
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    if not hasattr(os, "fork") or cpus < 2 or threading.active_count() > 1:
+    if not forks_here():
         pytest.skip("report-compas runs sequentially here")
     rendered = []
     evaluate_one = aucppv.cli._evaluate_one
@@ -720,12 +759,15 @@ def test_report_compas_renders_the_violent_table_in_a_child(capsys, monkeypatch)
 
 def test_report_compas_bad_general_input_names_it(tmp_path, capsys):
     # The parent's own table fails while the child renders the other: the
-    # child is killed and reaped, and the error is the sequential run's.
+    # child is killed and reaped, the error is the sequential run's and
+    # the parent may run on all of its CPUs again.
     bad = tmp_path / "general.csv"
     bad.write_bytes(b"person_id,raw_score,decile,outcome\na,x,5,1\n")
+    before = cpu_mask()
     code, out, err = run(capsys, ["report-compas", "--general-input", str(bad)])
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {bad}: ")
+    assert cpu_mask() == before
     assert_no_child()
 
 
@@ -738,9 +780,11 @@ def test_report_compas_interrupted_reaps_its_child(capsys, monkeypatch):
         return evaluate_one(path, scale, *args, **kwargs)
 
     monkeypatch.setattr(aucppv.cli, "_evaluate_one", interrupted)
+    before = cpu_mask()
     with pytest.raises(KeyboardInterrupt):
         main(["report-compas"])
     assert capsys.readouterr().out == ""
+    assert cpu_mask() == before
     assert_no_child()
 
 
