@@ -7,7 +7,7 @@ translates PPV at the base-rate cut between a classifier and its reverse.
 With k2 negatives, h hits at that cut fit some ranking only when
 max(0, k1 - k2) <= h <= k1; ``ClassRatio`` holds the class sizes k1:k2 and
 ``_feasible_hits`` is the one check of that rule.
-``expected_hits_at_k`` and ``hits_range_at_k`` read ``Ranking``'s one cut lookup.
+``expected_hits_at_k`` and ``hits_range_at_k`` read a ``TieTable``'s one cut lookup.
 """
 
 from __future__ import annotations
@@ -130,12 +130,12 @@ def ppv_swap(ppv_k1: float, k1: int, k2: int) -> float:
 def expected_hits_at_k(ranking: Ranking, k: int) -> float:
     """Expected positives in the top k when the boundary tie group is shuffled.
 
-    Deterministic tie policies fix which members of a tie group straddling the
-    cut land inside it. This auxiliary mode averages over all orderings of
-    that group instead: the members inside the cut are then a uniform sample
-    without replacement, so the expectation is hypergeometric,
-    positives_before + group_positives * slots / group_size. Away from a
-    straddling tie it equals the deterministic hit count.
+    Reads a Ranking or its TieTable. A tie policy fixes which members of a
+    group straddling the cut land inside it; over all orderings of that
+    group, those members are a uniform sample without replacement, so the
+    expectation is hypergeometric, positives_before + group_positives *
+    slots / group_size. Away from a straddling tie it equals the
+    deterministic hit count.
     """
 
     g, hits_before, slots, size = ranking._cut_group(k)
@@ -145,10 +145,10 @@ def expected_hits_at_k(ranking: Ranking, k: int) -> float:
 def hits_range_at_k(ranking: Ranking, k: int) -> tuple[int, int]:
     """Fewest and most positives in the top k over orderings of the boundary tie group.
 
-    The cut takes ``slots`` members of the tie group holding position k - 1:
-    at least slots - (negatives in the group) of them and at most all of the
-    group's positives are positive. Away from a straddling tie both ends equal
-    the deterministic hit count.
+    Reads a Ranking or its TieTable. The cut takes ``slots`` members of the
+    tie group holding position k - 1: at least slots - (negatives in the
+    group) of them and at most all of the group's positives are positive.
+    Away from a straddling tie both ends equal the deterministic hit count.
     """
 
     g, hits_before, slots, size = ranking._cut_group(k)

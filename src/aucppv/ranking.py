@@ -3,7 +3,7 @@
 A classifier is modeled extensionally: a finite set of records, each with a
 real-valued score and a binary ground-truth label, sorted by descending score.
 Every downstream quantity (confusion counts, ROC, AUC, PPV at a cut) is a
-function of that sorted sequence alone.
+function of that sorted sequence alone; the sweeps read only its ``TieTable``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from bisect import bisect_left
 from collections import Counter
 from functools import cmp_to_key
 from itertools import accumulate, compress, islice, repeat
-from operator import index, itemgetter, ne
+from operator import attrgetter, index, itemgetter, ne
 from typing import Iterable, NamedTuple
 
 from .errors import CutOutOfRange, DuplicateId, EmptyInput, InconsistentInput, NonFiniteScore
@@ -22,6 +22,7 @@ from .errors import CutOutOfRange, DuplicateId, EmptyInput, InconsistentInput, N
 __all__ = [
     "TiePolicy",
     "ScoredRecord",
+    "TieTable",
     "Ranking",
     "build_ranking",
     "reverse_classifier",
@@ -59,50 +60,70 @@ class ScoredRecord(
         _check_record(id, score, positive)
 
 
+class TieTable(NamedTuple):
+    """A ranking's tie groups, the per-level counts every sweep reads: k1
+    positives and k2 negatives, n = k1 + k2; ``group_ends[g]`` ends the g-th
+    run of equal scores in rank order and ``group_hits[g]`` counts the
+    positives before that end, so a sweep reads O(groups) entries, not
+    records. ``_cut_group`` is the one lookup of the group a cut falls in."""
+
+    n: int
+    k1: int
+    k2: int
+    group_ends: tuple[int, ...]
+    group_hits: tuple[int, ...]
+
+    def _cut_group(self, k: int, least: int = 1) -> tuple[int, int, int, int]:
+        """(g, positives before it, members the cut takes, size) of the tie group g
+        holding position k - 1 (group 0 at k = 0); CutOutOfRange unless k is in least..n."""
+
+        try:
+            cut = _integer(k)
+        except TypeError:
+            raise CutOutOfRange(f"cut {k!r} is not an integer") from None
+        if not least <= cut <= self.n:
+            raise CutOutOfRange(f"cut {k} outside [{least}, {self.n}]")
+        ends = self.group_ends
+        g = bisect_left(ends, k)
+        start, before = (ends[g - 1], self.group_hits[g - 1]) if g else (0, 0)
+        return g, before, k - start, ends[g] - start
+
+
 class Ranking:
     """Records sorted by descending score under a fixed tie policy, as columns.
 
-    k1 counts positive records, k2 negative ones; k1 + k2 = n. The tie-group
-    table is built from the score and label columns as given, without putting
-    the records in order: ``group_ends[g]`` is the end offset of the g-th run
-    of equal scores in rank order and ``group_hits[g]`` the positives before
-    that offset, so the sweeps read O(groups) entries instead of walking
-    records. When two positives share a score, the scores are tied: the table
-    counts the records at each score and sorts only the distinct scores,
-    O(n + d log d) for d of them. Otherwise it sorts the bare scores, which
-    is faster when most of them are distinct. Either way a group's level is
-    its first score in column order, so 0.0 and -0.0 share a group.
-    ``hits_at``, ``ppv`` and ``reporting`` find the tie group a cut falls in
-    by one lookup, which checks the cut once (0 is a legal cut only for
-    ``hits_at``), and ``hits_at`` puts only its members in tie order, once
-    per group. ``ids``, ``scores`` and ``labels`` (parallel tuples in rank
-    order, ``labels[i]`` True for a positive) are built on first access, and
-    so are ``items``, ``==`` and ``hash``, which read them.
+    ``table``, which ``n``, ``k1``, ``k2``, ``group_ends``, ``group_hits`` and
+    ``_cut_group`` read, is built once from the columns as given. When two
+    positives share a score, it counts the records at each score and sorts
+    only the d distinct ones, O(n + d log d); otherwise it sorts the bare
+    scores. Either way a group's level is its first score in column order,
+    so 0.0 and -0.0 share a group. ``hits_at`` puts only the group a cut
+    splits in tie order, once per group. ``ids``, ``scores`` and ``labels``
+    (rank-order tuples, ``labels[i]`` True for a positive) are built on the
+    first read of them or of ``items``, ``==`` or ``hash``.
 
     ``Ranking(ids, scores, labels, tie_policy)`` is the only constructor. It
     takes parallel, sized columns in any order and raises InconsistentInput
     for columns of different lengths, EmptyInput for empty columns, what
     ScoredRecord raises for a bad record and DuplicateId for an id that an
     earlier record holds; of several bad records, the first in column order
-    is named. Records of equal score rank by ascending id under
-    BY_ID_ASCENDING and in column order under GIVEN. Under BY_ID_ASCENDING,
-    two ids of one tie group that ``<`` cannot order raise InconsistentInput
-    from the first sort by id that meets them: ``hits_at`` sorts the ids of
-    the group a cut splits, the columns those of every group; ids of
-    different groups are never compared. A Ranking is immutable.
+    is named. Under BY_ID_ASCENDING, two ids of one tie group that ``<``
+    cannot order raise InconsistentInput from the first sort by id that
+    meets them: ``hits_at`` sorts the ids of the group a cut splits, the
+    columns those of every group; ids of different groups are never
+    compared. A Ranking is immutable.
     """
 
-    __slots__ = (
-        "n", "k1", "k2", "tie_policy", "group_ends", "group_hits",
-        "_columns", "_tie_key", "_levels", "_tie_hits", "_ordered",
-    )
+    __slots__ = ("table", "tie_policy", "_columns", "_tie_key", "_levels", "_tie_hits", "_ordered")
 
-    n: int
-    k1: int
-    k2: int
+    table: TieTable
     tie_policy: TiePolicy
-    group_ends: tuple[int, ...]
-    group_hits: tuple[int, ...]
+    n = property(attrgetter("table.n"))
+    k1 = property(attrgetter("table.k1"))
+    k2 = property(attrgetter("table.k2"))
+    group_ends = property(attrgetter("table.group_ends"))
+    group_hits = property(attrgetter("table.group_hits"))
+    _cut_group = property(attrgetter("table._cut_group"))
 
     def __init__(self, ids, scores, labels, tie_policy: TiePolicy) -> None:
         n = len(ids)
@@ -118,7 +139,7 @@ class Ranking:
             ids, scores, labels = tuple(ids), tuple(scores), tuple(labels)
             sound = len(distinct) == n and "" not in distinct and {False, True}.issuperset(labels)
             if sound:
-                positives, levels, ends = _tie_groups(scores, labels)
+                table, levels = _tie_groups(scores, labels)
                 # Every score is one of the levels, so checking them checks every record.
                 sound = all(map(math.isfinite, levels))
         except (TypeError, ValueError, ArithmeticError):
@@ -126,14 +147,9 @@ class Ranking:
             raise
         if not sound:
             _name_bad_record(ids, scores, labels)
-        hits = tuple(accumulate(map(positives.get, levels, repeat(0))))
         assign = object.__setattr__
-        assign(self, "n", n)
-        assign(self, "k1", hits[-1])
-        assign(self, "k2", n - hits[-1])
+        assign(self, "table", table)
         assign(self, "tie_policy", tie_policy)
-        assign(self, "group_ends", tuple(ends))
-        assign(self, "group_hits", hits)
         assign(self, "_columns", (ids, scores, labels))
         # Positions of equal score rank by this key; None keeps column order.
         by_id = tie_policy is TiePolicy.BY_ID_ASCENDING
@@ -210,21 +226,6 @@ class Ranking:
             return before + self._hits_in_tie_order(g, size)[taken]
         return self.group_hits[g] if taken else before
 
-    def _cut_group(self, k: int, least: int = 1) -> tuple[int, int, int, int]:
-        """(g, positives before it, members the cut takes, size) of the tie group g
-        holding position k - 1 (group 0 at k = 0); CutOutOfRange unless k is in least..n."""
-
-        try:
-            cut = _integer(k)
-        except TypeError:
-            raise CutOutOfRange(f"cut {k!r} is not an integer") from None
-        if not least <= cut <= self.n:
-            raise CutOutOfRange(f"cut {k} outside [{least}, {self.n}]")
-        ends = self.group_ends
-        g = bisect_left(ends, k)
-        start, before = (ends[g - 1], self.group_hits[g - 1]) if g else (0, 0)
-        return g, before, k - start, ends[g] - start
-
     def _hits_in_tie_order(self, g: int, size: int) -> list[int]:
         """Positives among the first j members of tie group g, j = 0..size,
         with the members in tie order; built once per group."""
@@ -260,10 +261,8 @@ class Ranking:
             raise
 
 
-def _tie_groups(scores: tuple, labels: tuple) -> tuple[Counter, tuple, list[int]]:
-    """The tie groups of the columns (see Ranking): the positives at each
-    score, the distinct scores in descending order and each group's end
-    offset in rank order."""
+def _tie_groups(scores: tuple, labels: tuple) -> tuple[TieTable, tuple]:
+    """The columns' TieTable and its levels, the distinct scores, descending."""
 
     n = len(scores)
     positives = Counter(compress(scores, labels))
@@ -280,7 +279,8 @@ def _tie_groups(scores: tuple, labels: tuple) -> tuple[Counter, tuple, list[int]
         ends = list(compress(range(1, n), map(ne, ordered, islice(ordered, 1, None))))
         levels = tuple(map(ordered.__getitem__, [0, *ends]))
         ends.append(n)
-    return positives, levels, ends
+    hits = tuple(accumulate(map(positives.get, levels, repeat(0))))
+    return TieTable(n, hits[-1], n - hits[-1], tuple(ends), hits), levels
 
 
 def _check_record(rec_id, score, label) -> None:

@@ -1,9 +1,9 @@
 """ROC curves and two independent AUC routes.
 
 ``auc_trapezoid`` integrates the ROC polygon; ``auc_pairwise`` counts
-correctly ordered positive/negative pairs through a rank-sum in O(n) on the
-already-sorted ranking, crediting ties with one half. Both routes sum
-integer counts and divide once, so they agree exactly on every ranking,
+correctly ordered positive/negative pairs by a rank sum in O(groups) over the
+``TieTable``, sorting no record and crediting ties with one half. Both routes
+sum integer counts and divide once, so they agree exactly on every ranking,
 ties included, which the test suite exploits as a dual-route check.
 """
 
@@ -73,8 +73,8 @@ def _require_both_classes(ranking: Ranking) -> None:
 def roc_curve(ranking: Ranking) -> RocCurve:
     """Sweep the cut from 0 to n, emitting a vertex after each tie group.
 
-    Records with equal scores enter together, so the curve has one vertex per
-    distinct score plus the (0, 0) anchor.
+    Reads a Ranking or its TieTable. Records with equal scores enter together,
+    so the curve has one vertex per distinct score plus the (0, 0) anchor.
     """
 
     _require_both_classes(ranking)
@@ -101,7 +101,7 @@ def auc_trapezoid(curve: RocCurve) -> float:
 def auc_pairwise(ranking: Ranking) -> AucResult:
     """AUC as the fraction of correctly ordered positive/negative pairs.
 
-    Computed as a rank sum over the tie groups of the sorted ranking, entirely
+    Computed as a rank sum over the tie groups of a Ranking or its TieTable,
     in integer arithmetic (doubled midranks), so the result holds the exact
     doubled U; its ``value`` is the correctly rounded exact rational and is
     bit-for-bit invariant under the class swap.

@@ -31,7 +31,7 @@ from aucppv.ingest import (
 from aucppv.metrics import ConfusionCounts, confusion_at_cut
 from aucppv.oracle import ArrangementStats, HitLevelStats, enumerate_arrangements
 from aucppv.ppv import PpvResult, ppv_base_rate
-from aucppv.ranking import ScoredRecord
+from aucppv.ranking import ScoredRecord, TieTable
 from aucppv.reporting import EvaluationReport, build_report
 from aucppv.roc import AucResult, RocCurve, auc_pairwise, roc_curve
 from conftest import WORKED_EXAMPLE, ranking_from_pattern
@@ -148,6 +148,7 @@ def _records() -> dict[type, tuple]:
         envelope_curve(ClassRatio(3, 2)),
         build_report(ranking),
         ScoredRecord("a", 0.5, True),
+        ranking.table,
         ppv_base_rate(ranking),
         confusion_at_cut(ranking, 3),
     ]
@@ -157,7 +158,7 @@ def _records() -> dict[type, tuple]:
 RECORD_TYPES = (
     ColumnMap, DecileCount, BucketStats, DecileReport, LoadSummary, LoadResult,
     RocCurve, AucResult, HitLevelStats, ArrangementStats, ClassRatio, EnvelopeCurve,
-    EvaluationReport, ScoredRecord, PpvResult, ConfusionCounts,
+    EvaluationReport, ScoredRecord, TieTable, PpvResult, ConfusionCounts,
 )
 
 

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -18,14 +19,24 @@ from aucppv import (
     Ranking,
     ScoredRecord,
     TiePolicy,
+    auc_pairwise,
     build_ranking,
     confusion_at_cut,
     ppv_at_k,
     ppv_base_rate,
     reverse_classifier,
+    roc_curve,
 )
-from aucppv.errors import CutOutOfRange, DuplicateId, EmptyInput, InconsistentInput, NonFiniteScore
+from aucppv.errors import (
+    CutOutOfRange,
+    DegenerateClasses,
+    DuplicateId,
+    EmptyInput,
+    InconsistentInput,
+    NonFiniteScore,
+)
 from aucppv.ppv import PpvResult, expected_hits_at_k, hits_range_at_k
+from aucppv.ranking import TieTable
 from conftest import (
     exact_hits,
     pattern_of,
@@ -355,6 +366,42 @@ def test_tie_group_reads_need_no_rank_order(monkeypatch, policy):
     assert min(routes.values()) >= 50
 
 
+def _table_from_counts(counts) -> TieTable:
+    """The TieTable of (positives, negatives) per score level, highest level first."""
+
+    ends = tuple(accumulate(positives + negatives for positives, negatives in counts))
+    hits = tuple(accumulate(positives for positives, _ in counts))
+    return TieTable(ends[-1], hits[-1], ends[-1] - hits[-1], ends, hits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_table_from_level_counts_reads_like_the_ranking(data):
+    # The per-level counts alone give the ranking's table, and every sweep
+    # and cut read gives on that table what it gives on the ranking.
+    n = data.draw(st.integers(min_value=1, max_value=60))
+    scores = data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    labels = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    policy = data.draw(st.sampled_from(TiePolicy))
+    ranking = Ranking([f"r{i}" for i in range(n)], [score / 4 for score in scores], labels, policy)
+    at_level = Counter(zip(scores, labels))
+    table = _table_from_counts(
+        [(at_level[level, True], at_level[level, False]) for level in sorted(set(scores), reverse=True)]
+    )
+    assert table == ranking.table
+    for sweep in (auc_pairwise, roc_curve):
+        if 0 < ranking.k1 < n:
+            assert sweep(table) == sweep(ranking)
+        else:
+            for source in (table, ranking):
+                with pytest.raises(DegenerateClasses):
+                    sweep(source)
+    for k in range(1, n + 1):
+        assert hits_range_at_k(table, k) == hits_range_at_k(ranking, k)
+        assert expected_hits_at_k(table, k) == expected_hits_at_k(ranking, k)
+        assert table._cut_group(k) == ranking._cut_group(k)
+
+
 def test_signed_zero_level_is_the_first_in_column_order():
     # 0.0 and -0.0 form one group on either route, and its level is the
     # zero that comes first in the columns.
@@ -514,10 +561,13 @@ def test_each_cut_reader_checks_and_searches_its_cut_once(monkeypatch, k):
     # Tie groups end at 1, 4, 5 and 6: cut 3 splits the second, cut 4 ends it.
     ranking = ranking_from_pattern("PNPNNP", scores=[0.9, 0.5, 0.5, 0.5, 0.2, 0.1])
     readers = (Ranking.hits_at, ppv_at_k, confusion_at_cut, hits_range_at_k, expected_hits_at_k)
-    for read in readers:
+    reads = [(read, ranking) for read in readers]
+    # The boundary-group reads take the ranking's table as well.
+    reads += [(read, ranking.table) for read in (hits_range_at_k, expected_hits_at_k)]
+    for read, source in reads:
         calls.update(integer=0, bisect_left=0)
-        read(ranking, k)
-        assert calls == {"integer": 1, "bisect_left": 1}, read.__name__
+        read(source, k)
+        assert calls == {"integer": 1, "bisect_left": 1}, (read.__name__, type(source).__name__)
 
 
 def test_ids_that_cannot_be_ordered_name_two_of_them():
@@ -552,6 +602,10 @@ def test_ranking_is_immutable_and_shows_its_sizes():
         ranking.note = "x"
     assert ranking.k1 == 3
     assert repr(ranking) == "Ranking(n=7, k1=3, k2=4, tie_policy=TiePolicy.BY_ID_ASCENDING)"
+    # The table is stored once, in ``table``; its fields are reads of it.
+    assert "table" in Ranking.__slots__
+    assert not set(Ranking.__slots__) & set(TieTable._fields)
+    assert ranking.table == (7, 3, 4, ranking.group_ends, ranking.group_hits)
 
 
 def test_reverse_flips_order_and_roles():

@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import pairwise
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +19,8 @@ from aucppv import (
     roc_curve,
 )
 from aucppv.errors import DegenerateClasses
+from aucppv.ppv import expected_hits_at_k, hits_range_at_k
+from aucppv.ranking import TieTable
 from conftest import (
     WORKED_EXAMPLE,
     all_arrangements,
@@ -127,16 +128,19 @@ def test_pairwise_matches_exact_rational_oracle():
 
 def test_pairwise_keeps_the_half_pair_past_two_to_the_53():
     # k1 * k2 = 1e16 > 2**53: one tied pair leaves the odd doubled U
-    # 2e16 - 1, which halving in floating point would round away. The sweep
-    # reads only the tie-group table, so a stand-in carries it.
+    # 2e16 - 1, which halving in floating point would round away. The sweeps
+    # read only the tie-group table, so no record is built.
     k = 10**8
-    table = SimpleNamespace(
+    table = TieTable(
         n=2 * k, k1=k, k2=k, group_ends=(k - 1, k + 1, 2 * k), group_hits=(k - 1, k, k)
     )
     result = auc_pairwise(table)
     assert result.doubled_u == 2 * k * k - 1
     assert result.total_pairs == k * k
     assert doubled_area(roc_curve(table)) == 2 * k * k - 1
+    # Cut k takes one of the tied pair: one positive or none.
+    assert hits_range_at_k(table, k) == (k - 1, k)
+    assert expected_hits_at_k(table, k) == k - 0.5
 
 
 def test_routes_agree_with_and_without_ties():
