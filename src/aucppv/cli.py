@@ -377,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
         parser = _Parser(prog=f"aucppv {argv[0]}", description=handler.__doc__)
         add_flags(parser)
         args, extras = parser.parse_known_args(argv[1:])
-        args.command, args.handler = argv[0], handler
+        args.handler = handler
     if entry is None or extras:
         args = _build_parser().parse_args(argv)
     try:

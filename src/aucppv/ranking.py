@@ -3,7 +3,8 @@
 A classifier is modeled extensionally: a finite set of records, each with a
 real-valued score and a binary ground-truth label, sorted by descending score.
 Every downstream quantity (confusion counts, ROC, AUC, PPV at a cut) is a
-function of that sorted sequence alone; the sweeps read only its ``TieTable``.
+function of that sorted sequence alone; the sweeps read only its ``TieTable``,
+whose two columns store each count once: n and k1 are their last entries.
 """
 
 from __future__ import annotations
@@ -61,17 +62,18 @@ class ScoredRecord(
 
 
 class TieTable(NamedTuple):
-    """A ranking's tie groups, the per-level counts every sweep reads: k1
-    positives and k2 negatives, n = k1 + k2; ``group_ends[g]`` ends the g-th
-    run of equal scores in rank order and ``group_hits[g]`` counts the
-    positives before that end, so a sweep reads O(groups) entries, not
-    records. ``_cut_group`` is the one lookup of the group a cut falls in."""
+    """A ranking's tie groups, the per-level counts every sweep reads in
+    O(groups): ``group_ends[g]`` ends the g-th run of equal scores in rank
+    order and ``group_hits[g]`` counts the positives before that end; n and
+    k1 are the last entries, k2 their difference. ``_cut_group`` is the one
+    lookup of the group a cut falls in."""
 
-    n: int
-    k1: int
-    k2: int
     group_ends: tuple[int, ...]
     group_hits: tuple[int, ...]
+
+    n = property(lambda self: self.group_ends[-1])
+    k1 = property(lambda self: self.group_hits[-1])
+    k2 = property(lambda self: self.group_ends[-1] - self.group_hits[-1])
 
     def _cut_group(self, k: int, least: int = 1) -> tuple[int, int, int, int]:
         """(g, positives before it, members the cut takes, size) of the tie group g
@@ -114,7 +116,7 @@ class Ranking:
     compared. A Ranking is immutable.
     """
 
-    __slots__ = ("table", "tie_policy", "_columns", "_tie_key", "_levels", "_tie_hits", "_ordered")
+    __slots__ = ("table", "tie_policy", "_columns", "_levels", "_tie_hits", "_ordered")
 
     table: TieTable
     tie_policy: TiePolicy
@@ -151,9 +153,6 @@ class Ranking:
         assign(self, "table", table)
         assign(self, "tie_policy", tie_policy)
         assign(self, "_columns", (ids, scores, labels))
-        # Positions of equal score rank by this key; None keeps column order.
-        by_id = tie_policy is TiePolicy.BY_ID_ASCENDING
-        assign(self, "_tie_key", ids.__getitem__ if by_id else None)
         assign(self, "_levels", levels)
         assign(self, "_tie_hits", {})
         assign(self, "_ordered", None)
@@ -197,13 +196,13 @@ class Ranking:
 
     def _rank_order(self) -> tuple[tuple, tuple, tuple]:
         """The columns in rank order, built on the first call: positions
-        sorted stably by descending score, then each tie group's members by
-        the tie key, so ids are compared only inside a tie group."""
+        sorted stably by descending score, then under BY_ID_ASCENDING each
+        tie group's members by id, so ids are compared only inside a group."""
 
         if self._ordered is None:
             ids, scores, labels = self._columns
             order = sorted(range(self.n), key=scores.__getitem__, reverse=True)
-            if self._tie_key is not None:
+            if self.tie_policy is TiePolicy.BY_ID_ASCENDING:
                 start = 0
                 for end in self.group_ends:
                     if end - start > 1:
@@ -244,11 +243,12 @@ class Ranking:
         return hits
 
     def _tie_sorted(self, positions: Iterable[int]) -> list[int]:
-        """The positions sorted by the tie key. When ``<`` fails on two ids, a
-        second sort, by a comparator, names them in InconsistentInput."""
+        """The positions by id under BY_ID_ASCENDING, else in column order; when
+        ``<`` fails on two ids, a comparator sort names them in InconsistentInput."""
 
+        by_id = self.tie_policy is TiePolicy.BY_ID_ASCENDING
         try:
-            return sorted(positions, key=self._tie_key)
+            return sorted(positions, key=self._columns[0].__getitem__ if by_id else None)
         except TypeError:
 
             def compare(a, b) -> int:
@@ -280,7 +280,7 @@ def _tie_groups(scores: tuple, labels: tuple) -> tuple[TieTable, tuple]:
         levels = tuple(map(ordered.__getitem__, [0, *ends]))
         ends.append(n)
     hits = tuple(accumulate(map(positives.get, levels, repeat(0))))
-    return TieTable(n, hits[-1], n - hits[-1], tuple(ends), hits), levels
+    return TieTable(tuple(ends), hits), levels
 
 
 def _check_record(rec_id, score, label) -> None:

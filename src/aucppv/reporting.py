@@ -9,9 +9,10 @@ the envelope over it as ``tie_range``.
 
 The envelope bounds and the check stay integer pair counts over k1*k2,
 against the AUC's doubled count over 2*k1*k2, and the feasible hit counts
-at the AUC come from one integer inverse. The report record holds no float:
-``_report_payload`` does every division, each one correctly rounded int/int
-division of an exact count.
+at the AUC come from one integer inverse. The report record holds no float
+and stores each count once: n, k1, k2 and PPV_k read its confusion counts
+at the base-rate cut. ``_report_payload`` does every division, each one
+correctly rounded int/int division of an exact count.
 
 What a report says is decided once: ``_report_payload`` turns it into one
 dict with a stable field order, and the table, JSON and TSV formats each
@@ -22,15 +23,17 @@ flags.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import metrics as m
 from .envelopes import _envelope_pairs, _hit_bounds
 from .errors import AucppvError, InternalConsistencyError
-from .ingest import DecileReport, LoadSummary
 from .ppv import PpvResult, hits_range_at_k
 from .ranking import Ranking
 from .roc import AucResult, auc_pairwise
+
+if TYPE_CHECKING:
+    from .ingest import DecileReport, LoadSummary
 
 __all__ = ["EvaluationReport", "build_report", "format_report", "format_number"]
 
@@ -57,11 +60,7 @@ class EvaluationReport(NamedTuple):
     """Everything the evaluate/report commands print for one ranking."""
 
     label: str
-    n: int
-    k1: int
-    k2: int
     auc: AucResult
-    ppv: PpvResult
     ppv_min: PpvResult
     ppv_max: PpvResult
     boundary_group_size: int
@@ -70,6 +69,11 @@ class EvaluationReport(NamedTuple):
     counts: m.ConfusionCounts
     decile: DecileReport | None = None
     load_summary: LoadSummary | None = None
+
+    n = property(lambda self: self.counts.n)
+    k1 = property(lambda self: self.counts.k1)
+    k2 = property(lambda self: self.counts.k2)
+    ppv = property(lambda self: PpvResult(self.counts.k1, self.counts.tp))
 
 
 def _metric_table(counts: m.ConfusionCounts) -> dict[str, float | None]:
@@ -100,7 +104,6 @@ def build_report(
     k1, k2 = ranking.k1, ranking.k2
     total = k1 * k2
     counts = m.confusion_at_cut(ranking, k1)
-    ppv = PpvResult(k=k1, hits=counts.tp)
     least, most = _hit_bounds(auc.doubled_u, 2 * total, k1, k2)
     # Tied pairs get half credit, so the AUC is the mean over orderings of
     # the tie groups; the check spans every hit count the boundary group's
@@ -121,11 +124,7 @@ def build_report(
         )
     return EvaluationReport(
         label=label,
-        n=ranking.n,
-        k1=k1,
-        k2=k2,
         auc=auc,
-        ppv=ppv,
         ppv_min=PpvResult(k=k1, hits=least),
         ppv_max=PpvResult(k=k1, hits=most),
         boundary_group_size=ranking._cut_group(k1)[3],
@@ -143,9 +142,9 @@ def _report_payload(report: EvaluationReport) -> dict:
     def num(value: float | None) -> float | None:
         return None if value is None else float(format_number(value))
 
-    k1, k2 = report.k1, report.k2
+    k1, k2, ppv = report.k1, report.k2, report.ppv
     total = k1 * k2
-    lo, hi = _envelope_pairs(report.ppv.hits, k1, k2)
+    lo, hi = _envelope_pairs(ppv.hits, k1, k2)
     tie_lo = _envelope_pairs(report.tie_hits_min, k1, k2)[0]
     tie_hi = _envelope_pairs(report.tie_hits_max, k1, k2)[1]
     payload: dict = {
@@ -160,11 +159,11 @@ def _report_payload(report: EvaluationReport) -> dict:
             "total_pairs": report.auc.total_pairs,
         },
         "ppv_k": {
-            "value": num(report.ppv.value),
-            "hits": report.ppv.hits,
-            "k": report.ppv.k,
+            "value": num(ppv.value),
+            "hits": ppv.hits,
+            "k": ppv.k,
         },
-        "gap": num((report.auc.doubled_u - 2 * k2 * report.ppv.hits) / (2 * total)),
+        "gap": num((report.auc.doubled_u - 2 * k2 * ppv.hits) / (2 * total)),
         "envelope_at_auc": {
             "ppv_min": num(report.ppv_min.value),
             "ppv_min_hits": report.ppv_min.hits,

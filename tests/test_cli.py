@@ -344,14 +344,17 @@ def test_help_and_usage_errors_build_the_full_parser(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("name", list(aucppv.cli._COMMANDS))
 def test_a_command_named_first_reads_its_flags_as_the_full_parser(tmp_path, monkeypatch, name):
-    # Every flag, default, command and handler in the namespace the handler
-    # gets is what the full parser would have set.
+    # Every flag, default and handler in the namespace the handler gets is
+    # what the full parser would have set. The full parser also stores the
+    # command, which its usage error names and no handler reads.
     seen = []
     help_line, _, add_flags = aucppv.cli._COMMANDS[name]
     monkeypatch.setitem(aucppv.cli._COMMANDS, name, (help_line, seen.append, add_flags))
     argv = command_calls(tmp_path)[name]
     main(argv)
-    assert seen == [aucppv.cli._build_parser().parse_args(argv)]
+    full = vars(aucppv.cli._build_parser().parse_args(argv))
+    assert full.pop("command") == name
+    assert [vars(args) for args in seen] == [full]
 
 
 def test_envelope_symmetric_table(capsys):

@@ -100,6 +100,13 @@ def test_top_level_names_are_exactly_the_entry_points():
         assert getattr(aucppv, name) is not None
 
 
+def test_dir_lists_every_top_level_name_and_submodule():
+    names = dir(aucppv)
+    assert set(aucppv.__all__) <= set(names)
+    assert {*SUBMODULES, "errors", "data"} <= set(names)
+    assert names == sorted(names)
+
+
 def test_every_submodule_export_imports_from_its_submodule():
     for name in SUBMODULES:
         module = importlib.import_module(f"aucppv.{name}")
@@ -276,6 +283,21 @@ def test_closed_form_commands_load_no_table_modules(argv, loaded):
         f"{LOADED}"
     )
     assert _fresh(code) == loaded + "\n"
+
+
+def test_a_report_of_a_built_ranking_loads_no_loader():
+    # reporting names the loader's records only in annotations, so a report
+    # of a ranking built by hand loads neither ingest nor csv.
+    code = (
+        "import sys\n"
+        "from aucppv.ranking import Ranking, TiePolicy\n"
+        "from aucppv.reporting import build_report, format_report\n"
+        "ranking = Ranking('abcd', (4, 3, 2, 1), (True, False, True, False), TiePolicy.GIVEN)\n"
+        "for fmt in ('table', 'json', 'tsv'):\n"
+        "    format_report(build_report(ranking), fmt)\n"
+        "print(sorted({'aucppv.ingest', 'csv'} & set(sys.modules)))"
+    )
+    assert _fresh(code) == "[]\n"
 
 
 def test_class_ratio_is_one_class_owned_by_ppv():

@@ -371,7 +371,7 @@ def _table_from_counts(counts) -> TieTable:
 
     ends = tuple(accumulate(positives + negatives for positives, negatives in counts))
     hits = tuple(accumulate(positives for positives, _ in counts))
-    return TieTable(ends[-1], hits[-1], ends[-1] - hits[-1], ends, hits)
+    return TieTable(ends, hits)
 
 
 @settings(max_examples=200, deadline=None)
@@ -605,7 +605,16 @@ def test_ranking_is_immutable_and_shows_its_sizes():
     # The table is stored once, in ``table``; its fields are reads of it.
     assert "table" in Ranking.__slots__
     assert not set(Ranking.__slots__) & set(TieTable._fields)
-    assert ranking.table == (7, 3, 4, ranking.group_ends, ranking.group_hits)
+    assert ranking.table == (ranking.group_ends, ranking.group_hits)
+    assert ranking.table.n == 7
+    assert ranking.table.k1 == 3
+    assert ranking.table.k2 == 4
+
+
+def test_ranking_equals_no_other_type():
+    ranking = ranking_from_pattern("PNP")
+    assert (ranking == "PNP") is False
+    assert ranking.__eq__(3) is NotImplemented
 
 
 def test_reverse_flips_order_and_roles():

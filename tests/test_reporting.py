@@ -35,7 +35,7 @@ from aucppv.cli import main
 from aucppv.data import fixture_path
 from aucppv.envelopes import _envelope_pairs
 from aucppv.errors import InternalConsistencyError
-from aucppv.ppv import expected_hits_at_k, hits_range_at_k
+from aucppv.ppv import PpvResult, expected_hits_at_k, hits_range_at_k
 from aucppv.reporting import _metric_table, _report_payload
 from aucppv.roc import AucResult
 from conftest import WORKED_EXAMPLE, ranking_from_pattern
@@ -62,6 +62,17 @@ def test_build_report_worked_example():
     exact = Fraction(report.auc.doubled_u, 2 * report.auc.total_pairs)
     assert exact == Fraction(7, 12)
     assert Fraction(6, 12) <= exact <= Fraction(11, 12)
+
+
+def test_report_reads_its_sizes_and_ppv_off_its_counts():
+    # n, k1, k2 and PPV_k are not stored beside the counts, so a report
+    # with other counts reads them all from those counts.
+    report = build_report(ranking_from_pattern(WORKED_EXAMPLE))
+    assert not {"n", "k1", "k2", "ppv"} & set(report._fields)
+    counts = ConfusionCounts(tp=4, fp=1, fn=2, tn=5)
+    report = report._replace(counts=counts)
+    assert (report.n, report.k1, report.k2) == (12, 6, 6)
+    assert report.ppv == PpvResult(k=6, hits=4)
 
 
 def test_metric_table_values():

@@ -131,9 +131,8 @@ def test_pairwise_keeps_the_half_pair_past_two_to_the_53():
     # 2e16 - 1, which halving in floating point would round away. The sweeps
     # read only the tie-group table, so no record is built.
     k = 10**8
-    table = TieTable(
-        n=2 * k, k1=k, k2=k, group_ends=(k - 1, k + 1, 2 * k), group_hits=(k - 1, k, k)
-    )
+    table = TieTable(group_ends=(k - 1, k + 1, 2 * k), group_hits=(k - 1, k, k))
+    assert (table.n, table.k1, table.k2) == (2 * k, k, k)
     result = auc_pairwise(table)
     assert result.doubled_u == 2 * k * k - 1
     assert result.total_pairs == k * k
