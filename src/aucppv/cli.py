@@ -115,15 +115,13 @@ def cmd_envelope(args: argparse.Namespace) -> int:
     except ValueError as exc:  # a class size below 1: a usage error
         raise AucppvError(str(exc)) from exc
     # Both modes build (x, low, high) float triples, formatted once at the end.
+    facts = {}
     if args.mode == "auc-given-ppv":
         _check_rows(min(args.k1, args.k2) + 1)
         curve = envelope_curve(ratio)
         header_fields = ["ppv", "auc_min", "auc_max"]
         rows = curve.samples
-        note = (
-            f"# ratio {curve.ratio.k1}:{curve.ratio.k2}"
-            + (" (swapped to the smaller class)" if curve.swapped else "")
-        )
+        ratio, facts = curve.ratio, {"swapped": curve.swapped}  # the rows' ratio
     else:
         if not 0.0 < args.step <= 1.0:
             raise AucppvError(f"grid step {args.step!r} must lie in (0, 1]")
@@ -139,14 +137,14 @@ def cmd_envelope(args: argparse.Namespace) -> int:
         for index in range(steps + 1):
             lo, hi = _hit_bounds(index, steps, k1, k2)
             rows.append((index / steps, lo / k1, hi / k1))
-        note = f"# ratio {ratio.k1}:{ratio.k2}"
     if args.format == "json":
         import json
 
         payload = {
             "mode": args.mode,
-            "k1": args.k1,
-            "k2": args.k2,
+            "k1": ratio.k1,
+            "k2": ratio.k2,
+            **facts,
             "rows": [
                 {name: float(f"{value:.10g}") for name, value in zip(header_fields, row)}
                 for row in rows
@@ -157,6 +155,9 @@ def cmd_envelope(args: argparse.Namespace) -> int:
         sep = "\t" if args.format == "tsv" else "  "
         # "%.10g" is format_number's format, applied to the whole row at once.
         row_format = sep.join(["%.10g"] * 3)
+        note = f"# ratio {ratio.k1}:{ratio.k2}"
+        if facts.get("swapped"):
+            note += " (swapped to the smaller class)"
         lines = [note, sep.join(header_fields)]
         lines.extend(map(row_format.__mod__, rows))
         text = "\n".join(lines) + "\n"

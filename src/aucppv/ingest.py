@@ -284,12 +284,14 @@ class BucketStats(NamedTuple):
 
 
 class DecileReport(NamedTuple):
-    """Per-decile counts plus the low/medium/high bucket summaries."""
+    """Per-decile counts; the low, medium and high bucket summaries are
+    read-only sums over them, so ``_replace`` cannot leave one stale."""
 
     per_decile: tuple[DecileCount, ...]
-    low: BucketStats
-    medium: BucketStats
-    high: BucketStats
+
+    low = property(lambda self: _bucket(self.per_decile, LOW_DECILES))
+    medium = property(lambda self: _bucket(self.per_decile, MEDIUM_DECILES))
+    high = property(lambda self: _bucket(self.per_decile, HIGH_DECILES))
 
 
 def _bucket(per_decile: tuple[DecileCount, ...], deciles: tuple[int, ...]) -> BucketStats:
@@ -299,7 +301,7 @@ def _bucket(per_decile: tuple[DecileCount, ...], deciles: tuple[int, ...]) -> Bu
 
 
 def decile_report(rows: ScoreTable) -> DecileReport:
-    """Tally outcomes per decile and per bucket.
+    """Tally outcomes per decile; the report sums them into its buckets.
 
     Raises ValueError for a decile outside 1..10, which only a hand-built
     table can hold.
@@ -315,9 +317,4 @@ def decile_report(rows: ScoreTable) -> DecileReport:
     per_decile = tuple(
         DecileCount(decile=d, total=totals[d], positives=positives[d]) for d in _DECILE_SCALE
     )
-    return DecileReport(
-        per_decile=per_decile,
-        low=_bucket(per_decile, LOW_DECILES),
-        medium=_bucket(per_decile, MEDIUM_DECILES),
-        high=_bucket(per_decile, HIGH_DECILES),
-    )
+    return DecileReport(per_decile)

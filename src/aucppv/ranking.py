@@ -102,7 +102,8 @@ class Ranking:
     so 0.0 and -0.0 share a group. ``hits_at`` puts only the group a cut
     splits in tie order, once per group. ``ids``, ``scores`` and ``labels``
     (rank-order tuples, ``labels[i]`` True for a positive) are built on the
-    first read of them or of ``items``, ``==`` or ``hash``.
+    first read of them or of ``items``, ``==`` or ``hash``, which compare that
+    rank order, not the policy that produced it: every read is a function of it.
 
     ``Ranking(ids, scores, labels, tie_policy)`` is the only constructor. It
     takes parallel, sized columns in any order and raises InconsistentInput
@@ -163,15 +164,10 @@ class Ranking:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Ranking):
             return NotImplemented
-        return (
-            self.tie_policy is other.tie_policy
-            and self.labels == other.labels
-            and self.scores == other.scores
-            and self.ids == other.ids
-        )
+        return self._rank_order() == other._rank_order()
 
     def __hash__(self) -> int:
-        return hash((self.ids, self.scores, self.labels, self.tie_policy))
+        return hash(self._rank_order())
 
     def __repr__(self) -> str:
         return f"Ranking(n={self.n}, k1={self.k1}, k2={self.k2}, tie_policy={self.tie_policy})"
@@ -354,9 +350,9 @@ def reverse_classifier(ranking: Ranking) -> Ranking:
 
     Scores are negated (an exact involution for floats), the sequence is
     reversed, and each label is flipped, so the old negatives become the new
-    positives. Applying this twice returns the original ranking. The result
-    carries TiePolicy.GIVEN because reversal inverts the id order inside tie
-    groups.
+    positives. Applying this twice returns a ranking equal to the original
+    (``==`` and ``hash`` read rank order, not the policy). The result carries
+    TiePolicy.GIVEN because reversal inverts the id order inside tie groups.
     """
 
     return Ranking(

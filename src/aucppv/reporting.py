@@ -10,8 +10,9 @@ the envelope over it as ``tie_range``.
 The envelope bounds and the check stay integer pair counts over k1*k2,
 against the AUC's doubled count over 2*k1*k2, and the feasible hit counts
 at the AUC come from one integer inverse. The report record holds no float
-and stores each count once: n, k1, k2 and PPV_k read its confusion counts
-at the base-rate cut. ``_report_payload`` does every division, each one
+and stores no value its other fields fix: n, k1, k2 and PPV_k read its
+confusion counts at the base-rate cut, and the PPV bounds at its AUC read
+``auc`` and ``counts``. ``_report_payload`` does every division, each one
 correctly rounded int/int division of an exact count.
 
 What a report says is decided once: ``_report_payload`` turns it into one
@@ -61,8 +62,6 @@ class EvaluationReport(NamedTuple):
 
     label: str
     auc: AucResult
-    ppv_min: PpvResult
-    ppv_max: PpvResult
     boundary_group_size: int
     tie_hits_min: int
     tie_hits_max: int
@@ -74,6 +73,12 @@ class EvaluationReport(NamedTuple):
     k1 = property(lambda self: self.counts.k1)
     k2 = property(lambda self: self.counts.k2)
     ppv = property(lambda self: PpvResult(self.counts.k1, self.counts.tp))
+    ppv_min = property(lambda self: PpvResult(self.counts.k1, self._auc_hits[0]))
+    ppv_max = property(lambda self: PpvResult(self.counts.k1, self._auc_hits[1]))
+    # The least and most hits at the cut k1 that the AUC allows.
+    _auc_hits = property(
+        lambda self: _hit_bounds(self.auc.doubled_u, 2 * self.auc.total_pairs, self.k1, self.k2)
+    )
 
 
 def _metric_table(counts: m.ConfusionCounts) -> dict[str, float | None]:
@@ -103,12 +108,21 @@ def build_report(
     auc = auc_pairwise(ranking)
     k1, k2 = ranking.k1, ranking.k2
     total = k1 * k2
-    counts = m.confusion_at_cut(ranking, k1)
-    least, most = _hit_bounds(auc.doubled_u, 2 * total, k1, k2)
+    hits_lo, hits_hi = hits_range_at_k(ranking, k1)
+    report = EvaluationReport(
+        label=label,
+        auc=auc,
+        boundary_group_size=ranking._cut_group(k1)[3],
+        tie_hits_min=hits_lo,
+        tie_hits_max=hits_hi,
+        counts=m.confusion_at_cut(ranking, k1),
+        decile=decile,
+        load_summary=load_summary,
+    )
+    least, most = report._auc_hits
     # Tied pairs get half credit, so the AUC is the mean over orderings of
     # the tie groups; the check spans every hit count the boundary group's
     # orderings allow, not only the one the tie policy picked.
-    hits_lo, hits_hi = hits_range_at_k(ranking, k1)
     check_lo = _envelope_pairs(hits_lo, k1, k2)[0]
     check_hi = _envelope_pairs(hits_hi, k1, k2)[1]
     if not 2 * check_lo <= auc.doubled_u <= 2 * check_hi:
@@ -122,18 +136,7 @@ def build_report(
             f"sandwich violated: hits {hits_lo}..{hits_hi} outside "
             f"[{least}, {most}] at AUC {auc.value!r} for ratio {k1}:{k2}"
         )
-    return EvaluationReport(
-        label=label,
-        auc=auc,
-        ppv_min=PpvResult(k=k1, hits=least),
-        ppv_max=PpvResult(k=k1, hits=most),
-        boundary_group_size=ranking._cut_group(k1)[3],
-        tie_hits_min=hits_lo,
-        tie_hits_max=hits_hi,
-        counts=counts,
-        decile=decile,
-        load_summary=load_summary,
-    )
+    return report
 
 
 def _report_payload(report: EvaluationReport) -> dict:
@@ -143,6 +146,7 @@ def _report_payload(report: EvaluationReport) -> dict:
         return None if value is None else float(format_number(value))
 
     k1, k2, ppv = report.k1, report.k2, report.ppv
+    ppv_min, ppv_max = report.ppv_min, report.ppv_max
     total = k1 * k2
     lo, hi = _envelope_pairs(ppv.hits, k1, k2)
     tie_lo = _envelope_pairs(report.tie_hits_min, k1, k2)[0]
@@ -165,10 +169,10 @@ def _report_payload(report: EvaluationReport) -> dict:
         },
         "gap": num((report.auc.doubled_u - 2 * k2 * ppv.hits) / (2 * total)),
         "envelope_at_auc": {
-            "ppv_min": num(report.ppv_min.value),
-            "ppv_min_hits": report.ppv_min.hits,
-            "ppv_max": num(report.ppv_max.value),
-            "ppv_max_hits": report.ppv_max.hits,
+            "ppv_min": num(ppv_min.value),
+            "ppv_min_hits": ppv_min.hits,
+            "ppv_max": num(ppv_max.value),
+            "ppv_max_hits": ppv_max.hits,
         },
         "envelope_at_ppv": {
             "auc_min": num(lo / total),
@@ -185,12 +189,11 @@ def _report_payload(report: EvaluationReport) -> dict:
             name: num(value) for name, value in _metric_table(report.counts).items()
         },
     }
-    if report.decile is not None:
-        buckets = report.decile._asdict()
+    decile = report.decile
+    if decile is not None:
+        buckets = {"low": decile.low, "medium": decile.medium, "high": decile.high}
         payload["deciles"] = {
-            "per_decile": [
-                {**row._asdict(), "rate": num(row.rate)} for row in buckets.pop("per_decile")
-            ],
+            "per_decile": [{**row._asdict(), "rate": num(row.rate)} for row in decile.per_decile],
             "buckets": {
                 name: {**bucket._asdict(), "deciles": list(bucket.deciles), "rate": num(bucket.rate)}
                 for name, bucket in buckets.items()

@@ -406,6 +406,20 @@ def test_envelope_json(capsys):
     assert payload["rows"][0] == {"ppv": 0.0, "auc_min": 0.0, "auc_max": 0.75}
 
 
+@pytest.mark.parametrize("k1, k2", [(4, 2), (2, 4)])
+def test_envelope_json_names_the_ratio_of_its_rows(capsys, k1, k2):
+    # The rows are tabulated for the ratio with the smaller class first; the
+    # JSON names that ratio and whether it was swapped, as the table note does.
+    argv = ["envelope", "--k1", str(k1), "--k2", str(k2)]
+    note = run(capsys, argv)[1].splitlines()[0]
+    payload = json.loads(run(capsys, [*argv, "--format", "json"])[1])
+    swapped = " (swapped to the smaller class)" if payload["swapped"] else ""
+    assert note == f"# ratio {payload['k1']}:{payload['k2']}{swapped}"
+    assert (payload["k1"], payload["k2"], payload["swapped"]) == (2, 4, k1 > k2)
+    # At 2:4 one hit in two gives the band [0.375, 0.875].
+    assert {"ppv": 0.5, "auc_min": 0.375, "auc_max": 0.875} in payload["rows"]
+
+
 def test_envelope_tsv(capsys):
     code, out, _ = run(capsys, ["envelope", "--k1", "2", "--k2", "2", "--format", "tsv"])
     assert code == 0

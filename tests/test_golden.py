@@ -67,13 +67,13 @@ TABLES = {
 ENVELOPE_SHA256 = {
     ("curve", "table"): "668bcc210b0fd2d0812a11aae49784bc93492b24c3da2be6700f2bd82053c05e",
     ("curve", "tsv"): "e8d0e9371ee544abc191cc0bdf481ae536aa9db68f5c0182a5a66f1585d1a7f7",
-    ("curve", "json"): "7e7818ddaa6d875f1f6816fa1c79e9df5fb3db8a02799be3dd482b0ff5e567e9",
+    ("curve", "json"): "f10463d4c9b983e30580b9eeb91ea09b32dba6a187730541c8eea8abc68dd6c1",
     ("grid", "table"): "cc23707668d27311811e6f31084cba8c096c9bb5b18617fc72b083f55827bbb4",
     ("grid", "tsv"): "2615b7b4c1ddedd98587ad02908705331bb7d36377f71cd131db6526fb919f38",
     ("grid", "json"): "e19d6f98cce96dba4ff83eb2489caa5623a177a7bc2d6755e3222a524804d337",
     ("curve_swapped", "table"): "87cfcb04175a6d02a3126b5c1eb851aa35a7058fb5bb75ad1155b422e25af07b",
     ("curve_swapped", "tsv"): "f7db0777916f6b0169c5499b4f3dd317033f7fdc4c5634004a574672f100fc65",
-    ("curve_swapped", "json"): "6a5b5b514cc7abcbf822878e889ba4393575ba7379bebc739148af6bec683fc7",
+    ("curve_swapped", "json"): "493728c72bcdfa61a812fad1f5bda2dea2d433ceabf7babe572358e769c88c3d",
     ("grid_unswapped", "table"): "5c25040266a703ea030479ca6435fe0896d598dc9580ba7c537fee333684f0fd",
     ("grid_unswapped", "tsv"): "48bb1a2d4876014957892f1fdb09eb9033be11b8fea2c6242d029936b98eb569",
     ("grid_unswapped", "json"): "9b90f7ed8044d18f24bd8feaa3fc1890b0cf6100d3bf911a441eb9aa7f02a5c7",

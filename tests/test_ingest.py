@@ -25,7 +25,7 @@ from aucppv import (
 )
 from aucppv.data import GENERAL_FIXTURE, VIOLENT_FIXTURE, fixture_path
 from aucppv.errors import EmptyAfterFilter, EmptyInput, MalformedRow, MissingColumn, NonFiniteScore
-from aucppv.ingest import ScoreTable
+from aucppv.ingest import DecileCount, DecileReport, ScoreTable
 from conftest import reference_load_csv
 
 
@@ -375,6 +375,21 @@ def test_decile_report_hand_tally(tmp_path):
     assert (ten.decile, ten.total, ten.positives) == (10, 2, 1)
     assert report.per_decile[1].total == 0
     assert report.per_decile[1].rate is None
+
+
+def test_decile_report_buckets_read_its_per_decile_counts():
+    # Only the per-decile counts are stored, so a report with other counts
+    # sums those into its buckets.
+    assert DecileReport._fields == ("per_decile",)
+    deciles = list(range(1, 11))
+    report = decile_report(ScoreTable(ids=deciles, scores=deciles, deciles=deciles, labels=[True] * 10))
+    per_decile = tuple(DecileCount(d, total=2 * d, positives=d % 3) for d in range(1, 11))
+    report = report._replace(per_decile=per_decile)
+    for bucket in (report.low, report.medium, report.high):
+        counted = [per_decile[d - 1] for d in bucket.deciles]
+        assert bucket.total == sum(c.total for c in counted)
+        assert bucket.positives == sum(c.positives for c in counted)
+    assert (report.low.total, report.medium.total, report.high.total) == (20, 36, 54)
 
 
 def test_decile_report_empty_bucket_has_no_rate(tmp_path):

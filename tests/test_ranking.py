@@ -631,6 +631,27 @@ def test_reverse_flips_order_and_roles():
     assert reversed_ranking.tie_policy is TiePolicy.GIVEN
 
 
+@pytest.mark.parametrize("policy", list(TiePolicy))
+def test_reversing_twice_gives_an_equal_ranking(policy):
+    # The k1 = 2 cut splits the 0.5 tie group. The round trip comes back
+    # under GIVEN, with the records in the same rank order, so it equals the
+    # original and hashes alike; repr still names the policy.
+    ranking = Ranking(["a", "b", "c", "d"], [0.9, 0.5, 0.5, 0.1], [True, False, True, False], policy)
+    twice = reverse_classifier(reverse_classifier(ranking))
+    assert twice == ranking
+    assert hash(twice) == hash(ranking)
+    assert twice.hits_at(ranking.k1) == ranking.hits_at(ranking.k1)
+    assert repr(twice).endswith(f"tie_policy={TiePolicy.GIVEN})")
+
+
+def test_rankings_of_one_record_set_differ_when_their_orders_do():
+    columns = (["b", "a"], [0.5, 0.5], [True, False])
+    given_order = Ranking(*columns, TiePolicy.GIVEN)
+    by_id = Ranking(*columns, TiePolicy.BY_ID_ASCENDING)
+    assert given_order.ids != by_id.ids
+    assert given_order != by_id
+
+
 def test_reverse_negates_scores_monotonically():
     ranking = ranking_from_pattern("PN")
     reversed_ranking = reverse_classifier(ranking)

@@ -75,6 +75,20 @@ def test_report_reads_its_sizes_and_ppv_off_its_counts():
     assert report.ppv == PpvResult(k=6, hits=4)
 
 
+def test_report_reads_its_ppv_bounds_off_its_auc():
+    # The bounds at the AUC are not stored beside it, so a report with
+    # another AUC prints that AUC's bounds: at AUC 0 every positive ranks
+    # below every negative, so PPV_k is 0.
+    report = build_report(ranking_from_pattern("PNPPNNPN"))
+    assert report._fields == (
+        "label", "auc", "boundary_group_size", "tie_hits_min", "tie_hits_max",
+        "counts", "decile", "load_summary",
+    )
+    report = report._replace(auc=AucResult(0, 16))
+    assert report.ppv_min.hits == report.ppv_max.hits == 0
+    assert "feasible ppv at this auc   [0, 0]\n" in format_report(report, "table")
+
+
 def test_metric_table_values():
     report = build_report(ranking_from_pattern("PPNPNNN"))
     assert report.counts == ConfusionCounts(tp=2, fp=1, fn=1, tn=3)
